@@ -1,14 +1,10 @@
-"""Small shared helpers: stable seeding, thread cap, chunked reductions."""
+"""Small shared helpers: stable seeding, congruences, canonical JSON lines."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-
-from .errors import ValidationError
 
 
 def stable_rng(seed: int, *key) -> random.Random:
@@ -19,44 +15,6 @@ def stable_rng(seed: int, *key) -> random.Random:
     blob = repr((seed,) + key).encode()
     digest = hashlib.sha256(blob).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def worker_count() -> int:
-    """Worker cap from JLCS_THREADS (default 1)."""
-    raw = os.environ.get("JLCS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"JLCS_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError("JLCS_THREADS must be >= 1")
-    return n
-
-
-def split_ranges(total: int, parts: int) -> list[range]:
-    """Split range(total) into <= parts contiguous chunks, in order."""
-    parts = max(1, min(parts, total)) if total else 1
-    out = []
-    base, extra = divmod(total, parts)
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        out.append(range(start, start + size))
-        start += size
-    return out
-
-
-def run_chunks(fn, chunks):
-    """Evaluate fn over chunks, possibly on worker threads.
-
-    Results are returned in chunk order regardless of scheduling, so any
-    associative-commutative combine downstream is deterministic.
-    """
-    workers = worker_count()
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
 
 
 def solve_congruence(a: int, b: int, n: int):

@@ -314,6 +314,9 @@ def _run_verify(args):
                 expsum.fourier_inversion_check(args.n, chi, psi).to_json())
     elif args.check == "separation":
         k, ring, psi, _ = _setup_chars(args)
+        if k.order < 2:
+            raise ValidationError(
+                f"F_{k.size} has no ratio a' outside zero and one")
         dlogs = (range(1, k.order) if args.aprime_dlog is None
                  else [args.aprime_dlog])
         for t in dlogs:
@@ -430,6 +433,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
+        if args.budget < 0:
+            raise ValidationError(
+                f"the budget must be nonnegative, got {args.budget}")
         records, ok = _DISPATCH[args.verb](args)
     except (ValidationError, DomainError, DecompositionError) as exc:
         _emit([{"kind": "error", "error": type(exc).__name__,

@@ -2,16 +2,14 @@
 Kloosterman sums, norm-fiber sums, and exact verifiers for the identities
 relating them.
 
-Every sum is computed in integer counting coordinates: the inner loops only
-ever increment a counts-per-exponent vector, and the cyclotomic value is
-materialized once at the end.  That keeps the hot paths free of ring
-arithmetic and makes chunked (threaded) evaluation exactly associative, so
-results are independent of the partition.
+Every sum is computed in integer counting coordinates: the kernels only
+ever build counts-per-exponent vectors, and the cyclotomic value is
+materialized once at the end.  Every sum over unit tuples is a row of one
+histogram, built by _tuple_counts as a convolution of single-unit counts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -19,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import ff
-from ._util import json_line, run_chunks, split_ranges, worker_count
+from ._util import json_line
 from .chars import AddChar, MultChar, inflate_add
 from .cyc import CycElem
 from .errors import BudgetExceeded, ValidationError
@@ -65,6 +63,8 @@ class SumReport:
 
 def _check_budget(work: int, budget: int | None):
     budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 0:
+        raise ValidationError(f"the budget must be nonnegative, got {budget}")
     if work > budget:
         raise BudgetExceeded(
             f"enumeration of {work} tuples exceeds the budget {budget}")
@@ -107,27 +107,28 @@ def gauss_sum(chi: MultChar, psi: AddChar) -> CycElem:
 # Kloosterman sums
 
 
-def _kloosterman_counts(fld, tau, ta, l, t1_range) -> list[int]:
-    """Exponent counts for tuples in (fld^x)^l with product dlog ta and first
-    coordinate restricted to t1_range."""
-    order, exp, log, add, p = fld.order, fld.exp, fld.log, fld.add_packed, fld.p
-    counts = [0] * p
-    if l == 2:
-        for t1 in t1_range:
-            s = add(exp[t1], exp[(ta - t1) % order])
-            counts[0 if s == 0 else tau[log[s]]] += 1
-        return counts
-    for t1 in t1_range:
-        b1 = exp[t1]
-        for mid in itertools.product(range(order), repeat=l - 3):
-            base, sm = b1, t1
-            for t in mid:
-                base = add(base, exp[t])
-                sm += t
-            rem = ta - sm
-            for t in range(order):
-                s = add(base, add(exp[t], exp[(rem - t) % order]))
-                counts[0 if s == 0 else tau[log[s]]] += 1
+def _tuple_counts(fld, tau, l, d) -> np.ndarray:
+    """Counts of unit l-tuples of fld as a d x p array: row T, column e
+    counts the tuples whose dlogs sum to T mod d and whose sum has
+    exponent e under the additive character with dlog table tau.
+
+    The character is additive, so the exponent of a sum is the sum of the
+    exponents, and the l-tuple table is the l-fold convolution of the
+    single-unit table on Z/d x Z/p.  d must divide the unit group order.
+    """
+    p = fld.p
+    # every count is at most order**l; past int64, hold Python integers
+    dtype = np.int64 if fld.order ** l < 2 ** 63 else object
+    single = np.bincount(np.arange(fld.order) % d * p + np.asarray(tau),
+                         minlength=d * p).reshape(d, p).astype(dtype)
+    cells = [(a, b, int(single[a, b])) for a, b in zip(*single.nonzero())]
+    counts = single
+    for _ in range(l - 1):
+        # wrap[d - a:, p - b:] is counts rolled by (a, b)
+        wrap = np.tile(counts, (2, 2))
+        counts = np.zeros_like(single)
+        for a, b, w in cells:
+            counts += w * wrap[d - a:2 * d - a, p - b:2 * p - b]
     return counts
 
 
@@ -144,13 +145,8 @@ def kloosterman(fld: ff.FieldDesc, l: int, a: ff.FFElem, psi: AddChar,
     if l == 1:
         return psi.eval(a)
     _check_budget(fld.order ** (l - 1), budget)
-    tau = psi.dlog_exponent_table()
-    ta = ff.dlog(a)
-    chunks = split_ranges(fld.order, worker_count())
-    parts = run_chunks(
-        lambda rng: _kloosterman_counts(fld, tau, ta, l, rng), chunks)
-    counts = [sum(col) for col in zip(*parts)]
-    return ring.weighted_root_sum(fld.p, counts)
+    counts = _tuple_counts(fld, psi.dlog_exponent_table(), l, fld.order)
+    return ring.weighted_root_sum(fld.p, counts[ff.dlog(a)].tolist())
 
 
 def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
@@ -158,8 +154,7 @@ def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
     """All K_{l,a} at once, indexed by dlog a.
 
     Computed by repeated convolution over (product dlog, exponent) pairs,
-    which costs l*(q-1)^2 instead of (q-1)^l; the result is count-identical
-    to direct enumeration.
+    which costs about l*(q-1)^2 instead of (q-1)^l.
     """
     if l < 1:
         raise ValidationError("l must be positive")
@@ -167,17 +162,8 @@ def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
         raise ValidationError("character must live on the field")
     L, p = fld.order, fld.p
     _check_budget(max(l - 1, 1) * L * L, budget)
-    tau = psi.dlog_exponent_table()
-    ring = psi.ring
-    C = np.zeros((L, p), dtype=np.int64)
-    for t in range(L):
-        C[t, tau[t]] = 1
-    for _ in range(l - 1):
-        new = np.zeros_like(C)
-        for tp in range(L):
-            new += np.roll(np.roll(C, tp, axis=0), tau[tp], axis=1)
-        C = new
-    return [ring.weighted_root_sum(p, C[t].tolist()) for t in range(L)]
+    counts = _tuple_counts(fld, psi.dlog_exponent_table(), l, L)
+    return [psi.ring.weighted_root_sum(p, row) for row in counts.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -222,27 +208,6 @@ def norm_fiber_sum(ext: ff.FieldDesc, lam: ff.FFElem, psi: AddChar,
 # identity checks
 
 
-def _full_tuple_counts(fld, tau, n, t1_range):
-    """2D counts over (product dlog, exponent) for all unit n-tuples."""
-    order, exp, log, add, p = fld.order, fld.exp, fld.log, fld.add_packed, fld.p
-    C = [[0] * p for _ in range(order)]
-    if n == 1:
-        for t in t1_range:
-            C[t][tau[t]] += 1
-        return C
-    for t1 in t1_range:
-        b1 = exp[t1]
-        for mid in itertools.product(range(order), repeat=n - 2):
-            base, sm = b1, t1
-            for t in mid:
-                base = add(base, exp[t])
-                sm += t
-            for t in range(order):
-                s = add(base, exp[t])
-                C[(sm + t) % order][0 if s == 0 else tau[log[s]]] += 1
-    return C
-
-
 def check_identity_716(n: int, chi: MultChar, psi: AddChar,
                        budget: int | None = None) -> SumReport:
     """Verify that the chi-weighted sum of K_{n,a} over a equals G(chi,psi)^n."""
@@ -254,15 +219,9 @@ def check_identity_716(n: int, chi: MultChar, psi: AddChar,
         raise ValidationError("n must be positive")
     _check_budget(k.order ** n, budget)
     ring = chi.ring
-    tau = psi.dlog_exponent_table()
-    chunks = split_ranges(k.order, worker_count())
-    parts = run_chunks(lambda rng: _full_tuple_counts(k, tau, n, rng), chunks)
+    counts = _tuple_counts(k, psi.dlog_exponent_table(), n, k.order)
     lhs = ring.zero()
-    for T in range(k.order):
-        row = [0] * k.p
-        for part in parts:
-            for e in range(k.p):
-                row[e] += part[T][e]
+    for T, row in enumerate(counts.tolist()):
         inner = ring.weighted_root_sum(k.p, row)
         lhs = lhs + ring.zeta(k.order, (chi.j * T) % k.order) * inner
     rhs = gauss_sum(chi, psi) ** n
@@ -272,38 +231,6 @@ def check_identity_716(n: int, chi: MultChar, psi: AddChar,
                     "psi_twist_dlog": ff.dlog(psi.twist)},
         lhs=lhs, rhs=rhs, elapsed=time.perf_counter() - t_start)
     return report
-
-
-def _route1_counts(kr, tau, T0, qm1, m, t1_range):
-    """Counts for unit m-tuples over kr whose product has relative norm fixed
-    by the congruence dlog(product) = T0 mod (q-1)."""
-    L, exp, log, add, p = kr.order, kr.exp, kr.log, kr.add_packed, kr.p
-    reps = L // qm1
-    counts = [0] * p
-    if m == 1:
-        for j in t1_range:
-            counts[tau[T0 + j * qm1]] += 1
-        return counts
-    if m == 2:
-        for t1 in t1_range:
-            b = exp[t1]
-            c = (T0 - t1) % qm1
-            for j in range(reps):
-                s = add(b, exp[c + j * qm1])
-                counts[0 if s == 0 else tau[log[s]]] += 1
-        return counts
-    for t1 in t1_range:
-        b1 = exp[t1]
-        for mid in itertools.product(range(L), repeat=m - 2):
-            base, sm = b1, t1
-            for t in mid:
-                base = add(base, exp[t])
-                sm += t
-            c = (T0 - sm) % qm1
-            for j in range(reps):
-                s = add(base, exp[c + j * qm1])
-                counts[0 if s == 0 else tau[log[s]]] += 1
-    return counts
 
 
 def check_identity_725(m: int, r: int, lam: ff.FFElem, psi: AddChar,
@@ -329,20 +256,13 @@ def check_identity_725(m: int, r: int, lam: ff.FFElem, psi: AddChar,
     _check_budget(work, budget)
 
     # route 1: Kloosterman sums over k_r, summed along the norm fiber
-    psi_r = inflate_add(psi, kr)
-    tau_r = psi_r.dlog_exponent_table()
+    tau_r = inflate_add(psi, kr).dlog_exponent_table()
     if kr is k:
         T0 = ff.dlog(lam)
     else:
         T0, _ = _norm_fiber_congruence(kr, k, lam)
-    if m == 1:
-        chunks = split_ranges(kr.order // qm1, worker_count())
-    else:
-        chunks = split_ranges(kr.order, worker_count())
-    parts = run_chunks(
-        lambda rng: _route1_counts(kr, tau_r, T0, qm1, m, rng), chunks)
-    counts = [sum(col) for col in zip(*parts)]
-    route1 = ring.weighted_root_sum(k.p, counts)
+    counts = _tuple_counts(kr, tau_r, m, qm1)
+    route1 = ring.weighted_root_sum(k.p, counts[T0].tolist())
 
     # route 2: sign times the norm-fiber sum over k_n
     sign2 = -1 if (m - 1) % 2 else 1

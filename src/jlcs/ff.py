@@ -562,20 +562,20 @@ class FFElem:
 # module-level operations
 
 
-def make_field(p: int, f: int, cap: int | None = None) -> FieldDesc:
+def make_field(p: int, f: int) -> FieldDesc:
     """The field k with q = p**f elements (with its prime field declared)."""
     key = (p, f, 1)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
     if not is_prime(p):
         raise ValidationError(f"p = {p} is not prime")
-    base = make_field(p, 1, cap) if f > 1 else None
-    k = FieldDesc(p, f, 1, base, cap)
+    base = make_field(p, 1) if f > 1 else None
+    k = FieldDesc(p, f, 1, base)
     _FIELD_CACHE[key] = k
     return k
 
 
-def make_extension(base: FieldDesc, l: int, cap: int | None = None) -> FieldDesc:
+def make_extension(base: FieldDesc, l: int) -> FieldDesc:
     """The degree-l extension k_l of k = base, with the embedding declared."""
     if base.l != 1:
         raise ValidationError("extensions are declared over the base field k")
@@ -584,7 +584,7 @@ def make_extension(base: FieldDesc, l: int, cap: int | None = None) -> FieldDesc
     key = (base.p, base.f, l)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
-    ext = FieldDesc(base.p, base.f, l, base, cap)
+    ext = FieldDesc(base.p, base.f, l, base)
     _FIELD_CACHE[key] = ext
     return ext
 

@@ -379,22 +379,10 @@ def char_at_unipotent_direct(eta: SscParam, lam: ff.FFElem,
         total = expsum.norm_fiber_sum(kr, lam, eta.psi, budget)
         return eta._finish(total, 0, 0)
     t0, fiber = expsum._norm_fiber_congruence(kr, k, lam)
-    Q = kr.order
-    expsum._check_budget(Q ** (m - 1) * fiber, budget)
-    lifted = inflate_add(eta.psi, kr)
-    tau = lifted.dlog_exponent_table()
-    exp_, log_, add = kr.exp, kr.log, kr.add_packed
-    counts = [0] * k.p
-    for head in itertools.product(range(Q), repeat=m - 1):
-        base = 0
-        hsum = 0
-        for t in head:
-            base = add(base, exp_[t])
-            hsum += t
-        for j in range(fiber):
-            x = add(base, exp_[(t0 + j * k.order - hsum) % Q])
-            counts[tau[log_[x]] if x else 0] += 1
-    total = eta.psi.ring.weighted_root_sum(k.p, counts)
+    expsum._check_budget(kr.order ** (m - 1) * fiber, budget)
+    tau = inflate_add(eta.psi, kr).dlog_exponent_table()
+    counts = expsum._tuple_counts(kr, tau, m, k.order)
+    total = eta.psi.ring.weighted_root_sum(k.p, counts[t0].tolist())
     return eta._finish(total, 0, 0)
 
 

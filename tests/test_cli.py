@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import pytest
 
-from jlcs import cli, expsum
-from jlcs.cyc import CycRing
+from jlcs import cli, expsum, ff
+from jlcs.chars import AddChar
+from jlcs.cyc import CycRing, ring_for
 from jlcs.expsum import SumReport
 
 
@@ -75,6 +77,21 @@ class TestExitCodes:
         assert code == 3
         (record,) = lines(out)
         assert record["error"] == "BudgetExceeded"
+
+    def test_negative_budget_is_usage(self, capsys):
+        code, out = run(capsys, "sums", "kloosterman", "--p", "3", "--f", "1",
+                        "--l", "3", "--a-dlog", "0", "--budget", "-1")
+        assert code == 2
+        (record,) = lines(out)
+        assert record["error"] == "ValidationError"
+
+    def test_separation_over_f2_is_usage(self, capsys):
+        # F_2 has no ratio a' outside {0, 1}, so the sweep would check nothing
+        code, out = run(capsys, "verify", "separation", "--p", "2",
+                        "--f", "1", "--n", "2")
+        assert code == 2
+        (record,) = lines(out)
+        assert record["error"] == "ValidationError"
 
     def test_failed_identity_is_math_failure(self, capsys, monkeypatch):
         ring = CycRing(2)
@@ -195,12 +212,21 @@ class TestDeterminism:
         _, second = run(capsys, *argv)
         assert first == second
 
-    def test_thread_count_does_not_change_bytes(self, capsys, monkeypatch):
-        argv = ["verify", "d716", "--p", "3", "--f", "1", "--n", "3"]
-        _, first = run(capsys, *argv)
-        monkeypatch.setenv("JLCS_THREADS", "4")
-        _, second = run(capsys, *argv)
-        assert first == second
+    def test_kloosterman_report_matches_enumeration(self, capsys):
+        # the reported value is the literal sum over unit triples of F_5
+        k = ff.make_field(5, 1)
+        psi = AddChar(k, 1, ring_for(5, k.order))
+        units = [x for x in k.elements() if not x.is_zero()]
+        for t in range(k.order):
+            a = k.from_dlog(t)
+            want = psi.ring.zero()
+            for x, y in itertools.product(units, repeat=2):
+                want = want + psi.eval(x + y + a / (x * y))
+            code, out = run(capsys, "sums", "kloosterman", "--p", "5",
+                            "--f", "1", "--l", "3", "--a-dlog", str(t))
+            assert code == 0
+            (record,) = lines(out)
+            assert record["value"] == want.to_json()
 
     def test_seed_changes_sampled_rows_only(self, capsys):
         argv = ["jl", "verify", "--p", "5", "--f", "1", "--m", "2", "--r",

@@ -1,11 +1,11 @@
+import itertools
 import math
-import os
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jlcs import chars, cyc, expsum, ff
+from jlcs import chars, cyc, expsum, ff, ssc
 from jlcs.errors import BudgetExceeded, ValidationError
 
 
@@ -14,6 +14,41 @@ def setup_k(p, f):
     R = cyc.ring_for(p, max(k.order, 1))
     psi = chars.AddChar(k, 1, R)
     return k, R, psi
+
+
+def unit_tuples(fld, l):
+    """Every unit l-tuple of fld with its product and its sum, computed
+    with field multiplication and addition only."""
+    units = [x for x in fld.elements() if not x.is_zero()]
+    for tup in itertools.product(units, repeat=l):
+        prod, tot = fld.one(), fld.zero()
+        for z in tup:
+            prod, tot = prod * z, tot + z
+        yield prod, tot
+
+
+def literal_counts(fld, l, d, exponent):
+    """The oracle for expsum._tuple_counts: unit l-tuples counted by (dlog
+    of the product mod d, exponent of the sum), by enumeration."""
+    counts = np.zeros((d, fld.p), dtype=np.int64)
+    for prod, tot in unit_tuples(fld, l):
+        counts[ff.dlog(prod) % d, exponent(tot)] += 1
+    return counts
+
+
+def literal_norm_sum(psi, kr, m, lam):
+    """Sum of psi(Tr(z_1 + ... + z_m)) over unit m-tuples of kr whose
+    product has relative norm lam, by enumeration."""
+    k = psi.field
+    total = psi.ring.zero()
+    for prod, tot in unit_tuples(kr, m):
+        if ff.rel_norm(prod, k) == lam:
+            total = total + psi.eval(ff.rel_trace(tot, k))
+    return total
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TestRestrictedGauss:
@@ -97,19 +132,13 @@ class TestKloosterman:
     @pytest.mark.parametrize("p,f,l", [(2, 2, 3), (3, 1, 3), (5, 1, 2),
                                        (3, 2, 2), (2, 3, 2)])
     def test_matches_brute_force(self, p, f, l):
-        import itertools
         k, R, psi = setup_k(p, f)
-        units = [x for x in k.elements() if not x.is_zero()]
         brute = {}
-        for tup in itertools.product(units, repeat=l):
-            prod = k.one()
-            tot = k.zero()
-            for z in tup:
-                prod = prod * z
-                tot = tot + z
+        for prod, tot in unit_tuples(k, l):
             key = prod.packed
             brute[key] = brute.get(key, R.zero()) + psi.eval(tot)
-        for a in units:
+        for t in range(k.order):
+            a = k.from_dlog(t)
             assert expsum.kloosterman(k, l, a, psi) == brute[a.packed]
 
     @pytest.mark.parametrize("p,f,l", [(3, 1, 2), (3, 1, 3), (2, 2, 3),
@@ -129,13 +158,84 @@ class TestKloosterman:
             if t < R.M and math.gcd(t, R.M) == 1:
                 assert v.galois(t) == v
 
-    def test_partition_invariance_across_thread_counts(self):
+
+class TestTupleCounts:
+    """The counting kernel against the literal enumerator."""
+
+    @pytest.mark.parametrize("p,f,l,d,twist", [
+        (2, 1, 3, 1, 0), (3, 1, 1, 2, 1), (3, 1, 3, 2, 1), (2, 2, 2, 1, 2),
+        (2, 2, 3, 3, 1), (5, 1, 2, 2, 3), (5, 1, 3, 4, 2), (7, 1, 2, 3, 4),
+        (2, 3, 3, 7, 3), (3, 2, 2, 8, 5), (3, 2, 3, 4, 1)])
+    def test_matches_enumeration(self, p, f, l, d, twist):
+        k, R, _ = setup_k(p, f)
+        psi = chars.AddChar(k, k.from_dlog(twist), R)
+        got = expsum._tuple_counts(k, psi.dlog_exponent_table(), l, d)
+        assert got.shape == (d, p)
+        assert np.array_equal(got, literal_counts(k, l, d, psi.exponent))
+
+    @pytest.mark.parametrize("p,f,m,r", [(2, 1, 2, 2), (2, 1, 3, 2),
+                                         (2, 1, 2, 3), (3, 1, 2, 2),
+                                         (3, 1, 3, 2), (2, 2, 2, 2)])
+    def test_route1_over_extension_matches_enumeration(self, p, f, m, r):
+        # counts over k_r by the character psi o Tr, rows mod q - 1
+        k, R, psi = setup_k(p, f)
+        kr = ff.make_extension(k, r)
+        tau = chars.inflate_add(psi, kr).dlog_exponent_table()
+        got = expsum._tuple_counts(kr, tau, m, k.order)
+        want = literal_counts(
+            kr, m, k.order, lambda y: psi.exponent(ff.rel_trace(y, k)))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p,f,m,r", [(2, 1, 2, 2), (2, 1, 3, 2),
+                                         (3, 1, 2, 2), (3, 1, 3, 1),
+                                         (5, 1, 2, 1), (2, 2, 2, 2)])
+    def test_d725_route1_is_the_norm_fiber_sum(self, p, f, m, r):
+        k, R, psi = setup_k(p, f)
+        kr = ff.make_extension(k, r)
+        for t in range(k.order):
+            lam = k.from_dlog(t)
+            rep = expsum.check_identity_725(m, r, lam, psi)
+            assert rep.equal
+            assert rep.lhs == literal_norm_sum(psi, kr, m, lam)
+
+    @pytest.mark.parametrize("p,f,m,r,s", [(3, 1, 2, 1, None),
+                                           (2, 1, 2, 2, 1),
+                                           (3, 1, 2, 2, 1),
+                                           (2, 1, 3, 1, None)])
+    def test_unipotent_direct_matches_enumeration(self, p, f, m, r, s):
+        eta = ssc.make_param(p, f, m, r, s, zeta_dlog=0, chi_j=1)
+        kr = eta.alg.D.kr
+        for t in range(eta.k.order):
+            lam = eta.k.from_dlog(t)
+            assert ssc.char_at_unipotent_direct(eta, lam) == \
+                literal_norm_sum(eta.psi, kr, m, lam)
+
+    def test_counts_past_int64_stay_exact(self):
+        # 6**27 unit 27-tuples of F_7: more than an int64 holds
         k, R, psi = setup_k(7, 1)
-        with mock.patch.dict(os.environ, {"JLCS_THREADS": "1"}):
-            one = expsum.kloosterman(k, 3, k.gen(), psi)
-        with mock.patch.dict(os.environ, {"JLCS_THREADS": "4"}):
-            four = expsum.kloosterman(k, 3, k.gen(), psi)
-        assert one == four
+        counts = expsum._tuple_counts(k, psi.dlog_exponent_table(), 27, 6)
+        assert counts.sum() == 6 ** 27
+        assert all(sum(row) == 6 ** 26 for row in counts.tolist())
+
+    def test_negative_budget_rejected(self):
+        k, R, psi = setup_k(3, 1)
+        with pytest.raises(ValidationError):
+            expsum.kloosterman(k, 2, k.one(), psi, budget=-1)
+        with pytest.raises(ValidationError):
+            expsum._check_budget(0, -1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                        (3, 2)]), st.integers(1, 3), st.data())
+def test_tuple_counts_match_enumeration_random(pf, l, data):
+    p, f = pf
+    k, R, _ = setup_k(p, f)
+    psi = chars.AddChar(
+        k, k.from_dlog(data.draw(st.integers(0, k.order - 1))), R)
+    d = data.draw(st.sampled_from(divisors(k.order)))
+    got = expsum._tuple_counts(k, psi.dlog_exponent_table(), l, d)
+    assert np.array_equal(got, literal_counts(k, l, d, psi.exponent))
 
 
 class TestNormFiberSum:
