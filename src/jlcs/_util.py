@@ -1,10 +1,45 @@
-"""Small shared helpers: stable seeding, congruences, canonical JSON lines."""
+"""Small shared helpers: memoised constructors, square-and-multiply powers,
+stable seeding, congruences, canonical JSON lines."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import random
+
+
+def canonical(build):
+    """Memoise the constructor build with functools.cache, so that equal
+    arguments give one shared object however the call spells them: the
+    cache key is the arguments bound positionally, defaults filled in.
+    Exceptions are not cached, so every check in build runs on each miss.
+    """
+    signature = inspect.signature(build)
+    arity = len(signature.parameters)
+    cached = functools.cache(build)
+
+    @functools.wraps(build)
+    def get(*args, **kwargs):
+        if kwargs or len(args) < arity:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        return cached(*args)
+
+    return get
+
+
+def binary_power(base, e: int, one):
+    """base**e for e >= 0 by square-and-multiply, starting from one."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
 
 
 def stable_rng(seed: int, *key) -> random.Random:

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from . import ff
 from . import locfield as lf
+from ._util import binary_power, canonical
 from .errors import DomainError, PrecisionError, ValidationError
-
-_DIV_CACHE: dict = {}
-_MAT_CACHE: dict = {}
-_PHI_D_CACHE: dict = {}
-_PHI_CACHE: dict = {}
 
 
 class DivAlgebra:
@@ -121,6 +118,7 @@ class DivAlgebra:
 
 
 def div_algebra(k: ff.FieldDesc, r: int, s: int | None = None) -> DivAlgebra:
+    """The shared DivAlgebra of degree r and twist s over k."""
     if r < 1:
         raise ValidationError("the degree r must be positive")
     if r == 1:
@@ -130,10 +128,10 @@ def div_algebra(k: ff.FieldDesc, r: int, s: int | None = None) -> DivAlgebra:
     elif s is None or not 1 <= s <= r - 1 or math.gcd(s, r) != 1:
         raise ValidationError(
             "the twist must satisfy 1 <= s <= r-1 and gcd(s, r) = 1")
-    key = (k.p, k.f, k.l, r, s)
-    if key not in _DIV_CACHE:
-        _DIV_CACHE[key] = DivAlgebra(k, r, s)
-    return _DIV_CACHE[key]
+    return _div_algebra(k, r, s)
+
+
+_div_algebra = cache(DivAlgebra)
 
 
 class AlgElem:
@@ -235,20 +233,7 @@ class AlgElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValidationError("negative powers are not defined here")
-        result = self.parent.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def scale_series(self, x: lf.LaurentTrunc) -> "AlgElem":
-        """Left multiplication by a series over k_r."""
-        if x.field is not self.parent.kr:
-            raise ValidationError("scalar must be a series over k_r")
-        return AlgElem(self.parent, tuple(x * a for a in self.coeffs))
+        return binary_power(self, e, self.parent.one())
 
     def truncate(self, prec: int) -> "AlgElem":
         return AlgElem(self.parent,
@@ -328,13 +313,12 @@ class MatrixAlgebra:
         return f"M_{self.m}({self.D!r})"
 
 
+@canonical
 def matrix_algebra(D: DivAlgebra, m: int) -> MatrixAlgebra:
+    """The shared algebra of m x m matrices over D."""
     if m < 1:
         raise ValidationError("the matrix size m must be positive")
-    key = (D.k.p, D.k.f, D.k.l, D.r, D.s, m)
-    if key not in _MAT_CACHE:
-        _MAT_CACHE[key] = MatrixAlgebra(D, m)
-    return _MAT_CACHE[key]
+    return MatrixAlgebra(D, m)
 
 
 class MatA:
@@ -387,14 +371,7 @@ class MatA:
     def __pow__(self, e: int):
         if e < 0:
             raise ValidationError("negative matrix powers are not defined here")
-        result = self.parent.identity()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, self.parent.identity())
 
     def scale_elem(self, d: AlgElem) -> "MatA":
         """Left multiplication by the scalar matrix diag(d, ..., d)."""
@@ -489,6 +466,7 @@ class MatA:
 # distinguished uniformizers
 
 
+@canonical
 def make_phi_D(Dalg: DivAlgebra, zeta: ff.FFElem) -> AlgElem:
     """The element c Pi with c the Teichmuller lift of least discrete log
     whose norm to k is zeta; then (c Pi)^r = zeta w."""
@@ -497,58 +475,49 @@ def make_phi_D(Dalg: DivAlgebra, zeta: ff.FFElem) -> AlgElem:
         raise ValidationError("zeta must lie in the residue field of K")
     if zeta.packed == 0:
         raise DomainError("zeta must be a unit")
-    key = (k.p, k.f, k.l, Dalg.r, Dalg.s, zeta.packed)
-    if key in _PHI_D_CACHE:
-        return _PHI_D_CACHE[key]
     if Dalg.r == 1:
         phi = Dalg.from_series(lf.teichmuller(zeta).shift(1))
     else:
         kr = Dalg.kr
-        # Nr(g^t) = Nr(g)^t, and Nr(g) generates k^x, so the norm
-        # condition fixes t modulo q - 1; the least solution wins
-        s0 = ff.dlog(ff.rel_norm(kr.gen(), k))
-        t0 = (pow(s0, -1, k.order) * ff.dlog(zeta)) % k.order
-        c = kr.from_dlog(t0)
+        t0, _ = ff.norm_fiber_congruence(kr, k, zeta)
         coeffs = [lf.zero(kr)] * Dalg.r
-        coeffs[1] = lf.teichmuller(c)
+        coeffs[1] = lf.teichmuller(kr.from_dlog(t0))
         phi = AlgElem(Dalg, tuple(coeffs))
     check = phi ** Dalg.r
     if check != Dalg.from_base_series(lf.teichmuller(zeta).shift(1)):
         raise AssertionError("uniformizer power check failed")
-    _PHI_D_CACHE[key] = phi
     return phi
 
 
+def block_uniformizer(MA: MatrixAlgebra, corner: AlgElem) -> MatA:
+    """Identity blocks above the diagonal and corner at the bottom left."""
+    z, o = MA.D.zero(), MA.D.one()
+    rows = [[z] * MA.m for _ in range(MA.m)]
+    for i in range(MA.m - 1):
+        rows[i][i + 1] = o
+    rows[MA.m - 1][0] = corner
+    return MA.elem(rows)
+
+
+@canonical
 def make_phi_zeta(m: int, Dalg: DivAlgebra, zeta: ff.FFElem) -> MatA:
-    """The block uniformizer with identity blocks above the diagonal and
-    the division-algebra uniformizer in the corner; its n-th power is
-    the central element zeta w."""
+    """The block uniformizer with the division-algebra uniformizer in the
+    corner; its n-th power is the central element zeta w."""
     MA = matrix_algebra(Dalg, m)
-    key = (Dalg.k.p, Dalg.k.f, Dalg.k.l, Dalg.r, Dalg.s, m, zeta.packed)
-    if key in _PHI_CACHE:
-        return _PHI_CACHE[key]
-    phi_d = make_phi_D(Dalg, zeta)
-    if m == 1:
-        phi = MA.elem([[phi_d]])
-    else:
-        z, o = Dalg.zero(), Dalg.one()
-        rows = [[z] * m for _ in range(m)]
-        for i in range(m - 1):
-            rows[i][i + 1] = o
-        rows[m - 1][0] = phi_d
-        phi = MA.elem(rows)
+    phi = block_uniformizer(MA, make_phi_D(Dalg, zeta))
     central = MA.scalar_series(lf.teichmuller(zeta).shift(1))
     if phi ** MA.n != central:
         raise AssertionError("block uniformizer power check failed")
-    _PHI_CACHE[key] = phi
     return phi
 
 
-def phi_inverse(phi: MatA, zeta: ff.FFElem) -> MatA:
-    """Inverse of the block uniformizer: (zeta w)^{-1} phi^{n-1}."""
-    n = phi.parent.n
+@canonical
+def phi_inverse(m: int, Dalg: DivAlgebra, zeta: ff.FFElem) -> MatA:
+    """Inverse of the block uniformizer make_phi_zeta(m, Dalg, zeta):
+    (zeta w)^{-1} phi^{n-1}."""
+    phi = make_phi_zeta(m, Dalg, zeta)
     zw_inv = lf.teichmuller(zeta).shift(1).inverse()
-    return (phi ** (n - 1)).scale_base_series(zw_inv)
+    return (phi ** (phi.parent.n - 1)).scale_base_series(zw_inv)
 
 
 def one_plus_inverse(y: MatA, prec: int | None = None) -> MatA:
@@ -949,7 +918,8 @@ def selftest(p: int, f: int, m: int, r: int, s: int | None,
     record("rtrace_identity",
            rtrace(MA.identity()) == lf.teichmuller(k.from_int(n)))
     if n >= 2:
-        record("rtrace_phi_inverse", rtrace(phi_inverse(phi, zeta)).is_zero())
+        record("rtrace_phi_inverse",
+               rtrace(phi_inverse(m, D, zeta)).is_zero())
 
     u = MA.random_in_order(rng, prec)
     gu = make_g_u(m, D, zeta, u)

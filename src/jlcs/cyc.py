@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import cache
 
+from ._util import binary_power
 from .errors import ValidationError
 
 
@@ -199,14 +200,7 @@ class CycElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValidationError("negative powers are not defined here")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, self.ring.one())
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -262,9 +256,7 @@ class CycElem:
         return f"Cyc({' + '.join(parts)} @ M={self.ring.M})"
 
 
-@lru_cache(maxsize=None)
-def _ring_cached(M: int) -> CycRing:
-    return CycRing(M)
+_ring_cached = cache(CycRing)
 
 
 def ring_for(*orders: int) -> CycRing:

@@ -61,7 +61,9 @@ class SumReport:
         return json_line(self.to_json())
 
 
-def _check_budget(work: int, budget: int | None):
+def check_budget(work: int, budget: int | None):
+    """Abort before enumerating work tuples past the budget
+    (DEFAULT_BUDGET when None)."""
     budget = DEFAULT_BUDGET if budget is None else budget
     if budget < 0:
         raise ValidationError(f"the budget must be nonnegative, got {budget}")
@@ -144,7 +146,7 @@ def kloosterman(fld: ff.FieldDesc, l: int, a: ff.FFElem, psi: AddChar,
     ring = psi.ring
     if l == 1:
         return psi.eval(a)
-    _check_budget(fld.order ** (l - 1), budget)
+    check_budget(fld.order ** (l - 1), budget)
     counts = _tuple_counts(fld, psi.dlog_exponent_table(), l, fld.order)
     return ring.weighted_root_sum(fld.p, counts[ff.dlog(a)].tolist())
 
@@ -161,26 +163,13 @@ def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
     if psi.field is not fld:
         raise ValidationError("character must live on the field")
     L, p = fld.order, fld.p
-    _check_budget(max(l - 1, 1) * L * L, budget)
+    check_budget(max(l - 1, 1) * L * L, budget)
     counts = _tuple_counts(fld, psi.dlog_exponent_table(), l, L)
     return [psi.ring.weighted_root_sum(p, row) for row in counts.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # norm-fiber sums
-
-
-def _norm_fiber_congruence(ext: ff.FieldDesc, over: ff.FieldDesc,
-                           lam: ff.FFElem) -> tuple[int, int]:
-    """Solve Nr(g**t) = lam as t = t0 + j*(q-1); returns (t0, fiber size)."""
-    if lam.is_zero():
-        raise ValidationError("norm fibers over zero are not used")
-    qm1 = over.order
-    fiber = ext.order // qm1
-    s0 = ff.dlog(ff.rel_norm(ext.gen(), over))
-    # the norm of a generator generates the base units, so s0 is invertible
-    t0 = (pow(s0, -1, qm1) * ff.dlog(lam)) % qm1 if qm1 > 1 else 0
-    return t0, fiber
 
 
 def norm_fiber_sum(ext: ff.FieldDesc, lam: ff.FFElem, psi: AddChar,
@@ -193,8 +182,8 @@ def norm_fiber_sum(ext: ff.FieldDesc, lam: ff.FFElem, psi: AddChar,
         raise ValidationError("extension must declare the base field")
     if ext is k:
         return psi.eval(lam)
-    t0, fiber = _norm_fiber_congruence(ext, k, lam)
-    _check_budget(fiber, budget)
+    t0, fiber = ff.norm_fiber_congruence(ext, k, lam)
+    check_budget(fiber, budget)
     lifted = inflate_add(psi, ext)
     tau = lifted.dlog_exponent_table()
     qm1 = k.order
@@ -202,6 +191,23 @@ def norm_fiber_sum(ext: ff.FieldDesc, lam: ff.FFElem, psi: AddChar,
     for j in range(fiber):
         counts[tau[t0 + j * qm1]] += 1
     return psi.ring.weighted_root_sum(k.p, counts)
+
+
+def norm_fiber_kloosterman(ext: ff.FieldDesc, m: int, lam: ff.FFElem,
+                           psi: AddChar, budget: int | None = None) -> CycElem:
+    """Sum of psi(Tr(z_1 + ... + z_m)) over unit m-tuples of ext whose
+    product has relative norm lam: Kloosterman sums over ext, summed along
+    the norm fiber of lam."""
+    k = psi.field
+    if m < 1:
+        raise ValidationError("m must be positive")
+    if lam.field is not k:
+        raise ValidationError("the norm value must live in the base field")
+    t0, fiber = ff.norm_fiber_congruence(ext, k, lam)
+    check_budget(ext.order ** (m - 1) * fiber, budget)
+    tau = inflate_add(psi, ext).dlog_exponent_table()
+    counts = _tuple_counts(ext, tau, m, k.order)
+    return psi.ring.weighted_root_sum(k.p, counts[t0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +223,7 @@ def check_identity_716(n: int, chi: MultChar, psi: AddChar,
         raise ValidationError("characters must live on the same field")
     if n < 1:
         raise ValidationError("n must be positive")
-    _check_budget(k.order ** n, budget)
+    check_budget(k.order ** n, budget)
     ring = chi.ring
     counts = _tuple_counts(k, psi.dlog_exponent_table(), n, k.order)
     lhs = ring.zero()
@@ -246,23 +252,16 @@ def check_identity_725(m: int, r: int, lam: ff.FFElem, psi: AddChar,
     if m < 1 or r < 1:
         raise ValidationError("m and r must be positive")
     n = m * r
-    ring = psi.ring
     kr = ff.make_extension(k, r)
     kn = ff.make_extension(k, n)
     qm1 = k.order
     work = (kr.order ** max(m - 1, 0)) * (kr.order // qm1)
     work += kn.order // qm1
     work += k.order ** (n - 1)
-    _check_budget(work, budget)
+    check_budget(work, budget)
 
     # route 1: Kloosterman sums over k_r, summed along the norm fiber
-    tau_r = inflate_add(psi, kr).dlog_exponent_table()
-    if kr is k:
-        T0 = ff.dlog(lam)
-    else:
-        T0, _ = _norm_fiber_congruence(kr, k, lam)
-    counts = _tuple_counts(kr, tau_r, m, qm1)
-    route1 = ring.weighted_root_sum(k.p, counts[T0].tolist())
+    route1 = norm_fiber_kloosterman(kr, m, lam, psi, budget)
 
     # route 2: sign times the norm-fiber sum over k_n
     sign2 = -1 if (m - 1) % 2 else 1

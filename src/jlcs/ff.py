@@ -12,7 +12,10 @@ Elements are stored packed: an element with coefficients (c_0, ..., c_{d-1})
 over F_p is the integer sum(c_i * p**i).  Every field carries full exp/log
 tables, so products, inverses and discrete logarithms are O(1) lookups and
 the absolute-trace exponent of every generator power is precomputed.  Field
-sizes are capped (default 2**20) to keep this honest.
+sizes are capped at DEFAULT_FIELD_CAP elements to keep this honest.
+
+make_field and make_extension return one shared FieldDesc per field, so
+fields compare by identity.
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ import math
 
 import numpy as np
 
+from ._util import canonical
 from .errors import BudgetExceeded, ValidationError
 
 DEFAULT_FIELD_CAP = 1 << 20
-
-_FIELD_CACHE: dict[tuple[int, int, int], "FieldDesc"] = {}
 
 
 def is_prime(n: int) -> bool:
@@ -174,21 +176,19 @@ class FieldDesc:
     __slots__ = (
         "p", "f", "l", "degree", "size", "order", "modulus", "base",
         "gen_packed", "exp", "log", "trace_exp",
-        "_pp", "_emb_fwd", "_emb_back", "_alpha",
+        "_pp", "_emb_fwd", "_emb_back",
     )
 
-    def __init__(self, p: int, f: int, l: int, base: "FieldDesc | None",
-                 cap: int | None = None):
+    def __init__(self, p: int, f: int, l: int, base: "FieldDesc | None"):
         if not is_prime(p):
             raise ValidationError(f"p = {p} is not prime")
         if f < 1 or l < 1:
             raise ValidationError("field degrees must be positive")
-        cap = DEFAULT_FIELD_CAP if cap is None else cap
         degree = f * l
         size = p ** degree
-        if size > cap:
-            raise BudgetExceeded(
-                f"field of size {p}^{degree} exceeds the cap {cap}")
+        if size > DEFAULT_FIELD_CAP:
+            raise BudgetExceeded(f"field of size {p}^{degree} exceeds "
+                                 f"the cap {DEFAULT_FIELD_CAP}")
         self.p, self.f, self.l = p, f, l
         self.degree, self.size, self.order = degree, size, size - 1
         self.base = base
@@ -197,7 +197,6 @@ class FieldDesc:
         self._build_tables()
         self._emb_fwd = {}
         self._emb_back = {}
-        self._alpha = {}
         if base is not None:
             self._declare_embedding(base)
             if base.base is not None:
@@ -333,7 +332,6 @@ class FieldDesc:
                 if c:
                     acc = self.add_packed(acc, self.scalar_mul_packed(c, powers[i]))
             fwd.append(acc)
-        self._alpha[(sub.p, sub.f, sub.l)] = alpha
         self._emb_fwd[(sub.p, sub.f, sub.l)] = fwd
         self._emb_back[(sub.p, sub.f, sub.l)] = {v: i for i, v in enumerate(fwd)}
 
@@ -460,9 +458,6 @@ class FieldDesc:
         for code in range(self.size):
             yield FFElem(self, code)
 
-    def random_elem(self, rng) -> "FFElem":
-        return FFElem(self, rng.randrange(self.size))
-
     def to_json(self) -> dict:
         return {
             "p": self.p, "f": self.f, "l": self.l,
@@ -562,31 +557,20 @@ class FFElem:
 # module-level operations
 
 
+@canonical
 def make_field(p: int, f: int) -> FieldDesc:
     """The field k with q = p**f elements (with its prime field declared)."""
-    key = (p, f, 1)
-    if key in _FIELD_CACHE:
-        return _FIELD_CACHE[key]
-    if not is_prime(p):
-        raise ValidationError(f"p = {p} is not prime")
-    base = make_field(p, 1) if f > 1 else None
-    k = FieldDesc(p, f, 1, base)
-    _FIELD_CACHE[key] = k
-    return k
+    return FieldDesc(p, f, 1, make_field(p, 1) if f > 1 else None)
 
 
+@canonical
 def make_extension(base: FieldDesc, l: int) -> FieldDesc:
     """The degree-l extension k_l of k = base, with the embedding declared."""
     if base.l != 1:
         raise ValidationError("extensions are declared over the base field k")
     if l == 1:
         return base
-    key = (base.p, base.f, l)
-    if key in _FIELD_CACHE:
-        return _FIELD_CACHE[key]
-    ext = FieldDesc(base.p, base.f, l, base)
-    _FIELD_CACHE[key] = ext
-    return ext
+    return FieldDesc(base.p, base.f, l, base)
 
 
 def embed(x: FFElem, into: FieldDesc) -> FFElem:
@@ -630,6 +614,20 @@ def rel_norm(x: FFElem, over: FieldDesc) -> FFElem:
         acc = acc * y
         y = y ** over.size
     return pullback(acc, over)
+
+
+def norm_fiber_congruence(ext: FieldDesc, over: FieldDesc,
+                          lam: FFElem) -> tuple[int, int]:
+    """Solve Nr(g**t) = lam for the generator g of ext as t = t0 + j*(q-1),
+    q = |over|; returns (t0, fiber size).  When ext is over, t0 = dlog lam."""
+    if lam.is_zero():
+        raise ValidationError("norm fibers over zero are not used")
+    qm1 = over.order
+    fiber = ext.order // qm1
+    s0 = dlog(rel_norm(ext.gen(), over))
+    # the norm of a generator generates the base units, so s0 is invertible
+    t0 = (pow(s0, -1, qm1) * dlog(lam)) % qm1 if qm1 > 1 else 0
+    return t0, fiber
 
 
 def dlog(x: FFElem) -> int:

@@ -12,6 +12,7 @@ K restricts an additive character of the residue field through residue().
 from __future__ import annotations
 
 from . import ff
+from ._util import binary_power
 from .chars import AddChar
 from .cyc import CycElem
 from .errors import DomainError, PrecisionError, ValidationError
@@ -60,9 +61,6 @@ class LaurentTrunc:
     def is_zero(self) -> bool:
         """Zero as far as the tracked precision can tell."""
         return not self.coeffs
-
-    def is_unit(self) -> bool:
-        return bool(self.coeffs) and self.val == 0
 
     def in_unit_group_1(self) -> bool:
         """Membership in U^1 = 1 + p: distance from 1 has valuation >= 1."""
@@ -168,14 +166,7 @@ class LaurentTrunc:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = LaurentTrunc(self.field, 0, (1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, LaurentTrunc(self.field, 0, (1,)))
 
     def inverse(self, rel_prec: int | None = None) -> "LaurentTrunc":
         """Multiplicative inverse.

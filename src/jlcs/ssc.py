@@ -24,14 +24,12 @@ from dataclasses import dataclass
 
 from . import csa, expsum, ff
 from . import locfield as lf
-from ._util import solve_congruence
-from .chars import AddChar, MultChar, inflate_add
+from ._util import canonical, solve_congruence
+from .chars import AddChar, MultChar
 from .cyc import CycElem
 from .errors import DecompositionError, DomainError, ValidationError
 
 COMPLEX_TOL = 1e-9
-
-_COSET_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -227,11 +225,10 @@ def decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
     v = g.radical_valuation()
     if v is None:
         raise DecompositionError("the element is not invertible")
-    phi = csa.make_phi_zeta(alg.m, alg.D, zeta)
     if v >= 0:
-        h = (csa.phi_inverse(phi, zeta) ** v) * g
+        h = (csa.phi_inverse(alg.m, alg.D, zeta) ** v) * g
     else:
-        h = (phi ** (-v)) * g
+        h = (csa.make_phi_zeta(alg.m, alg.D, zeta) ** (-v)) * g
     if not h.in_order():
         raise DecompositionError(
             "phi^{-v} g does not land in the standard order")
@@ -255,8 +252,7 @@ def decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
 def theta_eval(eta: SscParam, g: csa.MatA):
     """theta(phi^v x u) = ((-1)^{m-1} c)^v chi(x) psi_K(Trd(phi^{-1}(u-1)))."""
     v, xbar, u = decompose(eta.alg, eta.zeta, g)
-    phi = eta.phi()
-    phi_inv = csa.phi_inverse(phi, eta.zeta)
+    phi_inv = csa.phi_inverse(eta.alg.m, eta.alg.D, eta.zeta)
     t = csa.rtrace(phi_inv * (u - eta.alg.identity()))
     root = eta.chi.eval(xbar) * lf.psi_K(eta.psi, t)
     return eta._finish(root, v, (eta.alg.m - 1) * v)
@@ -288,8 +284,9 @@ def char_at_gu_closed(eta: SscParam, u: csa.MatA):
     return eta._finish(gsum, 1, eta.alg.m - 1)
 
 
-def gu_cosets(alg: csa.MatrixAlgebra):
-    """Coset representatives for the g_u trace sum.
+@canonical
+def gu_cosets(alg: csa.MatrixAlgebra) -> tuple:
+    """Coset representatives (lambda, x, x^{-1}) for the g_u trace sum.
 
     For each lambda in mu_{n_q}(k) there is a scalar d in mu_{q^r-1}(K_r)
     with d^{q^s - 1} = lambda^m, and x = d diag(1, lambda, ...,
@@ -298,9 +295,6 @@ def gu_cosets(alg: csa.MatrixAlgebra):
     """
     D = alg.D
     k = D.k
-    key = (k.p, k.f, k.l, D.r, D.s, alg.m)
-    if key in _COSET_CACHE:
-        return _COSET_CACHE[key]
     kr = D.kr
     n_q = math.gcd(alg.n, k.order)
     reps = []
@@ -326,8 +320,7 @@ def gu_cosets(alg: csa.MatrixAlgebra):
         reps.append((lam, x, x_inv))
     if len(reps) != n_q:
         raise AssertionError("coset count is not n_q")
-    _COSET_CACHE[key] = reps
-    return reps
+    return tuple(reps)
 
 
 def _teich_diag(alg: csa.MatrixAlgebra, entries) -> csa.MatA:
@@ -373,33 +366,12 @@ def char_at_unipotent_direct(eta: SscParam, lam: ff.FFElem,
     sum over k."""
     if lam.field is not eta.k or lam.packed == 0:
         raise ValidationError("lambda must be a unit of the residue field")
-    D = eta.alg.D
-    kr, k, m = D.kr, eta.k, eta.alg.m
+    kr, m = eta.alg.D.kr, eta.alg.m
     if m == 1:
         total = expsum.norm_fiber_sum(kr, lam, eta.psi, budget)
-        return eta._finish(total, 0, 0)
-    t0, fiber = expsum._norm_fiber_congruence(kr, k, lam)
-    expsum._check_budget(kr.order ** (m - 1) * fiber, budget)
-    tau = inflate_add(eta.psi, kr).dlog_exponent_table()
-    counts = expsum._tuple_counts(kr, tau, m, k.order)
-    total = eta.psi.ring.weighted_root_sum(k.p, counts[t0].tolist())
+    else:
+        total = expsum.norm_fiber_kloosterman(kr, m, lam, eta.psi, budget)
     return eta._finish(total, 0, 0)
-
-
-def _phi_scaled(alg: csa.MatrixAlgebra, zeta: ff.FFElem,
-                c0: ff.FFElem) -> csa.MatA:
-    """The block uniformizer for zeta * Nr(c0), realized as the corner
-    element c0 * phi_D."""
-    D = alg.D
-    corner = D.teich(c0) * csa.make_phi_D(D, zeta)
-    if alg.m == 1:
-        return alg.elem([[corner]])
-    z, o = D.zero(), D.one()
-    rows = [[z] * alg.m for _ in range(alg.m)]
-    for i in range(alg.m - 1):
-        rows[i][i + 1] = o
-    rows[alg.m - 1][0] = corner
-    return alg.elem(rows)
 
 
 def char_at_unipotent_deep(eta: SscParam, lam: ff.FFElem,
@@ -418,16 +390,18 @@ def char_at_unipotent_deep(eta: SscParam, lam: ff.FFElem,
     kr, k, m = D.kr, eta.k, eta.alg.m
     Q = kr.order
     q1 = k.order
-    t0, fiber = expsum._norm_fiber_congruence(kr, k, lam)
+    t0, fiber = ff.norm_fiber_congruence(kr, k, lam)
     head = Q // q1
-    expsum._check_budget(head * Q ** (m - 1) * (fiber if all_c0 else 1),
-                         budget)
+    expsum.check_budget(head * Q ** (m - 1) * (fiber if all_c0 else 1),
+                        budget)
     choices = range(fiber) if all_c0 else range(1)
     expected = eta.alg.scalar_series(lf.teichmuller(lam * eta.zeta).shift(1))
     results = []
     for j in choices:
+        # the block uniformizer for zeta * Nr(c0), with c0 phi_D in the corner
         c0 = kr.from_dlog((t0 + j * q1) % Q)
-        phi_lam = _phi_scaled(eta.alg, eta.zeta, c0)
+        phi_lam = csa.block_uniformizer(
+            eta.alg, D.teich(c0) * csa.make_phi_D(D, eta.zeta))
         if phi_lam ** eta.n != expected:
             raise AssertionError(
                 "the scaled uniformizer does not have the right power")
@@ -578,7 +552,8 @@ def normalized_tau(eta: SscParam, xi: TameChar):
     ybar = nrd.coeff(1)
     tame = _tame_at_unit_varpi(eta, xi, ybar)
     psi_factor = eta.as_mode(
-        lf.psi_K(eta.psi, csa.rtrace(csa.phi_inverse(phi, eta.zeta))))
+        lf.psi_K(eta.psi, csa.rtrace(
+            csa.phi_inverse(eta.alg.m, eta.alg.D, eta.zeta))))
     tau = theta_phi * tame * psi_factor
     scaled = -tau if (eta.n - eta.alg.m) % 2 else tau
     if not values_match(scaled, epsilon_twisted(eta, xi)):

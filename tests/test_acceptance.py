@@ -91,7 +91,7 @@ def test_criterion_02_gu_character_matches_restricted_gauss():
         k, ring, n = eta.k, eta.chi.ring, eta.n
         q = k.size
         alg = eta.alg
-        phi_inv = csa.phi_inverse(eta.phi(), eta.zeta)
+        phi_inv = csa.phi_inverse(m, alg.D, eta.zeta)
         cosets = ssc.gu_cosets(alg)
         ident = alg.identity()
         sign = ring.from_int(-1 if (m - 1) % 2 else 1)
@@ -245,7 +245,7 @@ def test_criterion_09_phi_norm_and_inverse_trace():
             assert csa.rnorm(phi) == expected, \
                 f"rnorm q={k.size} m={m} r={r} s={s} zeta={ff.dlog(zeta)}"
             if n >= 2:
-                assert csa.rtrace(csa.phi_inverse(phi, zeta)).is_zero(), \
+                assert csa.rtrace(csa.phi_inverse(m, D, zeta)).is_zero(), \
                     f"rtrace q={k.size} m={m} r={r} s={s}"
     print("criterion 9: PASS")
 

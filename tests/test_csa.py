@@ -58,6 +58,11 @@ class TestAlgebraConstruction:
         assert csa.div_algebra(k, 2, 1) is csa.div_algebra(k, 2, 1)
         D = csa.div_algebra(k, 2, 1)
         assert csa.matrix_algebra(D, 2) is csa.matrix_algebra(D, 2)
+        # every spelling of the same arguments shares one object
+        assert csa.div_algebra(k, r=2, s=1) is D
+        assert csa.div_algebra(k, 1, 0) is csa.div_algebra(k, 1, None)
+        assert csa.div_algebra(k, 1) is csa.div_algebra(k, 1, None)
+        assert csa.matrix_algebra(D, m=2) is csa.matrix_algebra(D, 2)
 
     def test_coefficient_count_checked(self):
         k = ff.make_field(3, 1)
@@ -202,14 +207,23 @@ class TestUniformizers:
         with pytest.raises(DomainError):
             csa.make_phi_D(D, k.zero())
 
+    def test_uniformizers_are_built_once(self):
+        k = ff.make_field(3, 1)
+        D = csa.div_algebra(k, 2, 1)
+        phi = csa.make_phi_zeta(2, D, k.gen())
+        assert csa.make_phi_zeta(2, D, k.gen()) is phi
+        assert csa.make_phi_zeta(2, Dalg=D, zeta=k.gen()) is phi
+        phi_inv = csa.phi_inverse(2, D, k.gen())
+        assert csa.phi_inverse(m=2, Dalg=D, zeta=k.gen()) is phi_inv
+
     def test_phi_inverse(self):
         k = ff.make_field(3, 1)
         D = csa.div_algebra(k, 2, 1)
         MA = csa.matrix_algebra(D, 2)
         zeta = k.from_int(2)
         phi = csa.make_phi_zeta(2, D, zeta)
-        assert phi * csa.phi_inverse(phi, zeta) == MA.identity()
-        assert csa.phi_inverse(phi, zeta) * phi == MA.identity()
+        assert phi * csa.phi_inverse(2, D, zeta) == MA.identity()
+        assert csa.phi_inverse(2, D, zeta) * phi == MA.identity()
 
     def test_phi_normalizes_order(self):
         # phi A phi^{-1} stays in the order, and P = phi A by left division
@@ -218,7 +232,7 @@ class TestUniformizers:
         MA = csa.matrix_algebra(D, 2)
         zeta = k.gen()
         phi = csa.make_phi_zeta(2, D, zeta)
-        phi_inv = csa.phi_inverse(phi, zeta)
+        phi_inv = csa.phi_inverse(2, D, zeta)
         rng = stable_rng(3, "normalize")
         for _ in range(8):
             a = MA.random_in_order(rng, 6)
@@ -332,7 +346,7 @@ class TestReducedInvariants:
         assert csa.rtrace(MA.identity()) == lf.from_coeffs(k, 0, [6 % 3])
         zeta = k.from_int(2)
         phi = csa.make_phi_zeta(3, D, zeta)
-        assert csa.rtrace(csa.phi_inverse(phi, zeta)).is_zero()
+        assert csa.rtrace(csa.phi_inverse(3, D, zeta)).is_zero()
         assert csa.rtrace(phi).is_zero()
 
     def test_rnorm_of_phi(self):

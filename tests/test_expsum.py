@@ -222,7 +222,7 @@ class TestTupleCounts:
         with pytest.raises(ValidationError):
             expsum.kloosterman(k, 2, k.one(), psi, budget=-1)
         with pytest.raises(ValidationError):
-            expsum._check_budget(0, -1)
+            expsum.check_budget(0, -1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -92,12 +92,15 @@ class TestTables:
 
     def test_field_cap_enforced(self):
         with pytest.raises(BudgetExceeded):
-            ff.FieldDesc(2, 21, 1, None, cap=1 << 20)
+            ff.FieldDesc(2, 21, 1, None)
 
     def test_cache_returns_identical_objects(self):
         assert ff.make_field(3, 2) is ff.make_field(3, 2)
         k = ff.make_field(3, 1)
         assert ff.make_extension(k, 2) is ff.make_extension(k, 2)
+        # keyword and positional calls share one object
+        assert ff.make_field(p=3, f=1) is ff.make_field(3, 1)
+        assert ff.make_extension(k, l=2) is ff.make_extension(k, 2)
 
 
 class TestArithmetic:
@@ -230,6 +233,19 @@ class TestTower:
             # k2 declares the prime field too, so the direct route exists
             direct = ff.rel_trace(x, kp)
             assert via_k == direct
+
+    def test_norm_fiber_congruence_solves_the_norm_equation(self):
+        k = ff.make_field(2, 2)
+        for l in (1, 2, 3):
+            ext = ff.make_extension(k, l)
+            for lam in ff.enumerate_mu(k, k.order):
+                t0, fiber = ff.norm_fiber_congruence(ext, k, lam)
+                assert 0 <= t0 < k.order and fiber == ext.order // k.order
+                assert ff.rel_norm(ext.from_dlog(t0), k) == lam
+                if l == 1:
+                    assert t0 == ff.dlog(lam)
+        with pytest.raises(ValidationError):
+            ff.norm_fiber_congruence(ext, k, k.zero())
 
 
 class TestDlogAndMu:

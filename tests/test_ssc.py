@@ -269,6 +269,13 @@ class TestEllipticFamily:
 
 
 class TestGuCosets:
+    def test_cosets_are_built_once_as_a_tuple(self):
+        k = ff.make_field(3, 1)
+        alg = csa.matrix_algebra(csa.div_algebra(k, 2, 1), 1)
+        reps = ssc.gu_cosets(alg)
+        assert isinstance(reps, tuple)
+        assert ssc.gu_cosets(alg) is reps
+
     def test_cosets_enumerate_mu_nq(self):
         import math
         for p, f, m, r, s in SMALL_CONFIGS:
