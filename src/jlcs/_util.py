@@ -32,14 +32,16 @@ def canonical(build):
 
 
 def binary_power(base, e: int, one):
-    """base**e for e >= 0 by square-and-multiply, starting from one."""
-    result = one
+    """base**e for e >= 0 by square-and-multiply: no product with one and
+    no squaring past the top bit, so base**1 is base itself."""
+    result = None
     while e:
         if e & 1:
-            result = result * base
-        base = base * base
+            result = base if result is None else result * base
         e >>= 1
-    return result
+        if e:
+            base = base * base
+    return one if result is None else result
 
 
 def stable_rng(seed: int, *key) -> random.Random:

@@ -57,9 +57,8 @@ class AddChar:
 
     def dlog_exponent_table(self) -> list[int]:
         """exponent_dlog for every t; summation kernels index this directly."""
-        f = self.field
-        shift, order, te = self._shift, f.order, f.trace_exp
-        return [te[(shift + t) % order] for t in range(order)]
+        te = self.field.trace_exp
+        return te[self._shift:] + te[:self._shift]
 
     def is_trivial(self) -> bool:
         return False  # a nonzero twist always gives a nontrivial character

@@ -7,29 +7,33 @@ relation sweeps), epsilon (local constants), csa (algebra selftest).
 Reports are JSON lines (or CSV with --format csv, flattening exact
 values to their complex embedding); given the same configuration and
 seed, two runs emit identical bytes.  Exit codes: 0 all checks passed,
-1 a mathematical verification failed, 2 usage or validation error,
-3 budget or precision abort.
+1 a mathematical verification failed, 2 usage or validation error
+(including an unwritable --out), 3 budget or precision abort, 4 an
+internal error (an unexpected exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as csv_mod
 import io
 import sys
+import traceback
 
 from . import csa, expsum, ff, ssc
 from . import locfield as lf
 from ._util import json_line, stable_rng
 from .chars import AddChar, MultChar
 from .cyc import CycElem, ring_for
-from .errors import (BudgetExceeded, DecompositionError, DomainError,
-                     PrecisionError, ValidationError)
+from .errors import (BudgetExceeded, DomainError, PrecisionError,
+                     ValidationError)
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -217,7 +221,7 @@ def _flatten(record: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _emit(records, args) -> None:
+def _emit(records, args, stream) -> None:
     if args.format == "json":
         text = "".join(json_line(r) + "\n" for r in records)
     else:
@@ -229,11 +233,7 @@ def _emit(records, args) -> None:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    stream.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def _run_sums(args):
         k, ring, psi, _ = _setup_chars(args)
         ext = ff.make_extension(k, args.l)
         lam = k.from_dlog(args.lambda_dlog)
-        value = expsum.norm_fiber_sum(ext, lam, psi, args.budget)
+        value = expsum.kloosterman(ext, 1, lam, psi, args.budget)
         params = {"q": k.size, "l": args.l, "lambda_dlog": ff.dlog(lam),
                   "psi_twist_dlog": ff.dlog(psi.twist)}
     record = {"kind": args.sum_kind, "parameters": params,
@@ -427,30 +427,44 @@ _DISPATCH = {
 }
 
 
+def _error(exc, kind="error") -> dict:
+    return {"kind": kind, "error": type(exc).__name__, "message": str(exc)}
+
+
+def _run(args):
+    """Run the verb; returns (exit code, records)."""
+    try:
+        if args.budget < 0:
+            raise ValidationError(
+                f"the budget must be nonnegative, got {args.budget}")
+        records, ok = _DISPATCH[args.verb](args)
+    except (ValidationError, DomainError) as exc:
+        return EXIT_USAGE, [_error(exc)]
+    except (BudgetExceeded, PrecisionError) as exc:
+        return EXIT_LIMIT, [_error(exc)]
+    except AssertionError as exc:
+        return EXIT_MATH, [_error(exc)]
+    except Exception as exc:
+        traceback.print_exc()
+        return EXIT_INTERNAL, [_error(exc, "internal_error")]
+    return (EXIT_OK if ok else EXIT_MATH), records
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        if args.budget < 0:
-            raise ValidationError(
-                f"the budget must be nonnegative, got {args.budget}")
-        records, ok = _DISPATCH[args.verb](args)
-    except (ValidationError, DomainError, DecompositionError) as exc:
-        _emit([{"kind": "error", "error": type(exc).__name__,
-                "message": str(exc)}], args)
+        target = (open(args.out, "w", encoding="utf-8") if args.out
+                  else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        _emit([_error(exc)], args, sys.stdout)
         return EXIT_USAGE
-    except (BudgetExceeded, PrecisionError) as exc:
-        _emit([{"kind": "error", "error": type(exc).__name__,
-                "message": str(exc)}], args)
-        return EXIT_LIMIT
-    except AssertionError as exc:
-        _emit([{"kind": "error", "error": "AssertionError",
-                "message": str(exc)}], args)
-        return EXIT_MATH
-    _emit(records, args)
-    return EXIT_OK if ok else EXIT_MATH
+    with target as stream:
+        code, records = _run(args)
+        _emit(records, args, stream)
+    return code
 
 
 if __name__ == "__main__":

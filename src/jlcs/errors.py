@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ValidationError -> 2 (usage),
-BudgetExceeded and PrecisionError -> 3 (resource abort).  Failed mathematical
-checks are not exceptions; they are reported and drive exit code 1.
+The CLI maps these onto exit codes: ValidationError and DomainError -> 2
+(usage), BudgetExceeded and PrecisionError -> 3 (resource abort).  Failed
+mathematical checks are not exceptions; they are reported and drive exit
+code 1.  Any other exception is an internal error -> 4, reported as an
+internal_error record with the traceback on stderr.
 """
 
 

@@ -1,6 +1,6 @@
 """Exponential sums over finite fields: restricted Gauss sums, generalized
-Kloosterman sums, norm-fiber sums, and exact verifiers for the identities
-relating them.
+Kloosterman sums over k and its extensions, and exact verifiers for the
+identities relating them.
 
 Every sum is computed in integer counting coordinates: the kernels only
 ever build counts-per-exponent vectors, and the cyclotomic value is
@@ -134,21 +134,28 @@ def _tuple_counts(fld, tau, l, d) -> np.ndarray:
     return counts
 
 
-def kloosterman(fld: ff.FieldDesc, l: int, a: ff.FFElem, psi: AddChar,
+def kloosterman(ext: ff.FieldDesc, l: int, lam: ff.FFElem, psi: AddChar,
                 budget: int | None = None) -> CycElem:
-    """Sum of psi(z_1 + ... + z_l) over unit tuples with product a."""
+    """Sum of psi(Tr(z_1 + ... + z_l)) over unit l-tuples of ext whose
+    product has relative norm lam, with psi and lam on a subfield k of ext.
+
+    Over ext = k this is K_{l,lam}; for l = 1 it is the sum of psi(Tr(y))
+    over the norm fiber of lam in ext.
+    """
+    k = psi.field
     if l < 1:
         raise ValidationError("l must be positive")
-    if a.field is not fld or psi.field is not fld:
-        raise ValidationError("argument and character must live on the field")
-    if a.is_zero():
+    if lam.field is not k:
+        raise ValidationError("the argument must live on the character's field")
+    if lam.is_zero():
         raise ValidationError("Kloosterman sums need a nonzero argument")
-    ring = psi.ring
-    if l == 1:
-        return psi.eval(a)
-    check_budget(fld.order ** (l - 1), budget)
-    counts = _tuple_counts(fld, psi.dlog_exponent_table(), l, fld.order)
-    return ring.weighted_root_sum(fld.p, counts[ff.dlog(a)].tolist())
+    if l == 1 and ext is k:
+        return psi.eval(lam)
+    t0, fiber = ff.norm_fiber_congruence(ext, k, lam)
+    check_budget(ext.order ** (l - 1) * fiber, budget)
+    tau = inflate_add(psi, ext).dlog_exponent_table()
+    counts = _tuple_counts(ext, tau, l, k.order)
+    return psi.ring.weighted_root_sum(k.p, counts[t0].tolist())
 
 
 def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
@@ -166,48 +173,6 @@ def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
     check_budget(max(l - 1, 1) * L * L, budget)
     counts = _tuple_counts(fld, psi.dlog_exponent_table(), l, L)
     return [psi.ring.weighted_root_sum(p, row) for row in counts.tolist()]
-
-
-# ---------------------------------------------------------------------------
-# norm-fiber sums
-
-
-def norm_fiber_sum(ext: ff.FieldDesc, lam: ff.FFElem, psi: AddChar,
-                   budget: int | None = None) -> CycElem:
-    """Sum of psi(Tr(y)) over y in ext with relative norm lam."""
-    k = psi.field
-    if lam.field is not k:
-        raise ValidationError("the norm value must live in the base field")
-    if not ext.has_subfield(k):
-        raise ValidationError("extension must declare the base field")
-    if ext is k:
-        return psi.eval(lam)
-    t0, fiber = ff.norm_fiber_congruence(ext, k, lam)
-    check_budget(fiber, budget)
-    lifted = inflate_add(psi, ext)
-    tau = lifted.dlog_exponent_table()
-    qm1 = k.order
-    counts = [0] * k.p
-    for j in range(fiber):
-        counts[tau[t0 + j * qm1]] += 1
-    return psi.ring.weighted_root_sum(k.p, counts)
-
-
-def norm_fiber_kloosterman(ext: ff.FieldDesc, m: int, lam: ff.FFElem,
-                           psi: AddChar, budget: int | None = None) -> CycElem:
-    """Sum of psi(Tr(z_1 + ... + z_m)) over unit m-tuples of ext whose
-    product has relative norm lam: Kloosterman sums over ext, summed along
-    the norm fiber of lam."""
-    k = psi.field
-    if m < 1:
-        raise ValidationError("m must be positive")
-    if lam.field is not k:
-        raise ValidationError("the norm value must live in the base field")
-    t0, fiber = ff.norm_fiber_congruence(ext, k, lam)
-    check_budget(ext.order ** (m - 1) * fiber, budget)
-    tau = inflate_add(psi, ext).dlog_exponent_table()
-    counts = _tuple_counts(ext, tau, m, k.order)
-    return psi.ring.weighted_root_sum(k.p, counts[t0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +226,11 @@ def check_identity_725(m: int, r: int, lam: ff.FFElem, psi: AddChar,
     check_budget(work, budget)
 
     # route 1: Kloosterman sums over k_r, summed along the norm fiber
-    route1 = norm_fiber_kloosterman(kr, m, lam, psi, budget)
+    route1 = kloosterman(kr, m, lam, psi, budget)
 
     # route 2: sign times the norm-fiber sum over k_n
     sign2 = -1 if (m - 1) % 2 else 1
-    route2 = norm_fiber_sum(kn, lam, psi, budget) * sign2
+    route2 = kloosterman(kn, 1, lam, psi, budget) * sign2
 
     # route 3: sign times a single Kloosterman sum over the base field
     sign3 = -1 if (n - m) % 2 else 1

@@ -326,11 +326,11 @@ class FieldDesc:
             powers.append(self.mul_packed(powers[-1], alpha))
         fwd = []
         for code in range(sub.size):
-            digs = sub._digits(code)
+            digs = sub._digits(code)  # F_p digits pack as themselves
             acc = 0
             for i, c in enumerate(digs):
                 if c:
-                    acc = self.add_packed(acc, self.scalar_mul_packed(c, powers[i]))
+                    acc = self.add_packed(acc, self.mul_packed(c, powers[i]))
             fwd.append(acc)
         self._emb_fwd[(sub.p, sub.f, sub.l)] = fwd
         self._emb_back[(sub.p, sub.f, sub.l)] = {v: i for i, v in enumerate(fwd)}
@@ -375,14 +375,6 @@ class FieldDesc:
         if a == 0 or b == 0:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % self.order]
-
-    def scalar_mul_packed(self, c: int, a: int) -> int:
-        c %= self.p
-        if c == 0 or a == 0:
-            return 0
-        if c == 1:
-            return a
-        return self.exp[(self.log[c] + self.log[a]) % self.order]
 
     def inv_packed(self, a: int) -> int:
         if a == 0:

@@ -352,8 +352,6 @@ def char_at_gu_direct(eta: SscParam, u: csa.MatA):
 def char_at_unipotent_closed(eta: SscParam, lam: ff.FFElem,
                              budget: int | None = None):
     """(-1)^{n-m} K_{n,lambda}(psi)."""
-    if lam.field is not eta.k or lam.packed == 0:
-        raise ValidationError("lambda must be a unit of the residue field")
     kl = expsum.kloosterman(eta.k, eta.n, lam, eta.psi, budget)
     return eta._finish(kl, 0, eta.n - eta.alg.m)
 
@@ -362,15 +360,9 @@ def char_at_unipotent_direct(eta: SscParam, lam: ff.FFElem,
                              budget: int | None = None):
     """Sum of psi(Tr(z_1 + ... + z_m)) over m-tuples of k_r units whose
     product has norm lambda; equality with the closed form is the
-    character identity, since this route never evaluates a Kloosterman
-    sum over k."""
-    if lam.field is not eta.k or lam.packed == 0:
-        raise ValidationError("lambda must be a unit of the residue field")
-    kr, m = eta.alg.D.kr, eta.alg.m
-    if m == 1:
-        total = expsum.norm_fiber_sum(kr, lam, eta.psi, budget)
-    else:
-        total = expsum.norm_fiber_kloosterman(kr, m, lam, eta.psi, budget)
+    character identity.  For r > 1 this route never evaluates a Kloosterman
+    sum over k; for r = 1 both routes are K_{m,lambda}."""
+    total = expsum.kloosterman(eta.alg.D.kr, eta.alg.m, lam, eta.psi, budget)
     return eta._finish(total, 0, 0)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -16,6 +17,55 @@ def run(capsys, *argv):
 
 def lines(out):
     return [json.loads(line) for line in out.splitlines()]
+
+
+def without_approx(obj):
+    """obj with every approx pair removed: the float cross-check's last
+    digit can depend on the host's libm, the exact values cannot."""
+    if isinstance(obj, dict):
+        return {k: without_approx(v) for k, v in obj.items() if k != "approx"}
+    if isinstance(obj, list):
+        return [without_approx(v) for v in obj]
+    return obj
+
+
+# (id, command, exit code, SHA-256 of its JSON lines without approx pairs)
+FROZEN_REPORTS = [
+    ("kloosterman-l2", "sums kloosterman --p 3 --f 1 --l 2 --a-dlog 0", 0,
+     "68f9abe19aee917064ba2ffd0f5cfdcccb623702ccfcb220238aa5b5b2b2a806"),
+    ("kloosterman-l1-budget0",
+     "sums kloosterman --p 3 --f 1 --l 1 --a-dlog 1 --budget 0", 0,
+     "10c06d9f55a03be10126362d30d68c2abf1e08ebe61109d346e01567d4e4aebf"),
+    ("norm-fiber-l3", "sums norm-fiber --p 2 --f 2 --l 3 --lambda-dlog 1", 0,
+     "947664ea8ceff41493faa0a9a2f29404886f36e15f055a19106a6fef0cddec3a"),
+    ("norm-fiber-l1-budget0",
+     "sums norm-fiber --p 2 --f 2 --l 1 --lambda-dlog 1 --budget 0", 0,
+     "4d73268f820d7cf9c239ecc16cc5000e6fda5d330f8fe9b6e295046e86b29049"),
+    ("norm-fiber-l2-budget0",
+     "sums norm-fiber --p 2 --f 2 --l 2 --lambda-dlog 1 --budget 0", 3,
+     "21b0fb411f485d85b83221dbb1b9b630dd3b3315710ef95d53e6aa627755d950"),
+    ("d725-q4-m2-r2", "verify d725 --p 2 --f 2 --m 2 --r 2", 0,
+     "9b270484b78095ae262efce6c524d9de36ae7d31f2c3f1a00272749824d7b49f"),
+    ("d725-q3-m1-r3", "verify d725 --p 3 --f 1 --m 1 --r 3", 0,
+     "f137fa21e97ff1778e50603e9673516943a0679d99fd7f39d1b8aa1b3a43f2e0"),
+    ("d725-m1-r1-budget0", "verify d725 --p 3 --f 1 --m 1 --r 1 --budget 0",
+     3, "8965d5fd72ed94fb1a6ed3200318e97927727300fadcc21e490fc899f83f5fea"),
+    ("d716", "verify d716 --p 3 --f 1 --n 2", 0,
+     "4090da0d21286a60f5dae4d961612564ea10add7fe8ff75f8f8d3d3ead29ea96"),
+    ("separation", "verify separation --p 5 --f 1 --n 2", 0,
+     "81a5b89a8853a7a5c1673718a985ac7424cb055ec1d773ffe1b592d66154f26e"),
+    ("char-m1-r1-budget0", "char --p 3 --f 1 --m 1 --r 1 --budget 0", 0,
+     "2b3150a428232fb01cacb4d061c44b5be535c38b91448457ec9e198e3a676251"),
+    ("char-deep", "char --p 3 --f 1 --m 2 --r 2 --s 1 --deep", 0,
+     "e47a691608e9d554aba56bcb9a64c6f597bc743c61239724bcae8bdcf5624e1f"),
+    ("jl-verify", "jl verify --p 3 --f 1 --m 1 --r 2 --s 1 --all-lambda", 0,
+     "106c1b60627c2f1d2533a9113a52704407848bb676b0d41cb5f376e034ae78e9"),
+    ("epsilon", "epsilon --p 3 --f 1 --m 1 --r 2 --s 1 --twist-unit 1 "
+     "--twist-varpi-order 4 --twist-varpi-power 1", 0,
+     "b1cb8fb11d99383e6be767bf67ad2fabd2efaf4614ad7e4bbcdf6543bee33da3"),
+    ("csa-selftest", "csa selftest --p 2 --f 1 --m 2 --r 2 --s 1", 0,
+     "20ed40392e5dfe19e51377e14950463c39f7d0568eb6eab3fe14b562b083e11a"),
+]
 
 
 class TestWorkedExamples:
@@ -92,6 +142,38 @@ class TestExitCodes:
         assert code == 2
         (record,) = lines(out)
         assert record["error"] == "ValidationError"
+
+    def test_unwritable_out_is_usage(self, capsys, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setitem(cli._DISPATCH, "sums",
+                            lambda args: ran.append(args) or ([], True))
+        target = tmp_path / "missing" / "report.json"
+        code, out = run(capsys, "sums", "gauss", "--p", "3", "--f", "1",
+                        "--out", str(target))
+        assert code == 2
+        (record,) = lines(out)
+        assert record["kind"] == "error"
+        assert record["error"] == "FileNotFoundError"
+        assert not ran  # the file is opened before the verb runs
+
+    def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("lost")
+        monkeypatch.setattr(expsum, "gauss_sum", broken)
+        code = cli.main(["sums", "gauss", "--p", "3", "--f", "1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL == 4
+        (record,) = lines(captured.out)
+        assert record == {"kind": "internal_error", "error": "KeyError",
+                          "message": "'lost'"}
+        assert "Traceback" in captured.err and "KeyError" in captured.err
+
+    def test_interrupt_still_propagates(self, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(expsum, "gauss_sum", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["sums", "gauss", "--p", "3", "--f", "1"])
 
     def test_failed_identity_is_math_failure(self, capsys, monkeypatch):
         ring = CycRing(2)
@@ -227,6 +309,17 @@ class TestDeterminism:
             assert code == 0
             (record,) = lines(out)
             assert record["value"] == want.to_json()
+
+    @pytest.mark.parametrize("command,code,digest",
+                             [row[1:] for row in FROZEN_REPORTS],
+                             ids=[row[0] for row in FROZEN_REPORTS])
+    def test_reports_are_frozen(self, capsys, command, code, digest):
+        got_code, out = run(capsys, *command.split())
+        assert got_code == code
+        text = "".join(json.dumps(without_approx(record), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+                       for record in lines(out))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_seed_changes_sampled_rows_only(self, capsys):
         argv = ["jl", "verify", "--p", "5", "--f", "1", "--m", "2", "--r",

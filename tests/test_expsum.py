@@ -188,15 +188,19 @@ class TestTupleCounts:
 
     @pytest.mark.parametrize("p,f,m,r", [(2, 1, 2, 2), (2, 1, 3, 2),
                                          (3, 1, 2, 2), (3, 1, 3, 1),
-                                         (5, 1, 2, 1), (2, 2, 2, 2)])
+                                         (5, 1, 2, 1), (2, 2, 2, 2),
+                                         (3, 1, 1, 2), (2, 2, 1, 3),
+                                         (5, 1, 1, 1), (3, 2, 1, 1)])
     def test_d725_route1_is_the_norm_fiber_sum(self, p, f, m, r):
         k, R, psi = setup_k(p, f)
         kr = ff.make_extension(k, r)
         for t in range(k.order):
             lam = k.from_dlog(t)
             rep = expsum.check_identity_725(m, r, lam, psi)
+            want = literal_norm_sum(psi, kr, m, lam)
             assert rep.equal
-            assert rep.lhs == literal_norm_sum(psi, kr, m, lam)
+            assert rep.lhs == want
+            assert expsum.kloosterman(kr, m, lam, psi) == want
 
     @pytest.mark.parametrize("p,f,m,r,s", [(3, 1, 2, 1, None),
                                            (2, 1, 2, 2, 1),
@@ -239,17 +243,19 @@ def test_tuple_counts_match_enumeration_random(pf, l, data):
 
 
 class TestNormFiberSum:
+    """kloosterman with l = 1: psi(Tr(y)) summed over a norm fiber."""
+
     def test_degree_one_is_psi(self):
         k, R, psi = setup_k(3, 1)
-        assert expsum.norm_fiber_sum(k, k.elem(2), psi) == psi.eval(k.elem(2))
+        assert expsum.kloosterman(k, 1, k.elem(2), psi) == psi.eval(k.elem(2))
 
     def test_q3_degree2_frozen_values(self):
         k, R, psi = setup_k(3, 1)
         k2 = ff.make_extension(k, 2)
         # fiber over 1 has traces {2,1,0,0}: zeta^2 + zeta + 2 = 1
-        assert expsum.norm_fiber_sum(k2, k.one(), psi) == R.one()
+        assert expsum.kloosterman(k2, 1, k.one(), psi) == R.one()
         # fiber over 2 has traces {1,1,2,2}: 2*zeta + 2*zeta^2 = -2
-        assert expsum.norm_fiber_sum(k2, k.elem(2), psi) == R.from_int(-2)
+        assert expsum.kloosterman(k2, 1, k.elem(2), psi) == R.from_int(-2)
 
     def test_matches_brute_force(self):
         for (p, f, d) in [(3, 1, 2), (2, 2, 2), (3, 2, 2), (5, 1, 2)]:
@@ -264,13 +270,26 @@ class TestNormFiberSum:
                     count += 1
                     brute = brute + psi.eval(ff.rel_trace(y, k))
                 assert count == ext.order // k.order
-                assert expsum.norm_fiber_sum(ext, lam, psi) == brute
+                assert expsum.kloosterman(ext, 1, lam, psi) == brute
 
     def test_zero_rejected(self):
         k, R, psi = setup_k(3, 1)
         k2 = ff.make_extension(k, 2)
-        with pytest.raises(ValidationError):
-            expsum.norm_fiber_sum(k2, k.zero(), psi)
+        for ext in (k, k2):
+            with pytest.raises(ValidationError):
+                expsum.kloosterman(ext, 1, k.zero(), psi)
+
+    def test_budget_edges(self):
+        k, R, psi = setup_k(3, 1)
+        lam = k.elem(2)
+        # over k itself the sum is one character value: nothing to enumerate
+        assert expsum.kloosterman(k, 1, lam, psi, budget=0) == psi.eval(lam)
+        k2 = ff.make_extension(k, 2)
+        fiber = k2.order // k.order
+        with pytest.raises(BudgetExceeded):
+            expsum.kloosterman(k2, 1, lam, psi, budget=fiber - 1)
+        assert expsum.kloosterman(k2, 1, lam, psi, budget=fiber) == \
+            R.from_int(-2)
 
 
 class TestIdentity716:
