@@ -1,5 +1,5 @@
 """Small shared helpers: memoised constructors, square-and-multiply powers,
-stable seeding, congruences, canonical JSON lines."""
+stable seeding, prime factors, congruences, canonical JSON lines."""
 
 from __future__ import annotations
 
@@ -52,6 +52,21 @@ def stable_rng(seed: int, *key) -> random.Random:
     blob = repr((seed,) + key).encode()
     digest = hashlib.sha256(blob).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def solve_congruence(a: int, b: int, n: int):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv as csv_mod
+import functools
 import io
 import sys
 import traceback
@@ -76,7 +77,10 @@ def _eta_flags(sub):
                      help="dlog of the additive twist")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parse_args leaves it
+    unchanged, so every main call can share it."""
     common = _common_flags()
     top = argparse.ArgumentParser(prog="jlcs")
     verbs = top.add_subparsers(dest="verb", required=True)
@@ -325,7 +329,8 @@ def _run_verify(args):
                                                 args.budget)
             records.append({
                 "kind": "separation",
-                "parameters": {"q": k.size, "n": args.n, "aprime_dlog": t},
+                "parameters": {"q": k.size, "n": args.n,
+                               "aprime_dlog": ff.dlog(aprime)},
                 "witness_dlog": None if witness is None else ff.dlog(witness),
                 "ok": witness is not None,
             })

@@ -6,42 +6,57 @@ code asks for a ring large enough for every root-of-unity order it needs via
 ring_for(...), which takes the lcm of the declared orders.  Elements are
 integer coefficient tuples of length deg(Phi_M), so equality of two character
 sums is literal tuple equality, with an independent complex embedding kept
-alongside for floating-point cross-checks.
+alongside for floating-point cross-checks.  The table of reduced powers
+zeta_M**t is built on first use, so a ring whose values are only compared
+in count coordinates never builds it.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from functools import cache
+from functools import cache, cached_property
 
-from ._util import binary_power
+from ._util import binary_power, prime_factors
 from .errors import ValidationError
 
 
 def _cyclotomic(M: int) -> list[int]:
-    """Coefficients of Phi_M, computed by exact division of x^M - 1."""
-    poly = [-1] + [0] * (M - 1) + [1]
-    for d in range(1, M):
-        if M % d == 0:
-            phi_d = _cyclotomic(d)
-            poly = _exact_div(poly, phi_d)
+    """Coefficients of Phi_M as the Moebius product of (x^(M/d) - 1)^mu(d)
+    over the squarefree divisors d of M: multiply by the binomials with
+    mu(d) = 1, then divide exactly by those with mu(d) = -1."""
+    poly, divide_by = [1], []
+    primes = prime_factors(M)
+    for size in range(len(primes) + 1):
+        for ps in itertools.combinations(primes, size):
+            e = M // math.prod(ps)
+            if size % 2:
+                divide_by.append(e)
+            else:
+                poly = _times_binomial(poly, e)
+    for e in divide_by:
+        poly = _div_binomial(poly, e)
     return poly
 
 
-def _exact_div(num: list[int], den: list[int]) -> list[int]:
-    """num // den for integer polynomials, den monic, exact remainder zero."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        c = num[shift + len(den) - 1]
-        out[shift] = c
-        if c:
-            for i, dc in enumerate(den):
-                num[shift + i] -= c * dc
-    if any(num):
-        raise AssertionError("division was not exact")
+def _times_binomial(poly: list[int], e: int) -> list[int]:
+    """poly * (x^e - 1)."""
+    out = [-c for c in poly] + [0] * e
+    out[e:] = [a + b for a, b in zip(out[e:], poly)]
     return out
+
+
+def _div_binomial(poly: list[int], e: int) -> list[int]:
+    """poly // (x^e - 1), with exact remainder zero."""
+    # poly = quo * (x^e - 1) gives quo[j] = poly[j + e] + quo[j + e]
+    quo = poly[e:]
+    for j in range(len(quo) - e - 1, -1, -1):
+        quo[j] += quo[j + e]
+    low = quo[:e] + [0] * (e - len(quo))
+    if any(c + q for c, q in zip(poly, low)):
+        raise AssertionError("division was not exact")
+    return quo
 
 
 class CycRing:
@@ -55,19 +70,23 @@ class CycRing:
         assert phi[-1] == 1
         self.deg = len(phi) - 1
         self._phi_tail = tuple(phi[:-1])
-        # x^t mod Phi_M for every t < M; x^M is 1, so this closes reduction
+
+    @cached_property
+    def zpow(self) -> list[tuple[int, ...]]:
+        """x^t mod Phi_M for every t < M; x^M is 1, so this closes
+        reduction.  Built on first use."""
         zpow = []
         cur = [0] * self.deg
         if self.deg:
             cur[0] = 1
-        for _ in range(M):
+        for _ in range(self.M):
             zpow.append(tuple(cur))
             nxt = [0] + cur[:-1]
             top = cur[-1]
             if top:
                 nxt = [a - top * b for a, b in zip(nxt, self._phi_tail)]
             cur = nxt
-        self.zpow = zpow
+        return zpow
 
     # -- constructors ------------------------------------------------------
 

@@ -4,8 +4,10 @@ identities relating them.
 
 Every sum is computed in integer counting coordinates: the kernels only
 ever build counts-per-exponent vectors, and the cyclotomic value is
-materialized once at the end.  Every sum over unit tuples is a row of one
-histogram, built by _tuple_counts as a convolution of single-unit counts.
+materialized once at the end, or never where sums in Z[zeta_p] are only
+compared (separation_witness compares count rows directly).  Every sum
+over unit tuples is a row of one histogram, built by _tuple_counts as a
+convolution of single-unit counts.
 """
 
 from __future__ import annotations
@@ -158,6 +160,19 @@ def kloosterman(ext: ff.FieldDesc, l: int, lam: ff.FFElem, psi: AddChar,
     return psi.ring.weighted_root_sum(k.p, counts[t0].tolist())
 
 
+def _kloosterman_counts(fld: ff.FieldDesc, l: int, psi: AddChar,
+                        budget: int | None) -> np.ndarray:
+    """The (q-1) x p count table of every K_{l,a}: row dlog a, column e
+    counts the unit l-tuples with product a whose sum has exponent e."""
+    if l < 1:
+        raise ValidationError("l must be positive")
+    if psi.field is not fld:
+        raise ValidationError("character must live on the field")
+    L = fld.order
+    check_budget(max(l - 1, 1) * L * L, budget)
+    return _tuple_counts(fld, psi.dlog_exponent_table(), l, L)
+
+
 def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
                       budget: int | None = None) -> list[CycElem]:
     """All K_{l,a} at once, indexed by dlog a.
@@ -165,14 +180,8 @@ def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
     Computed by repeated convolution over (product dlog, exponent) pairs,
     which costs about l*(q-1)^2 instead of (q-1)^l.
     """
-    if l < 1:
-        raise ValidationError("l must be positive")
-    if psi.field is not fld:
-        raise ValidationError("character must live on the field")
-    L, p = fld.order, fld.p
-    check_budget(max(l - 1, 1) * L * L, budget)
-    counts = _tuple_counts(fld, psi.dlog_exponent_table(), l, L)
-    return [psi.ring.weighted_root_sum(p, row) for row in counts.tolist()]
+    counts = _kloosterman_counts(fld, l, psi, budget)
+    return [psi.ring.weighted_root_sum(fld.p, row) for row in counts.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +322,10 @@ def separation_witness(n: int, psi: AddChar, aprime: ff.FFElem,
         raise ValidationError("the ratio must live on the field")
     if aprime.is_zero() or aprime == k.one():
         raise ValidationError("the ratio must differ from zero and one")
-    table = kloosterman_table(k, n, psi, budget)
-    shift = ff.dlog(aprime)
-    L = k.order
-    for t in range(L):
-        if not (table[t] - table[(t + shift) % L]).is_zero():
-            return k.from_dlog(t)
-    return None
+    counts = _kloosterman_counts(k, n, psi, budget)
+    # K_{n,a} lies in Z[zeta_p], where the only relation among the powers
+    # zeta_p**e is that they sum to zero: two count rows give the same
+    # value iff their difference is constant
+    diff = counts - np.roll(counts, -ff.dlog(aprime), axis=0)
+    unequal = np.flatnonzero((diff != diff[:, :1]).any(axis=1))
+    return k.from_dlog(int(unequal[0])) if unequal.size else None

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from ._util import canonical
+from ._util import canonical, prime_factors
 from .errors import BudgetExceeded, ValidationError
 
 DEFAULT_FIELD_CAP = 1 << 20
@@ -38,20 +38,6 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +116,7 @@ def _is_irreducible(h, p) -> bool:
         frob[j] = y
     if _psub(frob[d], x, p):
         return False
-    for ell in _prime_factors(d):
+    for ell in prime_factors(d):
         g = _pgcd(list(h), _psub(frob[d // ell], x, p), p)
         if len(g) > 1:
             return False
@@ -223,7 +209,7 @@ class FieldDesc:
         order = self.order
         if order == 1:
             return 1
-        primes = _prime_factors(order)
+        primes = prime_factors(order)
         h = list(self.modulus)
         for tail in itertools.product(range(self.p), repeat=self.degree):
             if not any(tail):

@@ -143,6 +143,26 @@ class TestExitCodes:
         (record,) = lines(out)
         assert record["error"] == "ValidationError"
 
+    def test_separation_zero_degree_is_usage(self, capsys):
+        code, out = run(capsys, "verify", "separation", "--p", "5",
+                        "--f", "1", "--n", "0")
+        assert code == 2
+        (record,) = lines(out)
+        assert record["error"] == "ValidationError"
+        assert record["message"] == "l must be positive"
+
+    @pytest.mark.parametrize("budget,code", [(10799, 3), (10800, 0)])
+    def test_separation_budget_edge(self, capsys, budget, code):
+        # the table at q = 61, n = 4 costs 3 * 60 * 60 = 10800 steps
+        got, out = run(capsys, "verify", "separation", "--p", "61",
+                       "--f", "1", "--n", "4", "--budget", str(budget))
+        assert got == code
+        records = lines(out)
+        if code:
+            assert [r["error"] for r in records] == ["BudgetExceeded"]
+        else:
+            assert len(records) == 60 and records[-1]["ok"] is True
+
     def test_unwritable_out_is_usage(self, capsys, tmp_path, monkeypatch):
         ran = []
         monkeypatch.setitem(cli._DISPATCH, "sums",
@@ -286,6 +306,25 @@ class TestReportShape:
 
 
 class TestDeterminism:
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_shared_parser_keeps_runs_apart(self, capsys):
+        argv = ["sums", "gauss", "--p", "3", "--f", "1", "--chi", "1"]
+        _, csv_out = run(capsys, *argv, "--format", "csv")
+        _, json_out = run(capsys, *argv)
+        assert csv_out.splitlines()[0].startswith("display,")
+        (record,) = lines(json_out)
+        assert record["kind"] == "gauss"
+
+    def test_separation_reports_the_reduced_ratio(self, capsys):
+        # dlog 5 and dlog 1 name the same a' in F_5
+        argv = ["verify", "separation", "--p", "5", "--f", "1", "--n", "2"]
+        _, wrapped = run(capsys, *argv, "--aprime-dlog", "5")
+        _, reduced = run(capsys, *argv, "--aprime-dlog", "1")
+        assert wrapped == reduced
+        assert lines(reduced)[0]["parameters"]["aprime_dlog"] == 1
 
     def test_repeated_runs_are_byte_identical(self, capsys):
         argv = ["char", "--p", "3", "--f", "1", "--m", "2", "--r", "1",

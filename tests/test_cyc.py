@@ -1,10 +1,36 @@
 import cmath
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jlcs import cyc
 from jlcs.errors import ValidationError
+
+
+@cache
+def recursive_cyclotomic(M):
+    """The oracle for cyc._cyclotomic: x^M - 1 divided exactly by Phi_d for
+    every proper divisor d of M, each Phi_d found the same way."""
+    poly = [-1] + [0] * (M - 1) + [1]
+    for d in range(1, M):
+        if M % d == 0:
+            poly = exact_div(poly, recursive_cyclotomic(d))
+    return poly
+
+
+def exact_div(num, den):
+    """num // den for integer polynomials, den monic, remainder zero."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for shift in range(len(out) - 1, -1, -1):
+        c = num[shift + len(den) - 1]
+        out[shift] = c
+        if c:
+            for i, dc in enumerate(den):
+                num[shift + i] -= c * dc
+    assert not any(num), "division was not exact"
+    return out
 
 
 class TestCyclotomicPolynomials:
@@ -36,6 +62,18 @@ class TestCyclotomicPolynomials:
                     prod = new
             expect = [-1] + [0] * (M - 1) + [1]
             assert prod == expect
+
+    @pytest.mark.parametrize("Ms", [range(1, 401), (2162, 2520, 3660)],
+                             ids=["M<=400", "big"])
+    def test_moebius_product_matches_recursive_division(self, Ms):
+        for M in Ms:
+            assert cyc._cyclotomic(M) == recursive_cyclotomic(M), M
+
+    def test_inexact_binomial_division_raises(self):
+        # 1 + x + x^2 is not a multiple of x^2 - 1
+        with pytest.raises(AssertionError, match="not exact"):
+            cyc._div_binomial([1, 1, 1], 2)
+        assert cyc._div_binomial([1, 0, 0, 0, -1], 2) == [-1, 0, -1]
 
 
 class TestRingStructure:
@@ -77,6 +115,14 @@ class TestRingStructure:
         assert R.weighted_root_sum(3, [2, 1, 1]) == R.one()
         with pytest.raises(ValidationError):
             R.weighted_root_sum(3, [1, 2])
+
+    def test_power_table_is_built_on_first_use(self):
+        R = cyc.CycRing(3660)
+        assert R.deg == 960
+        assert "zpow" not in R.__dict__
+        assert R.zeta(3660).coeffs == (0, 1) + (0,) * 958
+        assert "zpow" in R.__dict__
+        assert len(R.zpow) == 3660
 
     def test_mixed_ring_arithmetic_rejected(self):
         a = cyc.ring_for(3).one()

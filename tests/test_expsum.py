@@ -404,6 +404,59 @@ class TestWitnesses:
                 assert expsum.separation_witness(n, psi, ap) is not None
 
 
+def table_separation(n, psi, aprime):
+    """The oracle for separation_witness: the least a (by dlog) whose
+    values K_{n,a} and K_{n,a*aprime} differ in kloosterman_table."""
+    k = psi.field
+    table = expsum.kloosterman_table(k, n, psi)
+    shift, L = ff.dlog(aprime), k.order
+    for t in range(L):
+        if table[t] != table[(t + shift) % L]:
+            return k.from_dlog(t)
+    return None
+
+
+class TestSeparationCounts:
+    """separation_witness on count rows, with the ring values as oracle."""
+
+    @pytest.mark.parametrize("twist", [0, 1])
+    @pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                     (3, 2), (11, 1)])
+    def test_matches_ring_values(self, p, f, twist):
+        k, R, _ = setup_k(p, f)
+        psi = chars.AddChar(k, k.from_dlog(twist), R)
+        for n in (1, 2, 3, 4):
+            for t in range(1, k.order):
+                ap = k.from_dlog(t)
+                assert expsum.separation_witness(n, psi, ap) == \
+                    table_separation(n, psi, ap), (n, t)
+
+    def test_object_dtype_table(self):
+        # 6**25 > 2**63, so the counts are Python integers
+        k, R, psi = setup_k(7, 1)
+        assert expsum._kloosterman_counts(k, 25, psi, None).dtype == object
+        for t in range(1, k.order):
+            ap = k.from_dlog(t)
+            assert expsum.separation_witness(25, psi, ap) == \
+                table_separation(25, psi, ap), t
+
+    def test_builds_no_ring_value(self, monkeypatch):
+        k, R, psi = setup_k(5, 1)
+        expect = [table_separation(3, psi, k.from_dlog(t))
+                  for t in range(1, k.order)]
+        fresh = cyc.CycRing(R.M)
+        psi = chars.AddChar(k, k.one(), fresh)
+
+        def refuse(*args):
+            raise AssertionError("separation built a ring value")
+
+        monkeypatch.setattr(cyc.CycRing, "weighted_root_sum", refuse)
+        got = [expsum.separation_witness(3, psi, k.from_dlog(t))
+               for t in range(1, k.order)]
+        assert got == expect
+        assert "zpow" not in fresh.__dict__
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([(3, 1), (2, 2), (5, 1)]), st.integers(1, 3),
        st.data())
