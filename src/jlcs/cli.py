@@ -341,11 +341,12 @@ def _run_verify(args):
     return records, records[-1]["ok"]
 
 
-def _build_param(args):
+def _build_param(args, extra_orders=()):
     c = ssc.CUnit(order=args.c_order, power=args.c_power)
     return ssc.make_param(args.p, args.f, args.m, args.r, args.s,
                           zeta_dlog=args.zeta, chi_j=args.chi, c=c,
-                          psi_twist_dlog=args.psi_twist)
+                          psi_twist_dlog=args.psi_twist,
+                          extra_orders=extra_orders)
 
 
 def _pick_lambdas(args, k):
@@ -393,11 +394,7 @@ def _run_jl(args):
 
 
 def _run_epsilon(args):
-    c = ssc.CUnit(order=args.c_order, power=args.c_power)
-    eta = ssc.make_param(args.p, args.f, args.m, args.r, args.s,
-                         zeta_dlog=args.zeta, chi_j=args.chi, c=c,
-                         psi_twist_dlog=args.psi_twist,
-                         extra_orders=(args.twist_varpi_order,))
+    eta = _build_param(args, extra_orders=(args.twist_varpi_order,))
     xi = ssc.TameChar(MultChar(eta.k, args.twist_unit, eta.chi.ring),
                       ssc.CUnit(order=args.twist_varpi_order,
                                 power=args.twist_varpi_power))

@@ -10,13 +10,19 @@ for sum a_i Pi^i, and the regular representation on the right K_r-basis
 polynomial into ordinary matrix computations.  Determinants and
 characteristic polynomials are computed division-free so that truncated
 series never need to be inverted along the way.
+
+Every sum of products of series (matrix products, the Berkowitz steps,
+the Toeplitz convolution) goes through _dot, and every membership test in
+the filtrations of O_D and of the standard order reduces to
+LaurentTrunc.val_at_least at a shifted threshold.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 from . import ff
 from . import locfield as lf
@@ -89,24 +95,24 @@ class DivAlgebra:
             return x
         return lf.galois_series(x, self.s * i, self.k)
 
+    def _random(self, rng, prec: int, lead_val: int) -> "AlgElem":
+        """Random coefficients at precision prec, the Pi^0 one starting at
+        w^lead_val and the others at w^0."""
+        vals = [lead_val] + [0] * (self.r - 1)
+        return AlgElem(self, tuple(
+            lf.LaurentTrunc(self.kr, v,
+                            [rng.randrange(self.kr.size)
+                             for _ in range(prec - v)],
+                            prec)
+            for v in vals))
+
     def random_integral(self, rng, prec: int) -> "AlgElem":
         """A random element of the maximal order O_D at precision prec."""
-        coeffs = [
-            lf.LaurentTrunc(self.kr, 0,
-                            [rng.randrange(self.kr.size) for _ in range(prec)],
-                            prec)
-            for _ in range(self.r)]
-        return AlgElem(self, tuple(coeffs))
+        return self._random(rng, prec, 0)
 
     def random_radical(self, rng, prec: int) -> "AlgElem":
         """A random element of the maximal ideal p_D at precision prec."""
-        coeffs = [
-            lf.LaurentTrunc(self.kr, 0 if i else 1,
-                            [rng.randrange(self.kr.size)
-                             for _ in range(prec - (0 if i else 1))],
-                            prec)
-            for i in range(self.r)]
-        return AlgElem(self, tuple(coeffs))
+        return self._random(rng, prec, 1)
 
     def to_json(self) -> dict:
         return {"q": self.k.size, "r": self.r, "s": self.s}
@@ -171,20 +177,17 @@ class AlgElem:
         return min(known)
 
     def _w_cmp(self, v: int):
-        """True / False / None for 'w(self) >= v', None when undetermined."""
-        known, bounds = self._w_terms()
-        if known and min(known) < v:
-            return False
-        if bounds and min(bounds) < v:
-            return None
-        return True
+        """True / False / None for 'w(self) >= v', None when undetermined.
+
+        The term a_i Pi^i has w = r val(a_i) + i, so it needs
+        val(a_i) >= ceil((v - i) / r); any False beats any None.
+        """
+        r = self.parent.r
+        return _all_certain(a.val_at_least(-((i - v) // r))
+                            for i, a in enumerate(self.coeffs))
 
     def w_at_least(self, v: int) -> bool:
-        st = self._w_cmp(v)
-        if st is None:
-            raise PrecisionError(
-                "membership not determined at this precision")
-        return st
+        return lf.certify(self._w_cmp(v), "membership")
 
     def in_order(self) -> bool:
         return self.w_at_least(0)
@@ -271,30 +274,36 @@ class MatrixAlgebra:
         if len(rows) != self.m or any(len(row) != self.m for row in rows):
             raise ValidationError(f"expected an {self.m} x {self.m} array")
         for row in rows:
-            for e in row:
-                if not isinstance(e, AlgElem) or e.parent is not self.D:
-                    raise ValidationError(
-                        "entries must come from the underlying algebra")
+            self._check_entries(row)
         return MatA(self, tuple(tuple(row) for row in rows))
 
-    def zero(self) -> "MatA":
+    def _check_entries(self, entries):
+        for e in entries:
+            if not isinstance(e, AlgElem) or e.parent is not self.D:
+                raise ValidationError(
+                    "entries must come from the underlying algebra")
+
+    def diag(self, entries) -> "MatA":
+        """The diagonal matrix with the given entries of D."""
+        entries = list(entries)
+        if len(entries) != self.m:
+            raise ValidationError(
+                f"expected {self.m} diagonal entries, got {len(entries)}")
+        self._check_entries(entries)
         z = self.D.zero()
-        return MatA(self, tuple(tuple(z for _ in range(self.m))
-                                for _ in range(self.m)))
+        return MatA(self, tuple(tuple(e if i == j else z
+                                      for j in range(self.m))
+                                for i, e in enumerate(entries)))
+
+    def zero(self) -> "MatA":
+        return self.diag([self.D.zero()] * self.m)
 
     def identity(self) -> "MatA":
-        z, o = self.D.zero(), self.D.one()
-        return MatA(self, tuple(tuple(o if i == j else z
-                                      for j in range(self.m))
-                                for i in range(self.m)))
+        return self.diag([self.D.one()] * self.m)
 
     def scalar_series(self, x: lf.LaurentTrunc) -> "MatA":
         """The central element x * identity, x a series over k."""
-        d = self.D.from_base_series(x)
-        z = self.D.zero()
-        return MatA(self, tuple(tuple(d if i == j else z
-                                      for j in range(self.m))
-                                for i in range(self.m)))
+        return self.diag([self.D.from_base_series(x)] * self.m)
 
     def random_in_order(self, rng, prec: int) -> "MatA":
         """A random element of the standard hereditary order."""
@@ -355,18 +364,7 @@ class MatA:
 
     def __mul__(self, other):
         o = self._check(other)
-        m = self.parent.m
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = None
-                for t in range(m):
-                    term = self.entries[i][t] * o.entries[t][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            rows.append(tuple(row))
-        return MatA(self.parent, tuple(rows))
+        return MatA(self.parent, _matmul(self.entries, o.entries))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -403,8 +401,8 @@ class MatA:
     def radical_valuation(self) -> int | None:
         """Largest v with g in P^v for the standard order's radical P.
 
-        None when the matrix is zero within known precision; raises when
-        truncation leaves the minimum undetermined.
+        None only for the exact zero matrix; raises when truncation leaves
+        the minimum undetermined, a truncated zero included.
         """
         m = self.parent.m
         known, bounds = [], []
@@ -423,35 +421,23 @@ class MatA:
                 "radical valuation not determined at this precision")
         return min(known)
 
+    def _in_power(self, v: int):
+        """True / False / None for membership in P^v.
+
+        The entry at (i, j) contributes m w(entry) + j - i, so it needs
+        w(entry) >= ceil((v + i - j) / m); any False beats any None.
+        """
+        m = self.parent.m
+        return _all_certain(e._w_cmp(-((j - i - v) // m))
+                            for i, row in enumerate(self.entries)
+                            for j, e in enumerate(row))
+
     def in_order(self) -> bool:
-        undetermined = False
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                st = e._w_cmp(1 if i > j else 0)
-                if st is False:
-                    return False
-                if st is None:
-                    undetermined = True
-        if undetermined:
-            raise PrecisionError(
-                "order membership not determined at this precision")
-        return True
+        return lf.certify(self._in_power(0), "order membership")
 
     def in_radical_power(self, v: int) -> bool:
         """Certified membership in P^v; raises when truncation hides it."""
-        m = self.parent.m
-        undetermined = False
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                kt, bt = e._w_terms()
-                if any(m * t + j - i < v for t in kt):
-                    return False
-                if any(m * t + j - i < v for t in bt):
-                    undetermined = True
-        if undetermined:
-            raise PrecisionError(
-                "radical membership not determined at this precision")
-        return True
+        return lf.certify(self._in_power(v), "radical membership")
 
     def to_json(self) -> dict:
         return {"m": self.parent.m,
@@ -460,6 +446,33 @@ class MatA:
 
     def __repr__(self):
         return f"MatA({self.parent!r})"
+
+
+def _all_certain(verdicts):
+    """False if any verdict is False, else None if any is None, else True."""
+    undetermined = False
+    for st in verdicts:
+        if st is False:
+            return False
+        if st is None:
+            undetermined = True
+    return None if undetermined else True
+
+
+def _dot(xs, ys):
+    """sum x * y over the paired terms, added left to right starting from
+    the first product rather than from a zero; None when there are none."""
+    acc = None
+    for x, y in zip(xs, ys):
+        t = x * y
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def _matmul(a, b):
+    """The product of two matrices given as sequences of rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -595,33 +608,11 @@ def _berkowitz(mat, field):
         cur = col
         for i in range(k - 1):
             if i:
-                nxt = []
-                for x in range(k - 1):
-                    acc = None
-                    for y in range(k - 1):
-                        t = mat[x][y] * cur[y]
-                        acc = t if acc is None else acc + t
-                    nxt.append(acc)
-                cur = nxt
-            dot = None
-            for rv, cv in zip(row, cur):
-                t = rv * cv
-                dot = t if dot is None else dot + t
-            toep.append(-dot)
-        vec = [
-            _series_dot(toep, vec, i, field)
-            for i in range(k + 1)]
+                cur = [_dot(mat[x][:k - 1], cur) for x in range(k - 1)]
+            toep.append(-_dot(row, cur))
+        # the lower-triangular Toeplitz matrix of toep times vec
+        vec = [_dot(toep[i::-1], vec) for i in range(k + 1)]
     return vec
-
-
-def _series_dot(toep, vec, i, field):
-    acc = None
-    for j, v in enumerate(vec):
-        if i - j < 0:
-            continue
-        t = toep[i - j] * v
-        acc = t if acc is None else acc + t
-    return acc if acc is not None else lf.zero(field)
 
 
 def _det(mat, field) -> lf.LaurentTrunc:
@@ -643,11 +634,8 @@ def _descend(x: lf.LaurentTrunc, k: ff.FieldDesc) -> lf.LaurentTrunc:
 def rtrace(g: MatA) -> lf.LaurentTrunc:
     """Reduced trace, as a series over k."""
     MA = g.parent
-    acc = None
-    for i in range(MA.m):
-        a0 = g.entries[i][i].coeffs[0]
-        acc = a0 if acc is None else acc + a0
-    return lf.series_trace(acc, MA.D.k)
+    diagonal = (g.entries[i][i].coeffs[0] for i in range(MA.m))
+    return lf.series_trace(reduce(operator.add, diagonal), MA.D.k)
 
 
 def rnorm(g: MatA) -> lf.LaurentTrunc:
@@ -690,10 +678,7 @@ class RedCharPoly:
 
     def taylor_shift(self, t: lf.LaurentTrunc) -> "RedCharPoly":
         """The polynomial f(x + t)."""
-        b = list(self.coeffs) + [lf.one(self.field)]
-        for i in range(self.n + 1):
-            for j in range(self.n - 1, i - 1, -1):
-                b[j] = b[j] + t * b[j + 1]
+        b = _taylor_shift(list(self.coeffs) + [lf.one(self.field)], t)
         return RedCharPoly(self.field, self.n, tuple(b[:self.n]))
 
     def residue_coeffs(self) -> list:
@@ -702,6 +687,17 @@ class RedCharPoly:
 
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [c.to_json() for c in self.coeffs]}
+
+
+def _taylor_shift(coeffs, t):
+    """Coefficients of f(x + t), both by ascending degree, by repeated
+    synthetic division (Horner steps); works over any ring."""
+    b = list(coeffs)
+    n = len(b) - 1
+    for i in range(n + 1):
+        for j in range(n - 1, i - 1, -1):
+            b[j] = b[j] + t * b[j + 1]
+    return b
 
 
 def red_charpoly(g: MatA) -> RedCharPoly:
@@ -736,16 +732,11 @@ def eisenstein_check(f: RedCharPoly, zeta: ff.FFElem) -> dict:
     k = f.field
     if zeta.field is not k or zeta.packed == 0:
         raise ValidationError("zeta must be a unit of the residue field")
-    tail_ok = True
-    for c in f.coeffs[1:]:
-        v = c.valuation()
-        if v is None:
-            if c.prec != lf.INF and c.prec < 1:
-                raise PrecisionError(
-                    "coefficient precision too low to test the ideal condition")
-            continue
-        if v < 1:
-            tail_ok = False
+    tail = [c.val_at_least(1) for c in f.coeffs[1:]]
+    if None in tail:
+        raise PrecisionError(
+            "coefficient precision too low to test the ideal condition")
+    tail_ok = all(tail)
     a0 = f.coeffs[0]
     if a0.prec < 2:
         raise PrecisionError(
@@ -810,22 +801,15 @@ def classify_qr(g: MatA) -> str:
         return "unknown"
     shift_root = None
     for c in k.elements():
-        b = list(rbar)
-        for i in range(n + 1):
-            for j in range(n - 1, i - 1, -1):
-                b[j] = b[j] + c * b[j + 1]
+        b = _taylor_shift(rbar, c)
         if all(b[i] == k.zero() for i in range(n)):
             shift_root = c
             break
     if shift_root is None:
         return "unknown"
     fs = f.taylor_shift(lf.teichmuller(shift_root))
-    for c in fs.coeffs[1:]:
-        v = c.valuation()
-        if v is not None and v < 1:
-            return "unknown"
-        if v is None and c.prec != lf.INF and c.prec < 1:
-            return "unknown"
+    if not all(c.val_at_least(1) for c in fs.coeffs[1:]):
+        return "unknown"
     if fs.coeffs[0].valuation() != 1:
         return "unknown"
     return "elliptic_quasi_regular"
@@ -851,10 +835,8 @@ def matching_element(f: RedCharPoly, zeta: ff.FFElem,
     phi = make_phi_zeta(n, D1, zeta)
     u = MA.zero()
     for i, alpha in enumerate(alphas):
-        z = D1.zero()
-        rows = [[z] * n for _ in range(n)]
-        rows[0][0] = D1.from_base_series(alpha)
-        u = u + (phi ** i) * MA.elem(rows)
+        corner = [D1.from_base_series(alpha)] + [D1.zero()] * (n - 1)
+        u = u + (phi ** i) * MA.diag(corner)
     if not u.in_order():
         raise DomainError("matching datum fell outside the standard order")
     g = make_g_u(n, D1, zeta, u)
@@ -894,16 +876,8 @@ def selftest(p: int, f: int, m: int, r: int, s: int | None,
 
     x = MA.random_in_order(rng, prec)
     y = MA.random_in_order(rng, prec)
-    ex, ey = embed_A(x), embed_A(y)
     exy = embed_A(x * y)
-    prod = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = None
-            for t in range(n):
-                term = ex[i][t] * ey[t][j]
-                acc = term if acc is None else acc + term
-            prod[i][j] = acc
+    prod = _matmul(embed_A(x), embed_A(y))
     record("embedding_multiplicative",
            all(exy[i][j] == prod[i][j] for i in range(n) for j in range(n)))
 

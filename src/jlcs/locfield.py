@@ -11,6 +11,9 @@ K restricts an additive character of the residue field through residue().
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 from . import ff
 from ._util import binary_power
 from .chars import AddChar
@@ -62,11 +65,17 @@ class LaurentTrunc:
         """Zero as far as the tracked precision can tell."""
         return not self.coeffs
 
+    def val_at_least(self, v: int) -> bool | None:
+        """True / False for 'valuation >= v'; None when the series is zero
+        only up to a precision below v."""
+        if self.coeffs:
+            return self.val >= v
+        return True if self.prec >= v else None
+
     def in_unit_group_1(self) -> bool:
         """Membership in U^1 = 1 + p: distance from 1 has valuation >= 1."""
-        d = self - self.field_one()
-        v = d.valuation()
-        return v is None or v >= 1
+        return certify((self - self.field_one()).val_at_least(1),
+                       "1-unit membership")
 
     def field_one(self) -> "LaurentTrunc":
         return LaurentTrunc(self.field, 0, (1,), self.prec)
@@ -236,6 +245,13 @@ class LaurentTrunc:
         return " + ".join(parts) + tail
 
 
+def certify(verdict: bool | None, what: str) -> bool:
+    """A True / False verdict; None means truncation hid it, and raises."""
+    if verdict is None:
+        raise PrecisionError(f"{what} not determined at this precision")
+    return verdict
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -303,12 +319,9 @@ def series_norm(x: LaurentTrunc, over: ff.FieldDesc) -> LaurentTrunc:
     if not x.field.has_subfield(over):
         raise ValidationError("series field does not extend the base")
     d = x.field.degree // over.degree
-    acc = None
-    for j in range(d):
-        conj = galois_series(x, j, over)
-        acc = conj if acc is None else acc * conj
-    coeffs = [x.field.pullback_packed(over, c) for c in acc.coeffs]
-    return LaurentTrunc(over, acc.val, coeffs, acc.prec)
+    return pullback_series(
+        reduce(operator.mul, (galois_series(x, j, over) for j in range(d))),
+        over)
 
 
 # ---------------------------------------------------------------------------

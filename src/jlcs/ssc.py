@@ -20,7 +20,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from . import csa, expsum, ff
 from . import locfield as lf
@@ -324,11 +326,7 @@ def gu_cosets(alg: csa.MatrixAlgebra) -> tuple:
 
 
 def _teich_diag(alg: csa.MatrixAlgebra, entries) -> csa.MatA:
-    z = alg.D.zero()
-    rows = [[z] * alg.m for _ in range(alg.m)]
-    for i, e in enumerate(entries):
-        rows[i][i] = alg.D.teich(e)
-    return alg.elem(rows)
+    return alg.diag([alg.D.teich(e) for e in entries])
 
 
 def char_at_gu_direct(eta: SscParam, u: csa.MatA):
@@ -338,11 +336,10 @@ def char_at_gu_direct(eta: SscParam, u: csa.MatA):
     if not u.in_order():
         raise ValidationError("u must lie in the standard order")
     g = csa.make_g_u(eta.alg.m, eta.alg.D, eta.zeta, u)
-    total = None
-    for _lam, x, x_inv in gu_cosets(eta.alg):
-        val = theta_eval(eta, x_inv * g * x)
-        total = val if total is None else total + val
-    return total
+    # folded from the first term: sum() would start at 0 and turn a float
+    # mode -0.0 into 0.0
+    return reduce(operator.add, (theta_eval(eta, x_inv * g * x)
+                                 for _lam, x, x_inv in gu_cosets(eta.alg)))
 
 
 # ---------------------------------------------------------------------------

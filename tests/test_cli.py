@@ -65,6 +65,14 @@ FROZEN_REPORTS = [
      "b1cb8fb11d99383e6be767bf67ad2fabd2efaf4614ad7e4bbcdf6543bee33da3"),
     ("csa-selftest", "csa selftest --p 2 --f 1 --m 2 --r 2 --s 1", 0,
      "20ed40392e5dfe19e51377e14950463c39f7d0568eb6eab3fe14b562b083e11a"),
+    ("char-order-membership-undetermined",
+     "char --p 3 --f 1 --m 2 --r 1 --precision 0", 3,
+     "6ddba50527940beca3682ce51f4d26b667184f18b6b699f5f8ce82eb58f27814"),
+    ("csa-selftest-n6", "csa selftest --p 3 --f 1 --m 2 --r 3 --s 1", 0,
+     "d2eeb9d92cd1d38b751983d3945d3599ad7bf08623db6e2862fa9bd39af7b7dc"),
+    ("jl-verify-p2-r3",
+     "jl verify --p 2 --f 1 --m 1 --r 3 --s 2 --all-lambda --samples 2", 0,
+     "1a74569c9c4932b058a4e257535cc383bdeee713e9679e79fd1a90b1c4345969"),
 ]
 
 

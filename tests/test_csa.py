@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jlcs import csa, ff, locfield as lf
 from jlcs._util import stable_rng
@@ -36,6 +37,40 @@ def det_cofactor(mat, field):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+class TestDiagonal:
+    def test_diag_builds_the_named_matrices(self):
+        k = ff.make_field(3, 1)
+        D = csa.div_algebra(k, 2, 1)
+        MA = csa.matrix_algebra(D, 3)
+        z, o = D.zero(), D.one()
+        rows = [[o if i == j else z for j in range(3)] for i in range(3)]
+        assert MA.diag([o] * 3) == MA.elem(rows) == MA.identity()
+        assert MA.diag([z] * 3) == MA.zero()
+        x = D.pi()
+        d = MA.diag([x, o, z])
+        assert d.entries[0][0] is x and d.entries[2][2] is z
+        assert all(d.entries[i][j].is_zero()
+                   for i in range(3) for j in range(3) if i != j)
+
+    def test_diag_rejects_wrong_length(self):
+        k = ff.make_field(3, 1)
+        D = csa.div_algebra(k, 2, 1)
+        MA = csa.matrix_algebra(D, 2)
+        for entries in ([D.one()], [D.one()] * 3):
+            with pytest.raises(ValidationError):
+                MA.diag(entries)
+
+    def test_diag_rejects_foreign_entries(self):
+        k = ff.make_field(3, 1)
+        D = csa.div_algebra(k, 2, 1)
+        MA = csa.matrix_algebra(D, 2)
+        other = csa.div_algebra(k, 3, 1)
+        with pytest.raises(ValidationError):
+            MA.diag([D.one(), other.one()])
+        with pytest.raises(ValidationError):
+            MA.diag([D.one(), lf.one(D.kr)])
 
 
 class TestAlgebraConstruction:
@@ -162,6 +197,113 @@ class TestValuation:
         assert not (MA.identity() + z).in_radical_power(1)
         with pytest.raises(PrecisionError):
             z.in_radical_power(2 * MA.n * 2)
+
+
+def w_terms(e):
+    """Known term valuations r v(a_i) + i and truncation bounds
+    r prec(a_i) + i of a division-algebra element."""
+    r = e.parent.r
+    known, bounds = [], []
+    for i, a in enumerate(e.coeffs):
+        v = a.valuation()
+        if v is not None:
+            known.append(r * v + i)
+        elif a.prec != lf.INF:
+            bounds.append(r * a.prec + i)
+    return known, bounds
+
+
+def oracle_in_order(g):
+    """Order membership read off the term lists, entry by entry."""
+    undetermined = False
+    for i, row in enumerate(g.entries):
+        for j, e in enumerate(row):
+            known, bounds = w_terms(e)
+            v = 1 if i > j else 0
+            if known and min(known) < v:
+                return False
+            if bounds and min(bounds) < v:
+                undetermined = True
+    if undetermined:
+        raise PrecisionError(
+            "order membership not determined at this precision")
+    return True
+
+
+def oracle_in_radical_power(g, v):
+    """Membership in P^v from every term m w + j - i of every entry."""
+    m = g.parent.m
+    undetermined = False
+    for i, row in enumerate(g.entries):
+        for j, e in enumerate(row):
+            known, bounds = w_terms(e)
+            if any(m * t + j - i < v for t in known):
+                return False
+            if any(m * t + j - i < v for t in bounds):
+                undetermined = True
+    if undetermined:
+        raise PrecisionError(
+            "radical membership not determined at this precision")
+    return True
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionError as exc:
+        return ("PrecisionError", str(exc))
+
+
+MEMBERSHIP_SHAPES = [(1, 2, 1), (2, 1, None), (2, 2, 1), (1, 3, 2),
+                     (3, 1, None)]
+
+
+@st.composite
+def series_entries(draw, field):
+    """Exact zeros, truncated zeros at precision -2..3, and series with
+    valuations down to -2, exact or truncated."""
+    kind = draw(st.sampled_from(("exact_zero", "truncated_zero", "series")))
+    if kind == "exact_zero":
+        return lf.zero(field)
+    if kind == "truncated_zero":
+        return lf.zero(field, draw(st.integers(-2, 3)))
+    val = draw(st.integers(-2, 2))
+    coeffs = draw(st.lists(st.integers(0, field.size - 1),
+                           min_size=1, max_size=3))
+    coeffs[0] = draw(st.integers(1, field.size - 1))
+    extra = draw(st.one_of(st.none(), st.integers(0, 2)))
+    prec = lf.INF if extra is None else val + len(coeffs) + extra
+    return lf.LaurentTrunc(field, val, coeffs, prec)
+
+
+@st.composite
+def matrices(draw):
+    m, r, s = draw(st.sampled_from(MEMBERSHIP_SHAPES))
+    k = ff.make_field(2, 1)
+    D = csa.div_algebra(k, r, s)
+    MA = csa.matrix_algebra(D, m)
+    rows = [[D.elem([draw(series_entries(D.kr)) for _ in range(r)])
+             for _ in range(m)] for _ in range(m)]
+    return MA.elem(rows)
+
+
+class TestMembershipAgainstTermLists:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_membership_matches_term_lists(self, data):
+        g = data.draw(matrices())
+        n = g.parent.n
+        assert outcome(g.in_order) == outcome(oracle_in_order, g)
+        v = data.draw(st.integers(-2 * n, 2 * n + 1))
+        assert (outcome(g.in_radical_power, v)
+                == outcome(oracle_in_radical_power, g, v))
+        e = g.entries[0][-1]
+        known, bounds = w_terms(e)
+        expected = (False if known and min(known) < v else
+                    ("PrecisionError",
+                     "membership not determined at this precision")
+                    if bounds and min(bounds) < v else True)
+        assert outcome(e.w_at_least, v) == expected
 
 
 class TestUniformizers:

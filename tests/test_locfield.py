@@ -82,6 +82,47 @@ class TestValuationResidue:
         assert (a * b).residue() == a.residue() * b.residue()
         assert (a + b).residue() == a.residue() + b.residue()
 
+    @pytest.mark.parametrize("val, coeffs, prec, v, expected", [
+        # a visible leading term decides at every threshold
+        (2, [1], lf.INF, 2, True),
+        (2, [1], lf.INF, 3, False),
+        (-1, [2, 1], 4, -1, True),
+        (-1, [2, 1], 4, 0, False),
+        (1, [1], 3, 5, False),
+        # the exact zero lies in every ideal
+        (0, [], lf.INF, 10 ** 6, True),
+        (0, [], lf.INF, -3, True),
+        # a truncated zero decides only up to its precision
+        (0, [], 2, 2, True),
+        (0, [], 2, -5, True),
+        (0, [], 2, 3, None),
+        (0, [], -1, -1, True),
+        (0, [], -1, 0, None),
+        # coefficients past the precision are dropped, leaving a zero
+        (0, [2], 0, 0, True),
+        (0, [2], 0, 1, None),
+    ])
+    def test_val_at_least_truth_table(self, val, coeffs, prec, v, expected):
+        k = ff.make_field(3, 1)
+        assert lf.LaurentTrunc(k, val, coeffs, prec).val_at_least(v) is expected
+
+    def test_unit_group_1_membership(self):
+        k = ff.make_field(3, 1)
+        assert lf.one(k, 1).in_unit_group_1()
+        assert lf.LaurentTrunc(k, 0, [1, 2], 3).in_unit_group_1()
+        assert lf.one(k).in_unit_group_1()
+        assert not lf.LaurentTrunc(k, 0, [2], 1).in_unit_group_1()
+        assert not lf.zero(k, 1).in_unit_group_1()
+        assert not lf.uniformizer(k).inverse().in_unit_group_1()
+
+    def test_unit_group_1_needs_the_residue(self):
+        # at precision 0 nothing about the residue is known, so neither
+        # answer is certified
+        k = ff.make_field(3, 1)
+        for x in (lf.zero(k, 0), lf.LaurentTrunc(k, 0, [2], 0)):
+            with pytest.raises(PrecisionError):
+                x.in_unit_group_1()
+
 
 class TestArithmetic:
     def test_addition_tracks_min_precision(self):
