@@ -12,8 +12,11 @@ characteristic polynomials are computed division-free so that truncated
 series never need to be inverted along the way.
 
 Every sum of products of series (matrix products, the Berkowitz steps,
-the Toeplitz convolution) goes through _dot, and every membership test in
-the filtrations of O_D and of the standard order reduces to
+the Toeplitz convolution) goes through _dot or _matmul, which skip every
+term with an exact-zero factor: the block uniformizer, its powers and
+Teichmuller diagonals have at most n nonzero entries.  AlgElem products
+skip exact-zero coefficients the same way.  Every membership test in the
+filtrations of O_D and of the standard order reduces to
 LaurentTrunc.val_at_least at a shifted threshold.
 """
 
@@ -198,6 +201,9 @@ class AlgElem:
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.coeffs)
 
+    def is_exact_zero(self) -> bool:
+        return all(a.is_exact_zero() for a in self.coeffs)
+
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other):
@@ -220,18 +226,22 @@ class AlgElem:
         o = self._check(other)
         D = self.parent
         r = D.r
-        out = [lf.zero(D.kr) for _ in range(r)]
+        # exact-zero terms are skipped; a slot no term reaches stays None
+        out = [None] * r
+        live = [(j, b) for j, b in enumerate(o.coeffs)
+                if not b.is_exact_zero()]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero() and a.prec == lf.INF:
+            if a.is_exact_zero():
                 continue
-            for j, b in enumerate(o.coeffs):
+            for j, b in live:
                 # a Pi^i * b Pi^j = a sigma^{s i}(b) Pi^{i+j}, Pi^r = w
                 term = a * D.twist(b, i)
                 carry, rem = divmod(i + j, r)
                 if carry:
                     term = term.shift(carry)
-                out[rem] = out[rem] + term
-        return AlgElem(D, tuple(out))
+                out[rem] = term if out[rem] is None else out[rem] + term
+        return AlgElem(D, tuple(lf.zero(D.kr) if c is None else c
+                                for c in out))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -459,20 +469,38 @@ def _all_certain(verdicts):
     return None if undetermined else True
 
 
-def _dot(xs, ys):
-    """sum x * y over the paired terms, added left to right starting from
-    the first product rather than from a zero; None when there are none."""
+def _fold(pairs, x0, y0):
+    """sum x * y over pairs free of exact zeros, added left to right from
+    the first product rather than from a zero.  The caller dropped every
+    term with an exact-zero factor, (x0, y0) among them if pairs is empty,
+    so the empty sum is x0 * y0: an exact zero of the entry type."""
     acc = None
-    for x, y in zip(xs, ys):
+    for x, y in pairs:
         t = x * y
         acc = t if acc is None else acc + t
-    return acc
+    return x0 * y0 if acc is None else acc
+
+
+def _dot(xs, ys):
+    """sum x * y over the paired terms, nonempty, skipping exact zeros: an
+    exact zero times x is an exact zero, and an exact zero plus y is y."""
+    return _fold([(x, y) for x, y in zip(xs, ys)
+                  if not (x.is_exact_zero() or y.is_exact_zero())],
+                 xs[0], ys[0])
 
 
 def _matmul(a, b):
-    """The product of two matrices given as sequences of rows."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
+    """The product of two matrices given as sequences of rows; each entry
+    is tested for an exact zero once, and _fold sums the surviving terms."""
+    live_b = [[not y.is_exact_zero() for y in row] for row in b]
+    out = []
+    for row in a:
+        live = [(l, x) for l, x in enumerate(row) if not x.is_exact_zero()]
+        out.append(tuple(
+            _fold([(x, b[l][j]) for l, x in live if live_b[l][j]],
+                  row[0], b[0][j])
+            for j in range(len(live_b[0]))))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +594,14 @@ def regular_rep(d: AlgElem):
     r = D.r
     M = [[lf.zero(D.kr) for _ in range(r)] for _ in range(r)]
     for i, a in enumerate(d.coeffs):
-        if a.is_zero() and a.prec == lf.INF:
+        if a.is_exact_zero():
             continue
         for j in range(r):
-            # a Pi^{i+j} = Pi^{i+j} sigma^{-s(i+j)}(a), and Pi^r = w
+            # a Pi^{i+j} = Pi^{i+j} sigma^{-s(i+j)}(a), and Pi^r = w; each
+            # slot (rem, j) is reached from one i only
             carry, rem = divmod(i + j, r)
             img = D.twist(a, -(i + j))
-            if carry:
-                img = img.shift(carry)
-            M[rem][j] = M[rem][j] + img
+            M[rem][j] = img.shift(carry) if carry else img
     return M
 
 
@@ -644,9 +671,9 @@ def rnorm(g: MatA) -> lf.LaurentTrunc:
     MA = g.parent
     det = _det(embed_A(g), MA.D.kr)
     out = _descend(det, MA.D.k)
+    if out.is_exact_zero():
+        raise DomainError("reduced norm of a singular element")
     if out.is_zero():
-        if out.prec == lf.INF:
-            raise DomainError("reduced norm of a singular element")
         raise PrecisionError(
             "cannot certify invertibility at this precision")
     return out
@@ -762,7 +789,7 @@ def _resultant(fc: list, gc: list, field: ff.FieldDesc) -> lf.LaurentTrunc | Non
     dn = len(fc) - 1
     dg = len(gc) - 1
     while dg >= 0 and gc[dg].is_zero():
-        if gc[dg].prec != lf.INF:
+        if not gc[dg].is_exact_zero():
             return None
         dg -= 1
     if dg < 0:

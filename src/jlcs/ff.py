@@ -11,8 +11,12 @@ time, by locating the least root of the subfield's defining polynomial.
 Elements are stored packed: an element with coefficients (c_0, ..., c_{d-1})
 over F_p is the integer sum(c_i * p**i).  Every field carries full exp/log
 tables, so products, inverses and discrete logarithms are O(1) lookups and
-the absolute-trace exponent of every generator power is precomputed.  Field
-sizes are capped at DEFAULT_FIELD_CAP elements to keep this honest.
+the absolute-trace exponent of every generator power is precomputed.  Sums
+and negatives are lookups too: p = 2 adds by XOR, and every odd-p field
+holds a Zech table of order = size - 1 machine integers,
+zech[t] = log(1 + g^t), so that g^a + g^b = g^(a + zech[b - a]) and
+-g^a = g^(a + order/2); prime fields add as (a + b) % p.  Field sizes are
+capped at DEFAULT_FIELD_CAP elements to keep this honest.
 
 make_field and make_extension return one shared FieldDesc per field, so
 fields compare by identity.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 
 import numpy as np
 
@@ -156,12 +161,14 @@ class FieldDesc:
         base:    the declared subfield (k for an extension, F_p for k itself,
                  None for the prime field).
         exp/log: generator power tables over packed element codes.
+        zech:    for odd p, zech[t] = log(1 + g^t), and -1 at t = order/2
+                 where 1 + g^t = 0; None for p = 2.
         trace_exp: absolute-trace exponent of each generator power.
     """
 
     __slots__ = (
         "p", "f", "l", "degree", "size", "order", "modulus", "base",
-        "gen_packed", "exp", "log", "trace_exp",
+        "gen_packed", "exp", "log", "zech", "trace_exp",
         "_pp", "_emb_fwd", "_emb_back",
     )
 
@@ -261,6 +268,16 @@ class FieldDesc:
         self.log = log_arr.tolist()
         w = self._basis_traces()
         self.trace_exp = ((w @ digits) % p).tolist()
+        del digits  # freed before the Zech table's temporaries
+        self.zech = None if p == 2 else self._zech_table(packed, log_arr)
+
+    def _zech_table(self, packed, log_arr) -> array:
+        """zech[t] = log(1 + g^t) as machine integers; 1 + g^t only moves
+        the constant digit.  The one t with 1 + g^t = 0 gets log[0] = -1."""
+        p = self.p
+        low = packed % p
+        one_plus = packed - low + (low + 1) % p
+        return array("l", log_arr[one_plus].astype(np.dtype("l")).tobytes())
 
     @staticmethod
     def _matpow_mod(M, e, p):
@@ -335,27 +352,23 @@ class FieldDesc:
         p = self.p
         if p == 2:
             return a ^ b
-        out = 0
-        mult = 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += ((da + db) % p) * mult
-            mult *= p
-        return out
+        if self.degree == 1:
+            return (a + b) % p
+        if not a:
+            return b
+        if not b:
+            return a
+        # g^la + g^lb = g^la (1 + g^(lb - la))
+        log, order = self.log, self.order
+        la = log[a]
+        z = self.zech[(log[b] - la) % order]
+        return 0 if z < 0 else self.exp[(la + z) % order]
 
     def neg_packed(self, a: int) -> int:
-        p = self.p
-        if p == 2:
+        if self.p == 2 or not a:
             return a
-        out = 0
-        mult = 1
-        while a:
-            a, da = divmod(a, p)
-            if da:
-                out += (p - da) * mult
-            mult *= p
-        return out
+        # -1 = g^(order/2) for odd p
+        return self.exp[(self.log[a] + (self.order >> 1)) % self.order]
 
     def mul_packed(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -65,6 +65,10 @@ class LaurentTrunc:
         """Zero as far as the tracked precision can tell."""
         return not self.coeffs
 
+    def is_exact_zero(self) -> bool:
+        """Zero at infinite precision: x * 0 is 0 and 0 + x is x exactly."""
+        return not self.coeffs and self.prec == INF
+
     def val_at_least(self, v: int) -> bool | None:
         """True / False for 'valuation >= v'; None when the series is zero
         only up to a precision below v."""
@@ -136,8 +140,7 @@ class LaurentTrunc:
         o = self._check(other)
         f = self.field
         if not self.coeffs or not o.coeffs:
-            if (not self.coeffs and self.prec == INF) or \
-                    (not o.coeffs and o.prec == INF):
+            if self.is_exact_zero() or o.is_exact_zero():
                 return LaurentTrunc(f, 0, (), INF)
             # 0 * x is 0, but only to the precision the zero was known to;
             # an empty series acts as if its valuation were its precision

@@ -306,6 +306,162 @@ class TestMembershipAgainstTermLists:
         assert outcome(e.w_at_least, v) == expected
 
 
+def oracle_dot(xs, ys):
+    """sum x * y over the paired terms, added left to right starting from
+    the first product rather than from a zero; None when there are none."""
+    acc = None
+    for x, y in zip(xs, ys):
+        t = x * y
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def oracle_matmul(a, b):
+    """Every one of the n^3 terms, folded by oracle_dot."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(oracle_dot(row, col) for col in cols) for row in a)
+
+
+def oracle_berkowitz(mat, field):
+    """csa._berkowitz with every sum folded by oracle_dot."""
+    n = len(mat)
+    one_ = lf.one(field)
+    vec = [one_]
+    for k in range(1, n + 1):
+        a = mat[k - 1][k - 1]
+        row = mat[k - 1][:k - 1]
+        col = [mat[i][k - 1] for i in range(k - 1)]
+        toep = [one_, -a]
+        cur = col
+        for i in range(k - 1):
+            if i:
+                cur = [oracle_dot(mat[x][:k - 1], cur) for x in range(k - 1)]
+            toep.append(-oracle_dot(row, cur))
+        vec = [oracle_dot(toep[i::-1], vec) for i in range(k + 1)]
+    return vec
+
+
+def oracle_alg_mul(x, y):
+    """The AlgElem product that forms a term for every exact zero of y."""
+    D = x.parent
+    r = D.r
+    out = [lf.zero(D.kr) for _ in range(r)]
+    for i, a in enumerate(x.coeffs):
+        if a.is_zero() and a.prec == lf.INF:
+            continue
+        for j, b in enumerate(y.coeffs):
+            term = a * D.twist(b, i)
+            carry, rem = divmod(i + j, r)
+            if carry:
+                term = term.shift(carry)
+            out[rem] = out[rem] + term
+    return csa.AlgElem(D, tuple(out))
+
+
+def oracle_regular_rep(d):
+    """The regular representation summed from exact zeros."""
+    D = d.parent
+    r = D.r
+    M = [[lf.zero(D.kr) for _ in range(r)] for _ in range(r)]
+    for i, a in enumerate(d.coeffs):
+        if a.is_zero() and a.prec == lf.INF:
+            continue
+        for j in range(r):
+            carry, rem = divmod(i + j, r)
+            img = D.twist(a, -(i + j))
+            if carry:
+                img = img.shift(carry)
+            M[rem][j] = M[rem][j] + img
+    return M
+
+
+def exact_key(x):
+    """(val, coeffs, prec) of a series, nested through AlgElem and rows."""
+    if isinstance(x, lf.LaurentTrunc):
+        return (x.val, x.coeffs, x.prec)
+    if isinstance(x, csa.AlgElem):
+        return tuple(exact_key(a) for a in x.coeffs)
+    return tuple(exact_key(e) for e in x)
+
+
+@st.composite
+def sparse_square(draw, n, entries, zero):
+    """An n x n array of entries, with some rows and columns exact zeros."""
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        rows[i] = [zero] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in rows:
+            row[j] = zero
+    return rows
+
+
+@st.composite
+def alg_entries(draw, D):
+    """Zero, one, Pi, or coefficients from series_entries."""
+    kind = draw(st.sampled_from(("zero", "one", "pi", "general")))
+    if kind == "zero":
+        return D.zero()
+    if kind == "one":
+        return D.one()
+    if kind == "pi":
+        return D.pi()
+    return D.elem([draw(series_entries(D.kr)) for _ in range(D.r)])
+
+
+SKIP_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+SKIP_ALGEBRAS = [(1, None), (2, 1), (3, 1), (3, 2)]
+
+
+class TestExactZeroSkipping:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_series_products_match_the_full_fold(self, data):
+        k = ff.make_field(*data.draw(st.sampled_from(SKIP_FIELDS)))
+        n = data.draw(st.integers(1, 4))
+        a = data.draw(sparse_square(n, series_entries(k), lf.zero(k)))
+        b = data.draw(sparse_square(n, series_entries(k), lf.zero(k)))
+        assert exact_key(csa._matmul(a, b)) == exact_key(oracle_matmul(a, b))
+        assert (exact_key(csa._berkowitz(a, k))
+                == exact_key(oracle_berkowitz(a, k)))
+        for i in range(n):
+            col = [row[i] for row in b]
+            assert (exact_key(csa._dot(a[i], col))
+                    == exact_key(oracle_dot(a[i], col)))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_algebra_products_match_the_full_fold(self, data):
+        k = ff.make_field(*data.draw(st.sampled_from(SKIP_FIELDS[:2])))
+        r, s = data.draw(st.sampled_from(SKIP_ALGEBRAS))
+        m = data.draw(st.integers(1, 6 // r if r > 1 else 3))
+        D = csa.div_algebra(k, r, s)
+        MA = csa.matrix_algebra(D, m)
+        g = MA.elem(data.draw(sparse_square(m, alg_entries(D), D.zero())))
+        h = MA.elem(data.draw(sparse_square(m, alg_entries(D), D.zero())))
+        assert (exact_key((g * h).entries)
+                == exact_key(oracle_matmul(g.entries, h.entries)))
+        for x in (e for row in g.entries for e in row):
+            assert (exact_key(csa.regular_rep(x))
+                    == exact_key(oracle_regular_rep(x)))
+            for y in h.entries[0]:
+                assert exact_key(x * y) == exact_key(oracle_alg_mul(x, y))
+        emb = csa.embed_A(g)
+        assert (exact_key(csa._berkowitz(emb, D.kr))
+                == exact_key(oracle_berkowitz(emb, D.kr)))
+
+    def test_all_zero_products_are_exact_zeros(self):
+        k = ff.make_field(3, 1)
+        z, t = lf.zero(k), lf.zero(k, 2)
+        assert csa._dot([z, t], [t, z]).is_exact_zero()
+        assert not csa._dot([t, t], [t, z]).is_exact_zero()
+        D = csa.div_algebra(k, 2, 1)
+        MA = csa.matrix_algebra(D, 2)
+        prod = MA.diag([D.one(), D.zero()]) * MA.diag([D.zero(), D.pi()])
+        assert all(e.is_exact_zero() for row in prod.entries for e in row)
+        assert isinstance(prod.entries[0][1], csa.AlgElem)
+
+
 class TestUniformizers:
     def test_phi_d_picks_least_dlog_norm_preimage(self):
         # q = 3, r = 2, zeta = 2: Nr(g) = g^4 = 2, so c is the generator

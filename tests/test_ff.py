@@ -1,4 +1,6 @@
 import itertools
+import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,116 @@ class TestArithmetic:
         b = ff.make_field(5, 1).elem(1)
         with pytest.raises(ValidationError):
             a + b
+
+
+def oracle_add_packed(field, a, b):
+    """The digit-loop sum that add_packed replaced, kept as the oracle."""
+    p = field.p
+    if p == 2:
+        return a ^ b
+    out = 0
+    mult = 1
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out += ((da + db) % p) * mult
+        mult *= p
+    return out
+
+
+def oracle_neg_packed(field, a):
+    """The digit-loop negative that neg_packed replaced, kept as the oracle."""
+    p = field.p
+    if p == 2:
+        return a
+    out = 0
+    mult = 1
+    while a:
+        a, da = divmod(a, p)
+        if da:
+            out += (p - da) * mult
+        mult *= p
+    return out
+
+
+# every odd-p residue field of the acceptance grid (q <= 9) with its k_r,
+# r <= 6, so GF(3^12) among them; then the odd prime fields up to 61
+ODD_TOWER = [(p, f, r) for (p, f) in [(3, 1), (5, 1), (7, 1), (3, 2)]
+             for r in range(1, 7)]
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+              61]
+ODD_FIELDS = ODD_TOWER + [(p, 1, 1) for p in ODD_PRIMES[3:]]
+
+
+def odd_field(p, f, r):
+    return ff.make_extension(ff.make_field(p, f), r)
+
+
+@st.composite
+def odd_pairs(draw):
+    """A field of ODD_FIELDS and two packed codes: zeros, a random pair, a
+    code beside its own negative (the Zech sentinel) or beside itself."""
+    k = odd_field(*draw(st.sampled_from(ODD_FIELDS)))
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, k.size - 1))
+    a = draw(code)
+    kind = draw(st.sampled_from(("random", "negative", "same")))
+    if kind == "random":
+        b = draw(code)
+    elif kind == "negative":
+        b = oracle_neg_packed(k, a)
+    else:
+        b = a
+    return k, a, b
+
+
+class TestZechAddition:
+    @given(odd_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_add_and_neg_match_digit_loops(self, case):
+        k, a, b = case
+        assert k.add_packed(a, b) == oracle_add_packed(k, a, b)
+        assert k.add_packed(b, a) == oracle_add_packed(k, a, b)
+        assert k.neg_packed(a) == oracle_neg_packed(k, a)
+        assert k.add_packed(a, k.neg_packed(a)) == 0
+
+    @pytest.mark.parametrize("p,f,r", ODD_FIELDS)
+    def test_zeros_sentinel_and_sampled_pairs(self, p, f, r):
+        k = odd_field(p, f, r)
+        half = k.order // 2
+        assert k.add_packed(0, 0) == 0 and k.neg_packed(0) == 0
+        rng = random.Random(f"zech-{p}-{f}-{r}")
+        for _ in range(200):
+            a, b = rng.randrange(k.size), rng.randrange(k.size)
+            assert k.add_packed(a, b) == oracle_add_packed(k, a, b)
+            assert k.add_packed(a, 0) == a == k.add_packed(0, a)
+            assert k.neg_packed(a) == oracle_neg_packed(k, a)
+            t = rng.randrange(k.order)
+            # g^t + g^(t + order/2) = g^t (1 + (-1)) = 0
+            assert k.add_packed(k.exp[t], k.exp[(t + half) % k.order]) == 0
+
+    @pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2),
+                                     (3, 3), (5, 2), (3, 4)])
+    def test_exhaustive_on_small_fields(self, p, f):
+        k = ff.make_field(p, f)
+        for a in range(k.size):
+            assert k.neg_packed(a) == oracle_neg_packed(k, a)
+            for b in range(k.size):
+                assert k.add_packed(a, b) == oracle_add_packed(k, a, b)
+
+    @pytest.mark.parametrize("p,f,r", ODD_TOWER)
+    def test_zech_table_layout(self, p, f, r):
+        k = odd_field(p, f, r)
+        zech = k.zech
+        assert isinstance(zech, array) and zech.typecode == "l"
+        assert len(zech) == k.order
+        assert zech[k.order // 2] == -1
+        for t in range(0, k.order, max(1, k.order // 50)):
+            if t != k.order // 2:
+                assert k.exp[zech[t]] == oracle_add_packed(k, 1, k.exp[t])
+
+    def test_characteristic_two_has_no_zech_table(self):
+        assert ff.make_field(2, 3).zech is None
+        assert ff.make_extension(ff.make_field(2, 2), 3).zech is None
 
 
 class TestTower:
