@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import ff
 from .cyc import CycElem, CycRing
 from .errors import DomainError, ValidationError
@@ -45,7 +47,7 @@ class AddChar:
         if x.is_zero():
             return 0
         f = self.field
-        return f.trace_exp[(self._shift + f.log[x.packed]) % f.order]
+        return int(f.trace_exp[(self._shift + f.log[x.packed]) % f.order])
 
     def eval(self, x: ff.FFElem) -> CycElem:
         return self.ring.zeta(self.p, self.exponent(x))
@@ -53,12 +55,14 @@ class AddChar:
     def exponent_dlog(self, t: int) -> int:
         """Tr(twist * g**t) for the canonical generator g."""
         f = self.field
-        return f.trace_exp[(self._shift + t) % f.order]
+        return int(f.trace_exp[(self._shift + t) % f.order])
 
-    def dlog_exponent_table(self) -> list[int]:
-        """exponent_dlog for every t; summation kernels index this directly."""
-        te = self.field.trace_exp
-        return te[self._shift:] + te[:self._shift]
+    def dlog_exponent_table(self) -> np.ndarray:
+        """exponent_dlog for every t, as a numpy array of the field's
+        trace_exp dtype; summation kernels index this directly."""
+        te, s = self.field.trace_exp, self._shift
+        # concatenating the two slices is several times faster than np.roll
+        return np.concatenate((te[s:], te[:s]))
 
     def is_trivial(self) -> bool:
         return False  # a nonzero twist always gives a nontrivial character

@@ -169,15 +169,10 @@ class AlgElem:
     def w(self) -> int | None:
         """Valuation in the value group of D (w(Pi) = 1, w(w) = r).
 
-        None when the element is zero within known precision; raises when
-        truncation leaves the minimum undetermined.
+        None only for the exact zero; raises when truncation leaves the
+        minimum undetermined, a truncated zero included.
         """
-        known, bounds = self._w_terms()
-        if not known:
-            return None
-        if bounds and min(bounds) < min(known):
-            raise PrecisionError("valuation not determined at this precision")
-        return min(known)
+        return _least_valuation(*self._w_terms(), "valuation")
 
     def _w_cmp(self, v: int):
         """True / False / None for 'w(self) >= v', None when undetermined.
@@ -421,15 +416,7 @@ class MatA:
                 kt, bt = e._w_terms()
                 known.extend(m * t + j - i for t in kt)
                 bounds.extend(m * t + j - i for t in bt)
-        if not known:
-            if bounds:
-                raise PrecisionError(
-                    "radical valuation not determined at this precision")
-            return None
-        if bounds and min(bounds) < min(known):
-            raise PrecisionError(
-                "radical valuation not determined at this precision")
-        return min(known)
+        return _least_valuation(known, bounds, "radical valuation")
 
     def _in_power(self, v: int):
         """True / False / None for membership in P^v.
@@ -456,6 +443,16 @@ class MatA:
 
     def __repr__(self):
         return f"MatA({self.parent!r})"
+
+
+def _least_valuation(known, bounds, what: str) -> int | None:
+    """The least known term valuation, given lower bounds for the terms
+    that truncation hides.  None only for the exact zero (neither list has
+    an entry); PrecisionError when a bound falls below every known
+    valuation, a truncated zero (bounds but nothing known) included."""
+    if bounds and (not known or min(bounds) < min(known)):
+        raise PrecisionError(f"{what} not determined at this precision")
+    return min(known) if known else None
 
 
 def _all_certain(verdicts):

@@ -6,8 +6,10 @@ Every sum is computed in integer counting coordinates: the kernels only
 ever build counts-per-exponent vectors, and the cyclotomic value is
 materialized once at the end, or never where sums in Z[zeta_p] are only
 compared (separation_witness compares count rows directly).  Every sum
-over unit tuples is a row of one histogram, built by _tuple_counts as a
-convolution of single-unit counts.
+over unit l-tuples, l >= 2, is a row of one histogram, built by
+_tuple_counts as a convolution of single-unit counts.  A sum over one norm
+fiber (l = 1) reads its own coset of the unit group: a strided slice of the
+field's trace_exp array, counted with no histogram over the other units.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _tuple_counts(fld, tau, l, d) -> np.ndarray:
     p = fld.p
     # every count is at most order**l; past int64, hold Python integers
     dtype = np.int64 if fld.order ** l < 2 ** 63 else object
-    single = np.bincount(np.arange(fld.order) % d * p + np.asarray(tau),
+    single = np.bincount(np.arange(fld.order) % d * p + tau,
                          minlength=d * p).reshape(d, p).astype(dtype)
     cells = [(a, b, int(single[a, b])) for a, b in zip(*single.nonzero())]
     counts = single
@@ -136,13 +138,27 @@ def _tuple_counts(fld, tau, l, d) -> np.ndarray:
     return counts
 
 
+def _coset_counts(psi: AddChar, d: int, t0: int) -> np.ndarray:
+    """Row t0 of _tuple_counts(psi.field, psi.dlog_exponent_table(), 1, d):
+    the units g**t with t = t0 mod d counted by exponent under psi.
+
+    psi(g**t) has exponent trace_exp[t + dlog twist], so the coset is every
+    d-th entry of the unrotated table from (t0 + dlog twist) mod d: a
+    strided view, counted without touching the other units.
+    """
+    fld = psi.field
+    start = (ff.dlog(psi.twist) + t0) % d
+    return np.bincount(fld.trace_exp[start::d], minlength=fld.p)
+
+
 def kloosterman(ext: ff.FieldDesc, l: int, lam: ff.FFElem, psi: AddChar,
                 budget: int | None = None) -> CycElem:
     """Sum of psi(Tr(z_1 + ... + z_l)) over unit l-tuples of ext whose
     product has relative norm lam, with psi and lam on a subfield k of ext.
 
     Over ext = k this is K_{l,lam}; for l = 1 it is the sum of psi(Tr(y))
-    over the norm fiber of lam in ext.
+    over the norm fiber of lam in ext, the coset g**(t0 + j*(q-1)) of the
+    generator g, read as every (q-1)-th entry of ext's trace_exp array.
     """
     k = psi.field
     if l < 1:
@@ -155,9 +171,13 @@ def kloosterman(ext: ff.FieldDesc, l: int, lam: ff.FFElem, psi: AddChar,
         return psi.eval(lam)
     t0, fiber = ff.norm_fiber_congruence(ext, k, lam)
     check_budget(ext.order ** (l - 1) * fiber, budget)
-    tau = inflate_add(psi, ext).dlog_exponent_table()
-    counts = _tuple_counts(ext, tau, l, k.order)
-    return psi.ring.weighted_root_sum(k.p, counts[t0].tolist())
+    psi_ext = inflate_add(psi, ext)
+    if l == 1:
+        row = _coset_counts(psi_ext, k.order, t0)
+    else:
+        tau = psi_ext.dlog_exponent_table()
+        row = _tuple_counts(ext, tau, l, k.order)[t0]
+    return psi.ring.weighted_root_sum(k.p, row.tolist())
 
 
 def _kloosterman_counts(fld: ff.FieldDesc, l: int, psi: AddChar,
@@ -198,12 +218,15 @@ def check_identity_716(n: int, chi: MultChar, psi: AddChar,
     if n < 1:
         raise ValidationError("n must be positive")
     check_budget(k.order ** n, budget)
-    ring = chi.ring
     counts = _tuple_counts(k, psi.dlog_exponent_table(), n, k.order)
-    lhs = ring.zero()
-    for T, row in enumerate(counts.tolist()):
-        inner = ring.weighted_root_sum(k.p, row)
-        lhs = lhs + ring.zeta(k.order, (chi.j * T) % k.order) * inner
+    # chi(g**T) psi(e) = zeta_M ** (j*T*M/(q-1) + e*M/p), M = lcm(p, q-1):
+    # fold the whole table into one count vector over the powers of zeta_M
+    M = math.lcm(k.p, k.order)
+    T, e = np.indices(counts.shape)
+    slot = (chi.j * (M // k.order) * T + (M // k.p) * e) % M
+    folded = np.zeros(M, dtype=counts.dtype)
+    np.add.at(folded, slot, counts)
+    lhs = chi.ring.weighted_root_sum(M, folded.tolist())
     rhs = gauss_sum(chi, psi) ** n
     report = SumReport.make(
         kind="d716",

@@ -11,7 +11,8 @@ time, by locating the least root of the subfield's defining polynomial.
 Elements are stored packed: an element with coefficients (c_0, ..., c_{d-1})
 over F_p is the integer sum(c_i * p**i).  Every field carries full exp/log
 tables, so products, inverses and discrete logarithms are O(1) lookups and
-the absolute-trace exponent of every generator power is precomputed.  Sums
+the absolute-trace exponent of every generator power is precomputed, held
+as a compact read-only numpy array that summation kernels slice directly.  Sums
 and negatives are lookups too: p = 2 adds by XOR, and every odd-p field
 holds a Zech table of order = size - 1 machine integers,
 zech[t] = log(1 + g^t), so that g^a + g^b = g^(a + zech[b - a]) and
@@ -163,7 +164,9 @@ class FieldDesc:
         exp/log: generator power tables over packed element codes.
         zech:    for odd p, zech[t] = log(1 + g^t), and -1 at t = order/2
                  where 1 + g^t = 0; None for p = 2.
-        trace_exp: absolute-trace exponent of each generator power.
+        trace_exp: absolute-trace exponent of each generator power, as a
+                 read-only numpy array of the least unsigned dtype that
+                 holds p - 1 (one byte per unit for p < 256).
     """
 
     __slots__ = (
@@ -267,7 +270,9 @@ class FieldDesc:
         self.exp = packed.tolist()
         self.log = log_arr.tolist()
         w = self._basis_traces()
-        self.trace_exp = ((w @ digits) % p).tolist()
+        trace_exp = ((w @ digits) % p).astype(np.min_scalar_type(p - 1))
+        trace_exp.setflags(write=False)
+        self.trace_exp = trace_exp
         del digits  # freed before the Zech table's temporaries
         self.zech = None if p == 2 else self._zech_table(packed, log_arr)
 

@@ -53,7 +53,7 @@ def broken_copies(doc):
     return out
 
 
-@pytest.mark.parametrize("path", BENCH_FILES[:1], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
 def test_broken_copies_are_rejected(path, tmp_path):
     doc = json.loads(path.read_text())
     for what, broken in broken_copies(doc):

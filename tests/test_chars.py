@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +61,29 @@ class TestAddChar:
         k = ff.make_field(3, 1)
         with pytest.raises(ValidationError):
             chars.AddChar(k, 0, standard_ring(3, 1))
+
+    @pytest.mark.parametrize("p,f,l", [(2, 1, 1), (2, 2, 3), (3, 1, 1),
+                                       (3, 2, 2), (7, 1, 2), (61, 1, 1)])
+    def test_exponent_table_is_the_list_rotation(self, p, f, l):
+        # the oracle is the plain list rotation of trace_exp by dlog twist
+        k = ff.make_extension(ff.make_field(p, f), l)
+        R = cyc.ring_for(p)
+        te = k.trace_exp.tolist()
+        for s in range(k.order):
+            psi = chars.AddChar(k, k.from_dlog(s), R)
+            table = psi.dlog_exponent_table()
+            assert isinstance(table, np.ndarray)
+            assert table.tolist() == te[s:] + te[:s]
+            assert [psi.exponent_dlog(t) for t in range(k.order)] == \
+                te[s:] + te[:s]
+
+    def test_exponents_are_python_ints(self):
+        # numpy scalars must not reach JSON reports
+        k = ff.make_field(3, 2)
+        psi = chars.AddChar(k, k.gen(), standard_ring(3, 2))
+        assert type(psi.exponent(k.gen())) is int
+        assert type(psi.exponent(k.zero())) is int
+        assert type(psi.exponent_dlog(5)) is int
 
     def test_ring_must_contain_pth_roots(self):
         k = ff.make_field(3, 1)

@@ -159,12 +159,30 @@ class TestValuation:
         # a_0 unknown below w^2, a_1 visibly a unit: the minimum is w(Pi) = 1
         x = D.elem([lf.zero(kr, 2), lf.one(kr)])
         assert x.w() == 1
-        # both coefficients zero at low precision: undetermined vs w >= 3
+        # both coefficients zero at low precision: a truncated zero has no
+        # determined valuation, though w >= 1 is still certain
         y = D.elem([lf.zero(kr, 1), lf.zero(kr, 1)])
-        assert y.w() is None
+        with pytest.raises(PrecisionError):
+            y.w()
         with pytest.raises(PrecisionError):
             y.w_at_least(3)
         assert y.w_at_least(1) is True
+
+    def test_w_and_radical_valuation_share_one_rule(self):
+        # None only for the exact zero; a truncated zero raises in both
+        k = ff.make_field(3, 1)
+        D = csa.div_algebra(k, 2, 1)
+        MA = csa.matrix_algebra(D, 1)
+        y = D.elem([lf.zero(D.kr, 1), lf.zero(D.kr, 1)])
+        assert D.zero().w() is None
+        assert MA.zero().radical_valuation() is None
+        for raises in (y.w, MA.zero().truncate(1).radical_valuation):
+            with pytest.raises(PrecisionError):
+                raises()
+        # a term known below every truncation bound decides the minimum
+        x = D.elem([lf.zero(D.kr, 2), lf.one(D.kr)])
+        assert x.w() == 1
+        assert MA.elem([[x]]).radical_valuation() == 1
 
     def test_order_membership(self):
         k = ff.make_field(3, 1)

@@ -242,6 +242,34 @@ def test_tuple_counts_match_enumeration_random(pf, l, data):
     assert np.array_equal(got, literal_counts(k, l, d, psi.exponent))
 
 
+# every field of the perfbench `sums` set-up, k_l over k with q <= 9 and
+# l <= 6, and the odd prime fields up to 61
+SUMS_EXTENSIONS = [(p, f, l) for p, f in [(2, 1), (3, 1), (2, 2), (5, 1),
+                                          (7, 1), (2, 3), (3, 2)]
+                   for l in range(1, 7)]
+ODD_PRIMES = [(p, 1, 1) for p in range(3, 62) if ff.is_prime(p)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SUMS_EXTENSIONS + ODD_PRIMES), st.data())
+def test_coset_counts_match_tuple_counts_row(pfl, data):
+    # the coset read against the full histogram row, for every t0
+    p, f, l = pfl
+    k = ff.make_field(p, f)
+    ext = ff.make_extension(k, l)
+    psi = chars.AddChar(ext, ext.from_dlog(data.draw(
+        st.integers(0, ext.order - 1), label="twist dlog")), cyc.ring_for(p))
+    d = data.draw(st.sampled_from(divisors(k.order)), label="d")
+    table = expsum._tuple_counts(ext, psi.dlog_exponent_table(), 1, d)
+    literal = (literal_counts(ext, 1, d, psi.exponent)
+               if ext.size <= 729 else None)
+    for t0 in range(d):
+        got = expsum._coset_counts(psi, d, t0)
+        assert got.tolist() == table[t0].tolist(), t0
+        if literal is not None:
+            assert got.tolist() == literal[t0].tolist(), t0
+
+
 class TestNormFiberSum:
     """kloosterman with l = 1: psi(Tr(y)) summed over a norm fiber."""
 
@@ -279,6 +307,25 @@ class TestNormFiberSum:
             with pytest.raises(ValidationError):
                 expsum.kloosterman(ext, 1, k.zero(), psi)
 
+    def test_builds_no_histogram(self, monkeypatch):
+        # l = 1 reads its coset and never calls the tuple-count kernel
+        expect = {}
+        for p, f, d in [(3, 1, 2), (2, 2, 3), (3, 2, 2)]:
+            k, R, psi = setup_k(p, f)
+            ext = ff.make_extension(k, d)
+            for t in range(k.order):
+                expect[p, f, d, t] = literal_norm_sum(psi, ext, 1,
+                                                      k.from_dlog(t))
+
+        def refuse(*args):
+            raise AssertionError("an l = 1 sum built a tuple histogram")
+
+        monkeypatch.setattr(expsum, "_tuple_counts", refuse)
+        for (p, f, d, t), want in expect.items():
+            k, R, psi = setup_k(p, f)
+            ext = ff.make_extension(k, d)
+            assert expsum.kloosterman(ext, 1, k.from_dlog(t), psi) == want
+
     def test_budget_edges(self):
         k, R, psi = setup_k(3, 1)
         lam = k.elem(2)
@@ -315,6 +362,34 @@ class TestIdentity716:
             for j in range(k.order):
                 chi = chars.MultChar(k, j, R)
                 assert expsum.check_identity_716(n, chi, psi).equal
+
+    @pytest.mark.parametrize("p,f,n", [(2, 1, 2), (3, 1, 3), (2, 2, 2),
+                                       (5, 1, 3), (2, 3, 2), (3, 2, 3),
+                                       (7, 1, 25)])
+    def test_one_ring_call_matches_row_by_row(self, p, f, n, monkeypatch):
+        # the oracle lifts each count row into the ring and multiplies it
+        # by chi(g**T); n = 25 over F_7 holds its counts as Python integers
+        k, R, psi = setup_k(p, f)
+        counts = expsum._tuple_counts(k, psi.dlog_exponent_table(), n,
+                                      k.order)
+        wrs = cyc.CycRing.weighted_root_sum
+        calls = []
+
+        def counted(ring, order, vec):
+            calls.append(order)
+            return wrs(ring, order, vec)
+
+        for j in range(k.order):
+            chi = chars.MultChar(k, j, R)
+            want = R.zero()
+            for T, row in enumerate(counts.tolist()):
+                want = want + R.zeta(k.order, j * T) * wrs(R, k.p, row)
+            monkeypatch.setattr(cyc.CycRing, "weighted_root_sum", counted)
+            calls.clear()
+            rep = expsum.check_identity_716(n, chi, psi, budget=6 ** 25)
+            monkeypatch.undo()
+            assert rep.equal and rep.lhs == want
+            assert calls == [math.lcm(p, k.order)]
 
     def test_report_shape(self):
         k, R, psi = setup_k(3, 1)

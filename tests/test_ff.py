@@ -2,6 +2,7 @@ import itertools
 import random
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,6 +92,17 @@ class TestTables:
         for t in range(k.order):
             expect = ff.rel_trace(k.from_dlog(t), kp)
             assert k.trace_exp[t] == expect.packed
+
+    @pytest.mark.parametrize("p,f", SMALL_FIELDS + [(61, 1), (251, 1),
+                                                    (257, 1)])
+    def test_trace_exp_is_a_compact_read_only_array(self, p, f):
+        k = ff.make_field(p, f)
+        te = k.trace_exp
+        assert isinstance(te, np.ndarray) and te.shape == (k.order,)
+        assert np.iinfo(te.dtype).max >= p - 1
+        assert te.itemsize == (1 if p < 256 else 2)
+        with pytest.raises(ValueError):
+            te[0] = 0
 
     def test_field_cap_enforced(self):
         with pytest.raises(BudgetExceeded):
