@@ -52,14 +52,10 @@ class AddChar:
     def eval(self, x: ff.FFElem) -> CycElem:
         return self.ring.zeta(self.p, self.exponent(x))
 
-    def exponent_dlog(self, t: int) -> int:
-        """Tr(twist * g**t) for the canonical generator g."""
-        f = self.field
-        return int(f.trace_exp[(self._shift + t) % f.order])
-
     def dlog_exponent_table(self) -> np.ndarray:
-        """exponent_dlog for every t, as a numpy array of the field's
-        trace_exp dtype; summation kernels index this directly."""
+        """Tr(twist * g**t) for every t and the canonical generator g, as a
+        numpy array of the field's trace_exp dtype; summation kernels
+        index this directly."""
         te, s = self.field.trace_exp, self._shift
         # concatenating the two slices is several times faster than np.roll
         return np.concatenate((te[s:], te[:s]))

@@ -130,8 +130,6 @@ def _parser() -> argparse.ArgumentParser:
     sep.add_argument("--aprime-dlog", type=int, default=None,
                      help="restrict to one ratio")
     sep.add_argument("--psi-twist", type=int, default=0)
-    vst = checks.add_parser("csa-selftest", parents=[common])
-    _field_flags(vst, m_r=True)
 
     char = verbs.add_parser("char", parents=[common],
                             help="theta values, closed form vs direct sums")
@@ -306,7 +304,8 @@ def _run_verify(args):
         exponents = range(k.order) if args.chi is None else [args.chi]
         for j in exponents:
             chi = MultChar(k, j, ring)
-            witness = expsum.gn_nonzero_witness(args.n, chi, psi)
+            witness = expsum.gn_nonzero_witness(args.n, chi, psi,
+                                                args.budget)
             records.append({
                 "kind": "gn_nonzero",
                 "parameters": {"q": k.size, "n": args.n, "chi_exponent": j},
@@ -314,9 +313,9 @@ def _run_verify(args):
                                  else ff.dlog(witness)),
                 "ok": witness is not None,
             })
-            records.append(
-                expsum.fourier_inversion_check(args.n, chi, psi).to_json())
-    elif args.check == "separation":
+            records.append(expsum.fourier_inversion_check(
+                args.n, chi, psi, args.budget).to_json())
+    else:  # separation
         k, ring, psi, _ = _setup_chars(args)
         if k.order < 2:
             raise ValidationError(
@@ -334,9 +333,6 @@ def _run_verify(args):
                 "witness_dlog": None if witness is None else ff.dlog(witness),
                 "ok": witness is not None,
             })
-    else:
-        records.append(csa.selftest(args.p, args.f, args.m, args.r, args.s,
-                                    prec=args.precision, seed=args.seed))
     records.append(_summary(records))
     return records, records[-1]["ok"]
 

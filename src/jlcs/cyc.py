@@ -6,9 +6,11 @@ code asks for a ring large enough for every root-of-unity order it needs via
 ring_for(...), which takes the lcm of the declared orders.  Elements are
 integer coefficient tuples of length deg(Phi_M), so equality of two character
 sums is literal tuple equality, with an independent complex embedding kept
-alongside for floating-point cross-checks.  The table of reduced powers
-zeta_M**t is built on first use, so a ring whose values are only compared
-in count coordinates never builds it.
+alongside for floating-point cross-checks.  Products, Galois images and
+root sums all reduce a vector indexed by powers of zeta_M through the one
+CycRing._reduce; only powers past deg read the table of reduced powers,
+which is built on first use, so a ring whose values are only compared in
+count coordinates never builds it.
 """
 
 from __future__ import annotations
@@ -76,9 +78,7 @@ class CycRing:
         """x^t mod Phi_M for every t < M; x^M is 1, so this closes
         reduction.  Built on first use."""
         zpow = []
-        cur = [0] * self.deg
-        if self.deg:
-            cur[0] = 1
+        cur = [1] + [0] * (self.deg - 1)
         for _ in range(self.M):
             zpow.append(tuple(cur))
             nxt = [0] + cur[:-1]
@@ -97,10 +97,7 @@ class CycRing:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "CycElem":
-        coeffs = [0] * self.deg
-        if self.deg:
-            coeffs[0] = n
-        return CycElem(self, tuple(coeffs))
+        return CycElem(self, (n,) + (0,) * (self.deg - 1))
 
     def from_coeffs(self, coeffs) -> "CycElem":
         coeffs = list(coeffs)
@@ -129,12 +126,19 @@ class CycRing:
                 f"order {order} does not divide the ring order {self.M}")
         if len(counts) != order:
             raise ValidationError("counts vector length must equal the order")
-        step = self.M // order
-        acc = [0] * self.deg
-        for j, c in enumerate(counts):
+        vec = [0] * self.M
+        vec[::self.M // order] = counts
+        return self._reduce(vec)
+
+    def _reduce(self, vec) -> "CycElem":
+        """sum_e vec[e] * zeta_M**e, for a coefficient vector vec of length
+        at least deg indexed by exponent e (read mod M past M)."""
+        deg, M = self.deg, self.M
+        acc = list(vec[:deg])
+        for e in range(deg, len(vec)):
+            c = vec[e]
             if c:
-                zp = self.zpow[j * step % self.M]
-                for i, z in enumerate(zp):
+                for i, z in enumerate(self.zpow[e % M]):
                     if z:
                         acc[i] += c * z
         return CycElem(self, tuple(acc))
@@ -196,23 +200,13 @@ class CycElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ring = self.ring
-        deg, M = ring.deg, ring.M
-        conv = [0] * (2 * deg - 1 if deg else 1)
+        conv = [0] * (2 * self.ring.deg - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(o.coeffs):
                     if b:
                         conv[i + j] += a * b
-        head = conv[:deg] + [0] * (deg - min(len(conv), deg))
-        for e in range(deg, len(conv)):
-            c = conv[e]
-            if c:
-                zp = ring.zpow[e % M]
-                for i, z in enumerate(zp):
-                    if z:
-                        head[i] += c * z
-        return CycElem(ring, tuple(head))
+        return self.ring._reduce(conv)
 
     __rmul__ = __mul__
 
@@ -241,14 +235,10 @@ class CycElem:
         ring = self.ring
         if math.gcd(t, ring.M) != 1:
             raise ValidationError("galois exponent must be prime to M")
-        acc = [0] * ring.deg
+        vec = [0] * ring.M
         for i, c in enumerate(self.coeffs):
-            if c:
-                zp = ring.zpow[(i * t) % ring.M]
-                for j, z in enumerate(zp):
-                    if z:
-                        acc[j] += c * z
-        return CycElem(ring, tuple(acc))
+            vec[i * t % ring.M] = c
+        return ring._reduce(vec)
 
     def conjugate(self) -> "CycElem":
         """Complex conjugation, zeta_M -> zeta_M**(-1)."""

@@ -5,8 +5,10 @@ identities relating them.
 Every sum is computed in integer counting coordinates: the kernels only
 ever build counts-per-exponent vectors, and the cyclotomic value is
 materialized once at the end, or never where sums in Z[zeta_p] are only
-compared (separation_witness compares count rows directly).  Every sum
-over unit l-tuples, l >= 2, is a row of one histogram, built by
+compared (separation_witness compares count rows directly).  Restricted
+Gauss sums and d716's chi-weighted sums share the one fold _fold_chi_psi
+into counts over the powers of zeta_lcm(p, q-1).  Every sum over unit
+l-tuples, l >= 2, is a row of one histogram, built by
 _tuple_counts as a convolution of single-unit counts.  A sum over one norm
 fiber (l = 1) reads its own coset of the unit group: a strided slice of the
 field's trace_exp array, counted with no histogram over the other units.
@@ -91,22 +93,32 @@ def restricted_gauss(n: int, chi: MultChar, psi: AddChar,
     k = chi.field
     if psi.field is not k or a.field is not k:
         raise ValidationError("character and argument fields must agree")
-    n_q = math.gcd(n, k.order)
-    ring = chi.ring
-    step = k.order // n_q
-    total = ring.zero()
-    ta = None if a.is_zero() else ff.dlog(a)
-    for i in range(n_q):
-        t = i * step
-        me = (chi.j * t) % k.order
-        ae = 0 if ta is None else psi.exponent_dlog((ta + t) % k.order)
-        total = total + ring.zeta(k.order, me) * ring.zeta(k.p, ae)
-    return total
+    # the n_q-th roots of unity are g**t for the multiples t of step, and
+    # a*g**t has dlog s = dlog a + t: psi's exponents there are one strided
+    # slice of its dlog table, paired with t = s - dlog a
+    step = k.order // math.gcd(n, k.order)
+    ta = 0 if a.is_zero() else ff.dlog(a)
+    s = np.arange(ta % step, k.order, step)
+    e = 0 if a.is_zero() else psi.dlog_exponent_table()[ta % step::step]
+    return _fold_chi_psi(chi, s - ta, e, 1)
 
 
 def gauss_sum(chi: MultChar, psi: AddChar) -> CycElem:
     k = chi.field
     return restricted_gauss(k.order, chi, psi, k.one())
+
+
+def _fold_chi_psi(chi: MultChar, T, e, count) -> CycElem:
+    """sum of count * chi(g**T) * zeta_p**e over the broadcast arrays T, e
+    and count: chi(g**T) zeta_p**e = zeta_M ** (j*T*M/(q-1) + e*M/p) with
+    M = lcm(p, q-1), so one weighted_root_sum lifts all the terms."""
+    k = chi.field
+    M = math.lcm(k.p, k.order)
+    slot = (chi.j * (M // k.order) * T
+            + (M // k.p) * np.asarray(e, dtype=np.int64)) % M
+    folded = np.zeros(M, dtype=np.asarray(count).dtype)
+    np.add.at(folded, slot, count)
+    return chi.ring.weighted_root_sum(M, folded.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +231,8 @@ def check_identity_716(n: int, chi: MultChar, psi: AddChar,
         raise ValidationError("n must be positive")
     check_budget(k.order ** n, budget)
     counts = _tuple_counts(k, psi.dlog_exponent_table(), n, k.order)
-    # chi(g**T) psi(e) = zeta_M ** (j*T*M/(q-1) + e*M/p), M = lcm(p, q-1):
-    # fold the whole table into one count vector over the powers of zeta_M
-    M = math.lcm(k.p, k.order)
-    T, e = np.indices(counts.shape)
-    slot = (chi.j * (M // k.order) * T + (M // k.p) * e) % M
-    folded = np.zeros(M, dtype=counts.dtype)
-    np.add.at(folded, slot, counts)
-    lhs = chi.ring.weighted_root_sum(M, folded.tolist())
+    # row T, column e counts chi(g**T) psi(e) terms
+    lhs = _fold_chi_psi(chi, *np.indices(counts.shape), counts)
     rhs = gauss_sum(chi, psi) ** n
     report = SumReport.make(
         kind="d716",
@@ -284,13 +290,15 @@ def check_identity_725(m: int, r: int, lam: ff.FFElem, psi: AddChar,
 # witnesses
 
 
-def gn_nonzero_witness(n: int, chi: MultChar, psi: AddChar) -> ff.FFElem | None:
+def gn_nonzero_witness(n: int, chi: MultChar, psi: AddChar,
+                       budget: int | None = None) -> ff.FFElem | None:
     """Least argument a (zero first, then by dlog) with G_n(chi,psi,a) != 0.
 
     Existence is part of the verified mathematics; None signals a failure to
     the caller rather than raising, so reports can record it.
     """
     k = chi.field
+    check_budget(k.size * math.gcd(n, k.order), budget)  # q sums, n_q terms
     if not restricted_gauss(n, chi, psi, k.zero()).is_zero():
         return k.zero()
     for t in range(k.order):
@@ -300,11 +308,13 @@ def gn_nonzero_witness(n: int, chi: MultChar, psi: AddChar) -> ff.FFElem | None:
     return None
 
 
-def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar) -> SumReport:
+def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar,
+                            budget: int | None = None) -> SumReport:
     """Check, for every x in k, that the psi-transform of a |-> G_n(a)
     recovers q times the indicator-weighted character on the n_q-torsion."""
     t_start = time.perf_counter()
     k = chi.field
+    check_budget(k.size ** 2, budget)  # the transform's (x, a) pairs
     ring = chi.ring
     n_q = math.gcd(n, k.order)
     gvals = {code: restricted_gauss(n, chi, psi, k.elem(code))

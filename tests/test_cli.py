@@ -73,6 +73,16 @@ FROZEN_REPORTS = [
     ("jl-verify-p2-r3",
      "jl verify --p 2 --f 1 --m 1 --r 3 --s 2 --all-lambda --samples 2", 0,
      "1a74569c9c4932b058a4e257535cc383bdeee713e9679e79fd1a90b1c4345969"),
+    ("gauss-q61", "sums gauss --p 61 --f 1", 0,
+     "f596ac46ab0e4352391a77d217093eaf421a7cc97d200760cc5e08968c5dbd11"),
+    ("restricted-gauss-p2", "sums restricted-gauss --p 2 --f 3 --n 7 "
+     "--a-dlog 2", 0,
+     "4d7780c0a7b995f3f8bbe364f6b34b87abf3664149d4c8d5c02cc0cf05b06094"),
+    ("restricted-gauss-zero-nq2",
+     "sums restricted-gauss --p 7 --f 1 --n 2 --a-zero", 0,
+     "21de72fb5452fe154bf98ed88a816082f2fc6a4affc38cef33b10ae85a21f33a"),
+    ("fourier-q9-n2", "verify fourier --p 3 --f 2 --n 2", 0,
+     "9fe03cadabe3318e325aa165a5afd4de4428ba257534f90359f0faaa4a6618e5"),
 ]
 
 
@@ -135,6 +145,19 @@ class TestExitCodes:
         assert code == 3
         (record,) = lines(out)
         assert record["error"] == "BudgetExceeded"
+
+    def test_fourier_budget_abort(self, capsys):
+        code, out = run(capsys, "verify", "fourier", "--p", "3", "--f", "2",
+                        "--n", "2", "--budget", "0")
+        assert code == 3
+        (record,) = lines(out)
+        assert record["error"] == "BudgetExceeded"
+
+    def test_verify_has_no_csa_selftest(self, capsys):
+        # the algebra selftest runs as `csa selftest` only
+        code, _ = run(capsys, "verify", "csa-selftest", "--p", "2", "--f",
+                      "1", "--m", "2", "--r", "2", "--s", "1")
+        assert code == 2
 
     def test_negative_budget_is_usage(self, capsys):
         code, out = run(capsys, "sums", "kloosterman", "--p", "3", "--f", "1",

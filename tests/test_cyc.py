@@ -1,4 +1,5 @@
 import cmath
+import math
 from functools import cache
 
 import pytest
@@ -33,6 +34,54 @@ def exact_div(num, den):
     return out
 
 
+# The oracles for CycRing._reduce: the three reduction loops that
+# weighted_root_sum, CycElem.__mul__ and CycElem.galois each ran before
+# they shared the one reducer.
+
+def oracle_weighted_root_sum(R, order, counts):
+    step = R.M // order
+    acc = [0] * R.deg
+    for j, c in enumerate(counts):
+        if c:
+            zp = R.zpow[j * step % R.M]
+            for i, z in enumerate(zp):
+                if z:
+                    acc[i] += c * z
+    return tuple(acc)
+
+
+def oracle_mul(a, b):
+    R = a.ring
+    deg, M = R.deg, R.M
+    conv = [0] * (2 * deg - 1 if deg else 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    conv[i + j] += x * y
+    head = conv[:deg] + [0] * (deg - min(len(conv), deg))
+    for e in range(deg, len(conv)):
+        c = conv[e]
+        if c:
+            zp = R.zpow[e % M]
+            for i, z in enumerate(zp):
+                if z:
+                    head[i] += c * z
+    return tuple(head)
+
+
+def oracle_galois(a, t):
+    R = a.ring
+    acc = [0] * R.deg
+    for i, c in enumerate(a.coeffs):
+        if c:
+            zp = R.zpow[(i * t) % R.M]
+            for j, z in enumerate(zp):
+                if z:
+                    acc[j] += c * z
+    return tuple(acc)
+
+
 class TestCyclotomicPolynomials:
     def test_small_known_coefficients(self):
         assert cyc._cyclotomic(1) == [-1, 1]
@@ -44,7 +93,6 @@ class TestCyclotomicPolynomials:
         assert cyc._cyclotomic(12) == [1, 0, -1, 0, 1]
 
     def test_degrees_are_euler_phi(self):
-        import math
         for M in range(1, 40):
             phi = sum(1 for t in range(1, M + 1) if math.gcd(t, M) == 1)
             assert len(cyc._cyclotomic(M)) - 1 == phi
@@ -164,6 +212,27 @@ class TestAxioms:
             got = R.zeta(M).complex_value()
             assert cmath.isclose(got, cmath.exp(2j * cmath.pi / M),
                                  abs_tol=1e-12)
+
+
+class TestOneReducer:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_products_galois_and_root_sums_match_the_oracle(self, data):
+        # M = 5 and 9 have 2*deg - 1 > M: the product's tail wraps past M
+        M = data.draw(st.sampled_from([1, 2, 5, 9, 12, 15, 105]), label="M")
+        R = cyc.ring_for(M)
+        vec = st.lists(st.integers(-9, 9), min_size=R.deg, max_size=R.deg)
+        a = R.from_coeffs(data.draw(vec, label="a"))
+        b = R.from_coeffs(data.draw(vec, label="b"))
+        assert (a * b).coeffs == oracle_mul(a, b)
+        t = data.draw(st.sampled_from(
+            [t for t in range(1, M + 1) if math.gcd(t, M) == 1]), label="t")
+        assert a.galois(t).coeffs == oracle_galois(a, t)
+        for d in (d for d in range(1, M + 1) if M % d == 0):
+            counts = data.draw(st.lists(st.integers(-9, 9), min_size=d,
+                                        max_size=d), label=f"counts{d}")
+            assert R.weighted_root_sum(d, counts).coeffs == \
+                oracle_weighted_root_sum(R, d, counts)
 
 
 class TestGalois:

@@ -90,13 +90,16 @@ class TestRestrictedGauss:
         g = expsum.gauss_sum(chi, psi)
         assert g * g.conjugate() == R.from_int(5)
 
-    def test_matches_brute_force_definition(self):
-        k, R, psi = setup_k(3, 2)
-        for n in (1, 2, 3, 6):
-            n_q = math.gcd(n, 8)
+    @pytest.mark.parametrize("p,f", [(3, 2), (2, 3), (7, 1)])
+    def test_matches_brute_force_definition(self, p, f):
+        # the oracle: chi(x) psi(a*x) summed term by term over the x with
+        # x**n_q = 1, every a in the field
+        k, R, psi = setup_k(p, f)
+        for n in (1, 2, 3, 6, 7):
+            n_q = math.gcd(n, k.order)
             for j in (0, 1, 3):
                 chi = chars.MultChar(k, j, R)
-                for a in [k.zero(), k.one(), k.gen()]:
+                for a in k.elements():
                     brute = R.zero()
                     for x in k.elements():
                         if x.is_zero() or x ** n_q != k.one():
@@ -104,6 +107,31 @@ class TestRestrictedGauss:
                         term = chi.eval(x) * psi.eval(a * x)
                         brute = brute + term
                     assert expsum.restricted_gauss(n, chi, psi, a) == brute
+
+    def test_gauss_sum_makes_one_ring_call(self, monkeypatch):
+        # F_61 in Z[zeta_3660], degree 960: no ring product per term
+        k, R, psi = setup_k(61, 1)
+        chi = chars.MultChar(k, 7, R)
+        want = expsum.gauss_sum(chi, psi)
+        mul, wrs = cyc.CycElem.__mul__, cyc.CycRing.weighted_root_sum
+        products, orders = [], []
+
+        def counted_mul(a, b):
+            products.append(1)
+            return mul(a, b)
+
+        def counted_wrs(ring, order, vec):
+            orders.append(order)
+            return wrs(ring, order, vec)
+
+        monkeypatch.setattr(cyc.CycElem, "__mul__", counted_mul)
+        monkeypatch.setattr(cyc.CycElem, "__rmul__", counted_mul)
+        monkeypatch.setattr(cyc.CycRing, "weighted_root_sum", counted_wrs)
+        got = expsum.gauss_sum(chi, psi)
+        monkeypatch.undo()
+        assert got == want
+        assert products == [] and orders == [3660]
+        assert got * got.conjugate() == R.from_int(61)
 
 
 class TestKloosterman:
@@ -389,7 +417,8 @@ class TestIdentity716:
             rep = expsum.check_identity_716(n, chi, psi, budget=6 ** 25)
             monkeypatch.undo()
             assert rep.equal and rep.lhs == want
-            assert calls == [math.lcm(p, k.order)]
+            # the Kloosterman side, then the Gauss sum on the right side
+            assert calls == [math.lcm(p, k.order)] * 2
 
     def test_report_shape(self):
         k, R, psi = setup_k(3, 1)
@@ -446,6 +475,26 @@ class TestWitnesses:
             for j in range(k.order):
                 chi = chars.MultChar(k, j, R)
                 assert expsum.gn_nonzero_witness(n, chi, psi) is not None
+
+    @pytest.mark.parametrize("p,f,n,work", [(3, 2, 2, 9 * 2), (2, 3, 7, 8 * 7),
+                                            (7, 1, 4, 7 * 2)])
+    def test_gn_witness_budget_edge(self, p, f, n, work):
+        # q sums of n_q terms each
+        k, R, psi = setup_k(p, f)
+        chi = chars.MultChar(k, 1, R)
+        assert expsum.gn_nonzero_witness(n, chi, psi, budget=work) is not None
+        with pytest.raises(BudgetExceeded):
+            expsum.gn_nonzero_witness(n, chi, psi, budget=work - 1)
+
+    @pytest.mark.parametrize("p,f", [(3, 2), (2, 3), (7, 1)])
+    def test_fourier_budget_edge(self, p, f):
+        # q**2 pairs (x, a) in the transform
+        k, R, psi = setup_k(p, f)
+        chi = chars.MultChar(k, 1, R)
+        work = k.size ** 2
+        assert expsum.fourier_inversion_check(2, chi, psi, budget=work).equal
+        with pytest.raises(BudgetExceeded):
+            expsum.fourier_inversion_check(2, chi, psi, budget=work - 1)
 
     @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
     def test_fourier_inversion(self, p, f):
