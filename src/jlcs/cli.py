@@ -308,7 +308,8 @@ def _run_verify(args):
                                                 args.budget)
             records.append({
                 "kind": "gn_nonzero",
-                "parameters": {"q": k.size, "n": args.n, "chi_exponent": j},
+                "parameters": {"q": k.size, "n": args.n,
+                               "chi_exponent": chi.j},
                 "witness_dlog": (None if witness is None or witness.is_zero()
                                  else ff.dlog(witness)),
                 "ok": witness is not None,
@@ -354,6 +355,9 @@ def _pick_lambdas(args, k):
 
 
 def _sample_us(eta, args):
+    if args.samples < 0:
+        raise ValidationError(
+            f"the sample count must be nonnegative, got {args.samples}")
     rng = stable_rng(args.seed, "cli-u-samples", args.p, args.f, args.m,
                      args.r, args.s or 0)
     us = [eta.alg.zero()]

@@ -60,9 +60,8 @@ class DivAlgebra:
                 raise ValidationError("coefficients must be series over k_r")
         return AlgElem(self, tuple(coeffs))
 
-    def zero(self, prec=lf.INF) -> "AlgElem":
-        return AlgElem(self, tuple(lf.zero(self.kr, prec)
-                                   for _ in range(self.r)))
+    def zero(self) -> "AlgElem":
+        return AlgElem(self, tuple(lf.zero(self.kr) for _ in range(self.r)))
 
     def one(self) -> "AlgElem":
         return self.from_series(lf.one(self.kr))
@@ -558,18 +557,16 @@ def phi_inverse(m: int, Dalg: DivAlgebra, zeta: ff.FFElem) -> MatA:
     return (phi ** (phi.parent.n - 1)).scale_base_series(zw_inv)
 
 
-def one_plus_inverse(y: MatA, prec: int | None = None) -> MatA:
+def one_plus_inverse(y: MatA) -> MatA:
     """Inverse of 1 + y for y in the radical, by the geometric series,
-    computed to the absolute precision the input supports (or to prec)."""
+    computed to the absolute precision the input supports."""
     if not y.in_radical_power(1):
         raise DomainError("geometric inverse needs a radical perturbation")
-    if prec is None:
-        finite = [a.prec for row in y.entries for e in row
-                  for a in e.coeffs if a.prec != lf.INF]
-        if not finite:
-            raise PrecisionError(
-                "an exact perturbation needs a target precision")
-        prec = min(finite)
+    finite = [a.prec for row in y.entries for e in row
+              for a in e.coeffs if a.prec != lf.INF]
+    if not finite:
+        raise PrecisionError("an exact perturbation needs a target precision")
+    prec = min(finite)
     acc = y.parent.identity()
     term = acc
     while True:

@@ -317,19 +317,33 @@ def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar,
     check_budget(k.size ** 2, budget)  # the transform's (x, a) pairs
     ring = chi.ring
     n_q = math.gcd(n, k.order)
-    gvals = {code: restricted_gauss(n, chi, psi, k.elem(code))
-             for code in range(k.size)}
+    # the a with G_n(a) != 0, by log (-1 for a = 0), and G_n(a)'s
+    # coefficient rows over the powers of zeta_M below deg
+    log_a, rows = [], []
+    for code in range(k.size):
+        g = restricted_gauss(n, chi, psi, k.elem(code))
+        if not g.is_zero():
+            log_a.append(k.log[code])
+            rows.append(g.coeffs)
+    log_a = np.array(log_a, dtype=np.int64)
+    rows = np.array(rows, dtype=object).reshape(len(log_a), ring.deg)
+    # psi(-a*x) = zeta_p**-tau[log a + log x], so G_n(a) psi(-a*x) is
+    # row a moved by -(M/p)*tau[log a + log x] powers of zeta_M
+    tau = psi.dlog_exponent_table().astype(np.int64)
+    slots = np.arange(ring.deg)
     mu_codes = {x.packed for x in ff.enumerate_mu(k, n_q)}
     witness = None
     lhs = rhs = ring.zero()
     equal = True
     for x in k.elements():
-        total = ring.zero()
-        for code, g in gvals.items():
-            if g.is_zero():
-                continue
-            a = k.elem(code)
-            total = total + g * ring.zeta(k.p, psi.exponent(-(a * x)))
+        if x.is_zero():
+            e = np.zeros_like(log_a)
+        else:
+            e = np.where(log_a < 0, 0,
+                         -tau[(log_a + k.log[x.packed]) % k.order])
+        vec = np.zeros(ring.M, dtype=object)
+        np.add.at(vec, (slots + (ring.M // k.p) * e[:, None]) % ring.M, rows)
+        total = ring.weighted_root_sum(ring.M, vec.tolist())
         if x.packed in mu_codes:
             expect = ring.from_int(k.size) * chi.eval(x)
         else:

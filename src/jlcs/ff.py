@@ -8,6 +8,14 @@ the generator is the least element of full multiplicative order in the same
 coefficient order, and subfield embeddings are constructed once, at extension
 time, by locating the least root of the subfield's defining polynomial.
 
+Every build step works on one representation of F_p[x]/(h): the companion
+matrix C of h, the matrix of multiplication by x, so that the element
+sum c_i x^i multiplies as sum c_i C^i.  Rabin's irreducibility test, the
+generator search, the walk over generator powers and the traces of the
+basis elements are all matrix powers, ranks and traces over F_p.  An
+embedding of a subfield is a single discrete log: the subfield's generator
+goes to g^t, so embedding and pullback are arithmetic on logs.
+
 Elements are stored packed: an element with coefficients (c_0, ..., c_{d-1})
 over F_p is the integer sum(c_i * p**i).  Every field carries full exp/log
 tables, so products, inverses and discrete logarithms are O(1) lookups and
@@ -47,86 +55,63 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p (little-endian coefficient lists)
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+# F_p[x]/(h) through the companion matrix of h
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+def _companion(h, p) -> np.ndarray:
+    """Matrix of multiplication by x on F_p[x]/(h), h monic of degree d, in
+    the basis 1, x, ..., x^(d-1): column j holds x^(j+1) mod h.
+
+    Multiplication by sum c_i x^i is sum c_i C^i, so every element of the
+    ring is a matrix and its multiplicative order is the matrix's."""
+    d = len(h) - 1
+    C = np.eye(d, k=-1, dtype=np.int64)
+    C[:, -1] = [-c % p for c in h[:-1]]
+    return C
 
 
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _ptrim(out)
-
-
-def _pmod(a, h, p):
-    """a mod h with h monic."""
-    a = list(a)
-    dh = len(h) - 1
-    while len(a) - 1 >= dh:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dh
-            for i, hi in enumerate(h):
-                a[shift + i] = (a[shift + i] - lead * hi) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    return a
-
-
-def _ppowmod(a, e, h, p):
-    result = [1]
-    base = _pmod(a, h, p)
+def _matpow_mod(M, e, p):
+    out = np.eye(M.shape[0], dtype=np.int64)
+    base = M % p
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), h, p)
-        base = _pmod(_pmul(base, base, p), h, p)
+            out = (out @ base) % p
+        base = (base @ base) % p
         e >>= 1
-    return result
+    return out
+
+
+def _rank_mod_p(A, p) -> int:
+    """Rank of an integer matrix over F_p, by row reduction."""
+    A = A % p
+    rank = 0
+    for col in range(A.shape[1]):
+        nonzero = np.flatnonzero(A[rank:, col])
+        if not nonzero.size:
+            continue
+        pivot = rank + nonzero[0]
+        A[[rank, pivot]] = A[[pivot, rank]]
+        A[rank] = A[rank] * pow(int(A[rank, col]), -1, p) % p
+        below = A[rank + 1:]
+        below -= np.outer(below[:, col], A[rank])
+        below %= p
+        rank += 1
+    return rank
 
 
 def _is_irreducible(h, p) -> bool:
-    """Rabin test for a monic polynomial over F_p."""
+    """Rabin's test for a monic h of degree d over F_p, on its companion
+    matrix C: C^(p^d) = C, and C^(p^(d/l)) - C, the multiplication by
+    x^(p^(d/l)) - x, is invertible (h is prime to that polynomial) for
+    every prime l | d."""
     d = len(h) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    frob = {0: x}
-    y = x
-    for j in range(1, d + 1):
-        y = _ppowmod(y, p, h, p)
-        frob[j] = y
-    if _psub(frob[d], x, p):
-        return False
-    for ell in prime_factors(d):
-        g = _pgcd(list(h), _psub(frob[d // ell], x, p), p)
-        if len(g) > 1:
-            return False
-    return True
+    C = _companion(h, p)
+    frob = [C]  # frob[j] = C^(p^j)
+    for _ in range(d):
+        frob.append(_matpow_mod(frob[-1], p, p))
+    return (np.array_equal(frob[d], C)
+            and all(_rank_mod_p(frob[d // ell] - C, p) == d
+                    for ell in prime_factors(d)))
 
 
 def _least_irreducible(p: int, d: int) -> tuple[int, ...]:
@@ -167,12 +152,17 @@ class FieldDesc:
         trace_exp: absolute-trace exponent of each generator power, as a
                  read-only numpy array of the least unsigned dtype that
                  holds p - 1 (one byte per unit for p < 256).
+
+    The tables are built from the companion matrix C of the modulus.  A
+    declared subfield is held as (t, u_inv): its generator g_s maps to g^t,
+    t = step*u with step = order/|sub^x|, so g_s^j embeds as g^(t*j) and
+    pullback reads j = (s/step)*u_inv mod |sub^x| off a log s in step*Z.
     """
 
     __slots__ = (
         "p", "f", "l", "degree", "size", "order", "modulus", "base",
         "gen_packed", "exp", "log", "zech", "trace_exp",
-        "_pp", "_emb_fwd", "_emb_back",
+        "_pp", "_emb",
     )
 
     def __init__(self, p: int, f: int, l: int, base: "FieldDesc | None"):
@@ -191,8 +181,7 @@ class FieldDesc:
         self.modulus = _least_irreducible(p, degree)
         self._pp = tuple(p ** i for i in range(degree + 1))
         self._build_tables()
-        self._emb_fwd = {}
-        self._emb_back = {}
+        self._emb = {}
         if base is not None:
             self._declare_embedding(base)
             if base.base is not None:
@@ -215,39 +204,34 @@ class FieldDesc:
             total += c * self._pp[i]
         return total
 
-    def _find_generator(self) -> int:
-        order = self.order
-        if order == 1:
-            return 1
+    def _find_generator(self, powers) -> int:
+        """Least unit in the coefficient order whose matrix K = sum c_i C^i
+        has K^(order/l) != 1 for every prime l | order."""
+        p, order = self.p, self.order
         primes = prime_factors(order)
-        h = list(self.modulus)
-        for tail in itertools.product(range(self.p), repeat=self.degree):
+        one = powers[0]
+        for tail in itertools.product(range(p), repeat=self.degree):
             if not any(tail):
                 continue
-            cand = list(tail)
-            _ptrim(cand)
-            if all(_ppowmod(cand, order // ell, h, self.p) != [1]
-                   for ell in primes):
+            K = np.tensordot(tail, powers, 1) % p
+            if not any(np.array_equal(_matpow_mod(K, order // ell, p), one)
+                       for ell in primes):
                 return self._pack(tail)
         raise AssertionError("no generator found")  # unreachable
 
     def _build_tables(self):
         p, d, size, order = self.p, self.degree, self.size, self.order
-        self.gen_packed = self._find_generator()
+        # powers[i] = C^i multiplies by x^i, so sum c_i C^i multiplies by
+        # the element with coefficients c
+        C = _companion(self.modulus, p)
+        powers = [np.eye(d, dtype=np.int64)]
+        for _ in range(1, d):
+            powers.append(powers[-1] @ C % p)
+        powers = np.array(powers)
+        self.gen_packed = self._find_generator(powers)
         # multiplication by the generator is F_p-linear; walk all powers with
         # numpy block matrix powers so even 5*10^5-element fields build fast.
-        gdig = self._digits(self.gen_packed)
-        mod_tail = np.array(self.modulus[:-1], dtype=np.int64)
-        M = np.zeros((d, d), dtype=np.int64)
-        col = np.array(gdig, dtype=np.int64)
-        for j in range(d):
-            M[:, j] = col
-            # multiply current column by x modulo the defining polynomial
-            top = col[-1]
-            col = np.roll(col, 1)
-            col[0] = 0
-            if top:
-                col = (col - top * mod_tail) % p
+        M = np.tensordot(self._digits(self.gen_packed), powers, 1) % p
         digits = np.zeros((d, order), dtype=np.int64)
         digits[0, 0] = 1
         block = 1024
@@ -255,7 +239,7 @@ class FieldDesc:
         for t in range(1, first):
             digits[:, t] = (M @ digits[:, t - 1]) % p
         if order > block:
-            MB = self._matpow_mod(M, block, p)
+            MB = _matpow_mod(M, block, p)
             t = block
             while t < order:
                 hi = min(t + block, order)
@@ -269,7 +253,8 @@ class FieldDesc:
             raise AssertionError("generator powers repeat")
         self.exp = packed.tolist()
         self.log = log_arr.tolist()
-        w = self._basis_traces()
+        # the absolute trace of x^j is the trace of its matrix C^j
+        w = np.trace(powers, axis1=1, axis2=2) % p
         trace_exp = ((w @ digits) % p).astype(np.min_scalar_type(p - 1))
         trace_exp.setflags(write=False)
         self.trace_exp = trace_exp
@@ -284,64 +269,22 @@ class FieldDesc:
         one_plus = packed - low + (low + 1) % p
         return array("l", log_arr[one_plus].astype(np.dtype("l")).tobytes())
 
-    @staticmethod
-    def _matpow_mod(M, e, p):
-        out = np.eye(M.shape[0], dtype=np.int64)
-        base = M % p
-        while e:
-            if e & 1:
-                out = (out @ base) % p
-            base = (base @ base) % p
-            e >>= 1
-        return out
-
-    def _basis_traces(self) -> np.ndarray:
-        """Absolute traces Tr(x^j) for j < degree, as an int vector."""
-        p, d = self.p, self.degree
-        if d == 1:
-            return np.array([1], dtype=np.int64)
-        t_x = self.log[self.p]  # dlog of the class of x (packed code p)
-        w = np.zeros(d, dtype=np.int64)
-        for j in range(d):
-            acc = [0] * d
-            for t in range(d):
-                e = (j * t_x * (p ** t)) % self.order
-                for i, c in enumerate(self._digits(self.exp[e])):
-                    acc[i] = (acc[i] + c) % p
-            if any(acc[1:]):
-                raise AssertionError("trace left the prime field")
-            w[j] = acc[0]
-        return w
-
     def _declare_embedding(self, sub: "FieldDesc"):
-        """Locate the least root of sub.modulus here and tabulate both ways."""
-        db = sub.degree
+        """Send the class of x in sub to the least root alpha of sub.modulus
+        (zero first, then by dlog); keep the log t of the generator's image
+        and the inverse of u = t/step mod |sub^x|."""
         # roots live in the unique subfield of matching size
         if self.order % sub.order:
             raise ValidationError("subfield size does not divide")
-        candidates = [0] if db == 1 and sub.modulus[0] == 0 else []
         step = self.order // sub.order
+        candidates = [0] if sub.degree == 1 and sub.modulus[0] == 0 else []
         candidates += [self.exp[j * step] for j in range(sub.order)]
-        alpha = None
-        for cand in candidates:
-            if self._eval_poly(sub.modulus, cand) == 0:
-                alpha = cand
-                break
+        alpha = next((c for c in candidates
+                      if self._eval_poly(sub.modulus, c) == 0), None)
         if alpha is None:
             raise AssertionError("no root of subfield polynomial found")
-        powers = [self.exp[0]]
-        for _ in range(1, db):
-            powers.append(self.mul_packed(powers[-1], alpha))
-        fwd = []
-        for code in range(sub.size):
-            digs = sub._digits(code)  # F_p digits pack as themselves
-            acc = 0
-            for i, c in enumerate(digs):
-                if c:
-                    acc = self.add_packed(acc, self.mul_packed(c, powers[i]))
-            fwd.append(acc)
-        self._emb_fwd[(sub.p, sub.f, sub.l)] = fwd
-        self._emb_back[(sub.p, sub.f, sub.l)] = {v: i for i, v in enumerate(fwd)}
+        t = self.log[self._eval_poly(sub._digits(sub.gen_packed), alpha)]
+        self._emb[(sub.p, sub.f, sub.l)] = (t, pow(t // step, -1, sub.order))
 
     def _eval_poly(self, coeffs, at_packed: int) -> int:
         acc = 0
@@ -407,27 +350,31 @@ class FieldDesc:
     def has_subfield(self, sub: "FieldDesc") -> bool:
         return sub in self.subfield_chain()
 
-    def _emb_key(self, sub: "FieldDesc"):
-        return (sub.p, sub.f, sub.l)
+    def _subfield_logs(self, sub: "FieldDesc") -> tuple[int, int]:
+        try:
+            return self._emb[(sub.p, sub.f, sub.l)]
+        except KeyError:
+            raise ValidationError(
+                f"{sub!r} is not a declared subfield of {self!r}") from None
 
     def embed_packed(self, sub: "FieldDesc", code: int) -> int:
         if sub is self:
             return code
-        key = self._emb_key(sub)
-        if key not in self._emb_fwd:
-            raise ValidationError(f"{sub!r} is not a declared subfield of {self!r}")
-        return self._emb_fwd[key][code]
+        t, _ = self._subfield_logs(sub)
+        # the generator's j-th power goes to g^(t*j)
+        return self.exp[t * sub.log[code] % self.order] if code else 0
 
     def pullback_packed(self, sub: "FieldDesc", code: int) -> int:
         if sub is self:
             return code
-        key = self._emb_key(sub)
-        if key not in self._emb_back:
-            raise ValidationError(f"{sub!r} is not a declared subfield of {self!r}")
-        try:
-            return self._emb_back[key][code]
-        except KeyError:
-            raise ValidationError("element does not lie in the subfield") from None
+        _, u_inv = self._subfield_logs(sub)
+        if not code:
+            return 0
+        step = self.order // sub.order
+        s = self.log[code]
+        if s % step:
+            raise ValidationError("element does not lie in the subfield")
+        return sub.exp[s // step * u_inv % sub.order]
 
     # -- element constructors -------------------------------------------------
 

@@ -83,6 +83,13 @@ FROZEN_REPORTS = [
      "21de72fb5452fe154bf98ed88a816082f2fc6a4affc38cef33b10ae85a21f33a"),
     ("fourier-q9-n2", "verify fourier --p 3 --f 2 --n 2", 0,
      "9fe03cadabe3318e325aa165a5afd4de4428ba257534f90359f0faaa4a6618e5"),
+    ("norm-fiber-gf2-20",
+     "sums norm-fiber --p 2 --f 4 --l 5 --lambda-dlog 7", 0,
+     "928f351cd3cb1eef1275d47232dd89766f5faa3361b768b955e5515c55435807"),
+    ("fourier-q64-n3", "verify fourier --p 2 --f 6 --n 3", 0,
+     "4f2000609d6a07dee1b58c384b6e2b2e2795351a13e2b46401a34bd1029477d7"),
+    ("d725-q9-r6", "verify d725 --p 3 --f 2 --m 1 --r 6 --lambda-dlog 3", 0,
+     "6742067d4890883b271be5e7531817043fedde4587d6e1914d689902b5877563"),
 ]
 
 
@@ -165,6 +172,24 @@ class TestExitCodes:
         assert code == 2
         (record,) = lines(out)
         assert record["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("verb", [["char"], ["jl", "verify"]])
+    def test_negative_samples_is_usage(self, capsys, verb):
+        code, out = run(capsys, *verb, "--p", "3", "--f", "1", "--m", "1",
+                        "--r", "2", "--s", "1", "--samples", "-1")
+        assert code == 2
+        (record,) = lines(out)
+        assert record["error"] == "ValidationError"
+
+    def test_fourier_reports_the_reduced_chi(self, capsys):
+        # at q = 3, chi exponent 5 is exponent 1: every record says so
+        _, five = run(capsys, "verify", "fourier", "--p", "3", "--f", "1",
+                      "--n", "1", "--chi", "5")
+        _, one = run(capsys, "verify", "fourier", "--p", "3", "--f", "1",
+                     "--n", "1", "--chi", "1")
+        assert five == one
+        assert {r["parameters"]["chi_exponent"] for r in lines(five)
+                if "parameters" in r} == {1}
 
     def test_separation_over_f2_is_usage(self, capsys):
         # F_2 has no ratio a' outside {0, 1}, so the sweep would check nothing

@@ -505,6 +505,54 @@ class TestWitnesses:
                 rep = expsum.fourier_inversion_check(n, chi, psi)
                 assert rep.equal, (p, f, n, j)
 
+    @pytest.mark.parametrize("p,f,n,j", [(3, 2, 2, 1), (3, 2, 4, 3),
+                                         (2, 3, 7, 2), (7, 1, 3, 4),
+                                         (5, 1, 1, 0)])
+    def test_fourier_transform_matches_ring_products(self, p, f, n, j,
+                                                     monkeypatch):
+        # the transform of a -> G_n(a) at each x, against the loop of ring
+        # products sum_a G_n(a) * psi(-a*x) it replaced
+        k, R, psi = setup_k(p, f)
+        chi = chars.MultChar(k, j, R)
+        seen = []
+        wrs = cyc.CycRing.weighted_root_sum
+
+        def recorded(ring, order, counts):
+            seen.append(wrs(ring, order, counts))
+            return seen[-1]
+
+        monkeypatch.setattr(cyc.CycRing, "weighted_root_sum", recorded)
+        assert expsum.fourier_inversion_check(n, chi, psi).equal
+        monkeypatch.undo()
+        gvals = [expsum.restricted_gauss(n, chi, psi, a)
+                 for a in k.elements()]
+        for x, got in zip(k.elements(), seen[-k.size:]):
+            want = R.zero()
+            for a, g in zip(k.elements(), gvals):
+                want = want + g * psi.eval(-(a * x))
+            assert got == want
+
+    @pytest.mark.parametrize("j", [0, 1, 5, 21])
+    def test_fourier_makes_no_product_per_pair(self, j, monkeypatch):
+        # over F_64 with n = 3: the transform side is one weighted_root_sum
+        # per x; the only ring products are q * chi(x) on the n_q = 3
+        # roots of unity
+        k, R, psi = setup_k(2, 6)
+        chi = chars.MultChar(k, j, R)
+        calls = []
+        mul = cyc.CycElem.__mul__
+
+        def counted_mul(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(cyc.CycElem, "__mul__", counted_mul)
+        monkeypatch.setattr(cyc.CycElem, "__rmul__", counted_mul)
+        rep = expsum.fourier_inversion_check(3, chi, psi)
+        monkeypatch.undo()
+        assert rep.equal
+        assert len(calls) <= math.gcd(3, k.order)
+
     def test_separation_q3_frozen(self):
         k, R, psi = setup_k(3, 1)
         w = expsum.separation_witness(2, psi, k.elem(2))
