@@ -212,8 +212,6 @@ def _flatten(record: dict, prefix: str = "") -> dict:
         if isinstance(value, dict):
             if "approx" in value:
                 flat[name] = str(complex(*value["approx"]))
-            elif set(value) == {"re", "im"}:
-                flat[name] = str(complex(value["re"], value["im"]))
             else:
                 flat.update(_flatten(value, name + "."))
         elif isinstance(value, list):
@@ -401,13 +399,13 @@ def _run_epsilon(args):
     records = [_header(args, "epsilon", {
         "eta": eta.to_json(), "xi": xi.to_json()})]
     records.append({"kind": "epsilon",
-                    "value": ssc._value_json(ssc.epsilon(eta))})
+                    "value": ssc.epsilon(eta).to_json()})
     records.append({"kind": "epsilon_twisted",
-                    "value": ssc._value_json(ssc.epsilon_twisted(eta, xi))})
+                    "value": ssc.epsilon_twisted(eta, xi).to_json()})
     if eta.n > 1:
         records.append({
             "kind": "normalized_tau",
-            "value": ssc._value_json(ssc.normalized_tau(eta, xi)),
+            "value": ssc.normalized_tau(eta, xi).to_json(),
             "sign": ssc.jl_transfer(eta).sign,
         })
     return records, True

@@ -379,6 +379,11 @@ class FieldDesc:
     # -- element constructors -------------------------------------------------
 
     def elem(self, packed: int) -> "FFElem":
+        """The element with this packed code; codes index the tables, so
+        one outside [0, size) is rejected here."""
+        if type(packed) is not int or not 0 <= packed < self.size:
+            raise ValidationError(
+                f"{packed!r} is not a packed code of {self!r}")
         return FFElem(self, packed)
 
     def zero(self) -> "FFElem":

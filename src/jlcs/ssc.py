@@ -11,13 +11,12 @@ over coset representatives; their agreement, and the sign-twisted
 agreement across the transfer to the split form, are the checks this
 package exists to run.
 
-Exact mode keeps every value in a cyclotomic ring; float mode (a complex
-unit c of no declared order) compares at 1e-9.
+The scalar c is a root of unity of declared order, so every value is a
+CycElem in the parameter's cyclotomic ring and every comparison is exact.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
@@ -31,43 +30,20 @@ from .chars import AddChar, MultChar
 from .cyc import CycElem
 from .errors import DecompositionError, DomainError, ValidationError
 
-COMPLEX_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CUnit:
-    """The scalar c: a declared root of unity (exact mode) or a complex
-    unit (float mode)."""
+    """The scalar c = zeta_order ** power, a root of unity."""
 
-    order: int | None = None
+    order: int
     power: int = 0
-    approx: complex | None = None
 
     def __post_init__(self):
-        if self.order is not None:
-            if self.order < 1:
-                raise ValidationError("the declared order must be positive")
-            if self.approx is not None:
-                raise ValidationError("declare either an order or an approx")
-        else:
-            if self.approx is None:
-                raise ValidationError("c needs an order or a complex value")
-            if abs(abs(self.approx) - 1.0) > COMPLEX_TOL:
-                raise ValidationError("complex c must lie on the unit circle")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.order is not None
-
-    def complex_value(self) -> complex:
-        if self.is_exact:
-            return cmath.exp(2j * cmath.pi * self.power / self.order)
-        return self.approx
+        if self.order < 1:
+            raise ValidationError("the declared order must be positive")
 
     def to_json(self) -> dict:
-        if self.is_exact:
-            return {"order": self.order, "power": self.power % self.order}
-        return {"re": self.approx.real, "im": self.approx.imag}
+        return {"order": self.order, "power": self.power % self.order}
 
 
 @dataclass(frozen=True)
@@ -86,40 +62,22 @@ class TameChar:
 @dataclass(frozen=True)
 class CharTableRow:
     """One comparison row: a test element, two independently computed
-    values, and their exact (or 1e-9, in float mode) agreement."""
+    values, and their exact agreement."""
 
     kind: str
     params: dict
-    closed_form: object
-    direct_sum: object
+    closed_form: CycElem
+    direct_sum: CycElem
     match: bool
 
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "params": self.params,
-            "closed_form": _value_json(self.closed_form),
-            "direct_sum": _value_json(self.direct_sum),
+            "closed_form": self.closed_form.to_json(),
+            "direct_sum": self.direct_sum.to_json(),
             "match": self.match,
         }
-
-
-def _value_json(v):
-    if isinstance(v, CycElem):
-        return v.to_json()
-    v = complex(v)
-    return {"re": v.real, "im": v.imag}
-
-
-def values_match(a, b) -> bool:
-    """Exact equality for ring elements, 1e-9 relative for complex."""
-    if isinstance(a, CycElem) and isinstance(b, CycElem):
-        return a == b
-    if isinstance(a, CycElem) or isinstance(b, CycElem):
-        raise ValidationError("cannot compare values across modes")
-    a, b = complex(a), complex(b)
-    scale = max(1.0, abs(a), abs(b))
-    return abs(a - b) <= COMPLEX_TOL * scale
 
 
 class SscParam:
@@ -138,7 +96,7 @@ class SscParam:
             raise ValidationError("chi and psi must share a value ring")
         if not isinstance(c, CUnit):
             raise ValidationError("c must be a CUnit")
-        if c.is_exact and chi.ring.M % c.order:
+        if chi.ring.M % c.order:
             raise ValidationError(
                 "the value ring does not contain a root of unity of c's order")
         self.zeta = zeta
@@ -150,33 +108,19 @@ class SscParam:
         self.n = alg.n
 
     @property
-    def exact(self) -> bool:
-        return self.c.is_exact
-
-    @property
     def conductor(self) -> int:
         return self.n + 1
 
     def phi(self) -> csa.MatA:
         return csa.make_phi_zeta(self.alg.m, self.alg.D, self.zeta)
 
-    def _finish(self, root, c_exp: int, sign_odd: int):
-        """root * ((-1)^sign_odd) * c^c_exp in the parameter's value mode."""
-        if self.exact:
-            out = root * self.ring_unit(self.c, c_exp)
-            return -out if sign_odd % 2 else out
-        out = complex(root.complex_value() if isinstance(root, CycElem)
-                      else root)
-        out *= self.c.complex_value() ** c_exp
+    def _finish(self, root: CycElem, c_exp: int, sign_odd: int) -> CycElem:
+        """root * ((-1)^sign_odd) * c^c_exp."""
+        out = root * self.ring_unit(self.c, c_exp)
         return -out if sign_odd % 2 else out
 
     def ring_unit(self, cu: CUnit, e: int) -> CycElem:
-        if not cu.is_exact:
-            raise ValidationError("exact mode needs declared finite orders")
         return self.chi.ring.zeta(cu.order, (cu.power * e) % cu.order)
-
-    def as_mode(self, x: CycElem):
-        return x if self.exact else x.complex_value()
 
     def to_json(self) -> dict:
         return {
@@ -202,9 +146,7 @@ def make_param(p: int, f: int, m: int, r: int, s: int | None,
     alg = csa.matrix_algebra(D, m)
     if c is None:
         c = CUnit(order=1, power=0)
-    orders = [p, k.order] + ([c.order] if c.is_exact else [])
-    orders.extend(extra_orders)
-    ring = cyc.ring_for(*orders)
+    ring = cyc.ring_for(p, k.order, c.order, *extra_orders)
     chi = MultChar(k, chi_j, ring)
     psi = AddChar(k, k.from_dlog(psi_twist_dlog), ring)
     return SscParam(k.from_dlog(zeta_dlog), chi, c, psi, alg)
@@ -336,8 +278,6 @@ def char_at_gu_direct(eta: SscParam, u: csa.MatA):
     if not u.in_order():
         raise ValidationError("u must lie in the standard order")
     g = csa.make_g_u(eta.alg.m, eta.alg.D, eta.zeta, u)
-    # folded from the first term: sum() would start at 0 and turn a float
-    # mode -0.0 into 0.0
     return reduce(operator.add, (theta_eval(eta, x_inv * g * x)
                                  for _lam, x, x_inv in gu_cosets(eta.alg)))
 
@@ -406,10 +346,9 @@ def char_at_unipotent_deep(eta: SscParam, lam: ff.FFElem,
                 total = val if total is None else total + val
         results.append(total)
     first = results[0]
-    for other in results[1:]:
-        if not values_match(first, other):
-            raise AssertionError(
-                "the deep sum depends on the choice of the norm preimage")
+    if any(other != first for other in results[1:]):
+        raise AssertionError(
+            "the deep sum depends on the choice of the norm preimage")
     return first
 
 
@@ -449,7 +388,7 @@ def char_table(eta: SscParam, us=(), lambdas=(), deep: bool = False,
             kind="g_u",
             params={"trd_residue": tbar.packed},
             closed_form=closed, direct_sum=direct,
-            match=values_match(closed, direct)))
+            match=closed == direct))
     for lam in lambdas:
         closed = char_at_unipotent_closed(eta, lam, budget)
         direct = char_at_unipotent_direct(eta, lam, budget)
@@ -457,14 +396,14 @@ def char_table(eta: SscParam, us=(), lambdas=(), deep: bool = False,
             kind="one_plus_phi",
             params={"lambda_dlog": ff.dlog(lam)},
             closed_form=closed, direct_sum=direct,
-            match=values_match(closed, direct)))
+            match=closed == direct))
         if deep:
             dval = char_at_unipotent_deep(eta, lam, budget=budget)
             rows.append(CharTableRow(
                 kind="one_plus_phi",
                 params={"lambda_dlog": ff.dlog(lam), "route": "deep"},
                 closed_form=closed, direct_sum=dval,
-                match=values_match(closed, dval)))
+                match=closed == dval))
     return rows
 
 
@@ -485,7 +424,7 @@ def character_relation_check(eta: SscParam, us=(), lambdas=(),
             kind="one_plus_phi",
             params={"lambda_dlog": ff.dlog(lam), "route": "relation"},
             closed_form=scaled, direct_sum=s_val,
-            match=values_match(scaled, s_val)))
+            match=scaled == s_val))
     for u in us:
         g = csa.make_g_u(eta.alg.m, eta.alg.D, eta.zeta, u)
         fpoly = csa.red_charpoly(g)
@@ -498,7 +437,7 @@ def character_relation_check(eta: SscParam, us=(), lambdas=(),
             kind="g_u",
             params={"trd_residue": trd_res.packed, "route": "relation"},
             closed_form=scaled, direct_sum=s_val,
-            match=values_match(scaled, s_val)))
+            match=scaled == s_val))
     return rows
 
 
@@ -509,16 +448,10 @@ def epsilon(eta: SscParam):
 
 
 def _tame_at_unit_varpi(eta: SscParam, xi: TameChar, ybar: ff.FFElem):
-    """xi(y varpi) = xi.unit(y) * xi(varpi), in the parameter's mode."""
+    """xi(y varpi) = xi.unit(y) * xi(varpi)."""
     if xi.unit_part.field is not eta.k or xi.unit_part.ring is not eta.chi.ring:
         raise ValidationError("the twist must live on the same residue data")
-    if eta.exact and not xi.varpi_value.is_exact:
-        raise ValidationError(
-            "exact mode needs a declared order for xi(varpi)")
-    root = xi.unit_part.eval(ybar)
-    if eta.exact:
-        return root * eta.ring_unit(xi.varpi_value, 1)
-    return root.complex_value() * xi.varpi_value.complex_value()
+    return xi.unit_part.eval(ybar) * eta.ring_unit(xi.varpi_value, 1)
 
 
 def epsilon_twisted(eta: SscParam, xi: TameChar):
@@ -540,12 +473,11 @@ def normalized_tau(eta: SscParam, xi: TameChar):
     nrd = csa.rnorm(phi)
     ybar = nrd.coeff(1)
     tame = _tame_at_unit_varpi(eta, xi, ybar)
-    psi_factor = eta.as_mode(
-        lf.psi_K(eta.psi, csa.rtrace(
-            csa.phi_inverse(eta.alg.m, eta.alg.D, eta.zeta))))
+    psi_factor = lf.psi_K(eta.psi, csa.rtrace(
+        csa.phi_inverse(eta.alg.m, eta.alg.D, eta.zeta)))
     tau = theta_phi * tame * psi_factor
     scaled = -tau if (eta.n - eta.alg.m) % 2 else tau
-    if not values_match(scaled, epsilon_twisted(eta, xi)):
+    if scaled != epsilon_twisted(eta, xi):
         raise AssertionError(
             "normalized tau disagrees with the twisted epsilon factor")
     return tau

@@ -62,6 +62,12 @@ class TestAddChar:
         with pytest.raises(ValidationError):
             chars.AddChar(k, 0, standard_ring(3, 1))
 
+    @pytest.mark.parametrize("twist", [100, -1])
+    def test_twist_code_outside_the_field_rejected(self, twist):
+        k = ff.make_field(3, 1)
+        with pytest.raises(ValidationError):
+            chars.AddChar(k, twist, standard_ring(3, 1))
+
     @pytest.mark.parametrize("p,f,l", [(2, 1, 1), (2, 2, 3), (3, 1, 1),
                                        (3, 2, 2), (7, 1, 2), (61, 1, 1)])
     def test_exponent_table_is_the_list_rotation(self, p, f, l):

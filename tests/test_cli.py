@@ -181,6 +181,22 @@ class TestExitCodes:
         (record,) = lines(out)
         assert record["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("argv", [
+        ["char", "--c-order", "0"],
+        ["jl", "verify", "--c-order", "0"],
+        ["epsilon", "--c-order", "0"],
+        ["epsilon", "--twist-varpi-order", "0"],
+    ], ids=["char", "jl-verify", "epsilon", "epsilon-twist"])
+    def test_nonpositive_order_is_one_validation_record(self, capsys, argv):
+        code = cli.main(argv + ["--p", "3", "--f", "1", "--m", "1",
+                                "--r", "2", "--s", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        (record,) = lines(captured.out)
+        assert record["kind"] == "error"
+        assert record["error"] == "ValidationError"
+
     def test_fourier_reports_the_reduced_chi(self, capsys):
         # at q = 3, chi exponent 5 is exponent 1: every record says so
         _, five = run(capsys, "verify", "fourier", "--p", "3", "--f", "1",
@@ -359,6 +375,30 @@ class TestReportShape:
         assert "value" in columns
         cell = row.split(",")[columns.index("value")]
         assert "j" in cell
+
+
+    @pytest.mark.parametrize("command,header", [
+        ("epsilon --p 3 --f 1 --m 1 --r 2 --s 1 --twist-unit 1 "
+         "--twist-varpi-order 4 --twist-varpi-power 1",
+         "budget,kind,parameters.eta.c.order,parameters.eta.c.power,"
+         "parameters.eta.chi_j,parameters.eta.conductor,"
+         "parameters.eta.psi_twist_dlog,parameters.eta.q,"
+         "parameters.eta.side.m,parameters.eta.side.r,parameters.eta.side.s,"
+         "parameters.eta.zeta_dlog,parameters.xi.unit_j,"
+         "parameters.xi.varpi.order,parameters.xi.varpi.power,precision,"
+         "seed,sign,subcommand,tool,value"),
+        ("char --p 3 --f 1 --m 2 --r 2 --s 1 --deep",
+         "budget,checks,closed_form,direct_sum,failures,kind,match,ok,"
+         "parameters.c.order,parameters.c.power,parameters.chi_j,"
+         "parameters.conductor,parameters.psi_twist_dlog,parameters.q,"
+         "parameters.side.m,parameters.side.r,parameters.side.s,"
+         "parameters.zeta_dlog,params.lambda_dlog,params.route,"
+         "params.trd_residue,precision,seed,subcommand,tool"),
+    ], ids=["epsilon", "char-deep"])
+    def test_csv_header_is_frozen(self, capsys, command, header):
+        code, out = run(capsys, *command.split(), "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == header
 
 
 class TestDeterminism:

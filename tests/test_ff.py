@@ -329,6 +329,17 @@ class TestArithmetic:
         with pytest.raises(ValidationError):
             a + b
 
+    @pytest.mark.parametrize("code", [100, 9, -1, True, 1.0])
+    def test_elem_rejects_codes_outside_the_field(self, code):
+        k = ff.make_extension(ff.make_field(3, 1), 2)
+        with pytest.raises(ValidationError):
+            k.elem(code)
+
+    def test_elem_accepts_every_code_of_the_field(self):
+        k = ff.make_extension(ff.make_field(3, 1), 2)
+        assert [k.elem(code).packed for code in range(k.size)] == \
+            list(range(9))
+
 
 def oracle_add_packed(field, a, b):
     """The digit-loop sum that add_packed replaced, kept as the oracle."""

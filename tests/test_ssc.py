@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -35,32 +36,24 @@ SMALL_CONFIGS = [
 ]
 
 
-class TestScalarModes:
-    def test_exact_unit_roundtrip(self):
-        c = ssc.CUnit(order=4, power=3)
-        assert c.is_exact
-        assert abs(c.complex_value() - complex(0, -1)) < 1e-12
-        assert c.to_json() == {"order": 4, "power": 3}
+class TestScalarUnit:
+    def test_unit_is_an_order_and_a_power(self):
+        assert [f.name for f in dataclasses.fields(ssc.CUnit)] == \
+            ["order", "power"]
+        assert ssc.CUnit(4).power == 0
 
-    def test_float_unit_must_have_modulus_one(self):
-        ssc.CUnit(approx=complex(0.6, 0.8))
-        with pytest.raises(ValidationError):
-            ssc.CUnit(approx=complex(0.5, 0.5))
-        with pytest.raises(ValidationError):
-            ssc.CUnit(order=3, approx=1.0 + 0j)
-        with pytest.raises(ValidationError):
-            ssc.CUnit()
-        with pytest.raises(ValidationError):
-            ssc.CUnit(order=0)
+    def test_json_reduces_the_power(self):
+        assert ssc.CUnit(order=4, power=3).to_json() == \
+            {"order": 4, "power": 3}
+        assert ssc.CUnit(order=4, power=-1).to_json() == \
+            {"order": 4, "power": 3}
+        assert ssc.CUnit(order=3, power=7).to_json() == \
+            {"order": 3, "power": 1}
 
-    def test_values_match_modes(self):
-        eta = param_q3_21()
-        one = eta.chi.ring.one()
-        assert ssc.values_match(one, one)
-        assert ssc.values_match(1 + 0j, 1 + 1e-12j)
-        assert not ssc.values_match(1 + 0j, 1 + 1e-6j)
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_must_be_positive(self, order):
         with pytest.raises(ValidationError):
-            ssc.values_match(one, 1 + 0j)
+            ssc.CUnit(order=order)
 
 
 class TestParamValidation:
@@ -381,15 +374,48 @@ class TestCharTable:
         assert len(deep_rows) == 2
         json.dumps([row.to_json() for row in rows])
 
-    def test_float_mode_rows_match_at_tolerance(self):
-        c = ssc.CUnit(approx=complex(0.28, 0.96))
-        exact = param_q3_21(zeta_dlog=1)
-        eta = ssc.SscParam(exact.zeta, exact.chi, c, exact.psi, exact.alg)
-        rows = ssc.char_table(eta, us=[eta.alg.zero()],
-                              lambdas=[eta.k.one()], deep=True)
-        assert all(isinstance(row.closed_form, complex) for row in rows)
-        assert all(row.match for row in rows)
-        json.dumps([row.to_json() for row in rows])
+
+# every identity is homogeneous in c: g_u values, epsilon and tau carry c^1,
+# values at 1 + phi_{zeta lambda} carry c^0
+C_EXPONENT = {"g_u": 1, "one_plus_phi": 0}
+HOMOGENEITY_CONFIGS = [(p, f, m, r, None if r == 1 else 1)
+                       for p, f in [(2, 1), (3, 1), (2, 2)]
+                       for m, r in [(1, 2), (2, 1), (1, 3)]]
+
+
+@pytest.mark.parametrize("p,f,m,r,s", HOMOGENEITY_CONFIGS)
+def test_values_scale_by_the_power_of_c_they_carry(p, f, m, r, s):
+    """c = zeta_4 against c = 1 in one ring: each value is zeta_4^e times
+    the c = 1 value, e as in C_EXPONENT."""
+    one, i4 = (ssc.make_param(p, f, m, r, s, zeta_dlog=1, chi_j=1, c=c,
+                              extra_orders=(4,))
+               for c in (ssc.CUnit(order=1), ssc.CUnit(order=4, power=1)))
+    ring = one.chi.ring
+    assert i4.chi.ring is ring
+    z4 = ring.zeta(4, 1)
+    rng = random.Random(7)
+    us = [one.alg.zero()] + [one.alg.random_in_order(rng, 5)
+                             for _ in range(2)]
+    lambdas = ff.enumerate_mu(one.k, one.k.order)
+
+    for check, kw in [(ssc.char_table, {"deep": True}),
+                      (ssc.character_relation_check, {})]:
+        rows1 = check(one, us=us, lambdas=lambdas, **kw)
+        rows4 = check(i4, us=us, lambdas=lambdas, **kw)
+        assert [(row.kind, row.params) for row in rows1] == \
+            [(row.kind, row.params) for row in rows4]
+        for r1, r4 in zip(rows1, rows4):
+            e = C_EXPONENT[r1.kind]
+            assert r1.match and r4.match
+            assert r4.closed_form == z4 ** e * r1.closed_form
+            assert r4.direct_sum == z4 ** e * r1.direct_sum
+        # the c^1 family is not vacuously zero
+        assert any(not row.closed_form.is_zero() for row in rows1
+                   if row.kind == "g_u")
+    assert ssc.epsilon(i4) == z4 * ssc.epsilon(one)
+    xi = ssc.TameChar(MultChar(one.k, 1, ring), ssc.CUnit(order=4, power=1))
+    assert ssc.epsilon_twisted(i4, xi) == z4 * ssc.epsilon_twisted(one, xi)
+    assert ssc.normalized_tau(i4, xi) == z4 * ssc.normalized_tau(one, xi)
 
 
 class TestTransferRelation:
@@ -470,24 +496,12 @@ class TestLocalConstants:
         with pytest.raises(DomainError):
             ssc.normalized_tau(eta, xi)
 
-    def test_exact_mode_rejects_float_twist(self):
+    def test_twist_order_must_divide_the_ring(self):
         eta = param_q3_21()
         xi = ssc.TameChar(MultChar(eta.k, 0, eta.chi.ring),
-                          ssc.CUnit(approx=1 + 0j))
+                          ssc.CUnit(order=5, power=1))
         with pytest.raises(ValidationError):
             ssc.epsilon_twisted(eta, xi)
-
-    def test_float_mode_constants(self):
-        exact = param_q3_21(zeta_dlog=1, c=ssc.CUnit(order=4, power=1))
-        c = ssc.CUnit(approx=exact.c.complex_value())
-        eta = ssc.SscParam(exact.zeta, exact.chi, c, exact.psi, exact.alg)
-        xi = ssc.TameChar(MultChar(eta.k, 1, eta.chi.ring),
-                          ssc.CUnit(order=2, power=1))
-        got = ssc.epsilon_twisted(eta, xi)
-        want = ssc.epsilon_twisted(exact, xi).complex_value()
-        assert ssc.values_match(got, want)
-        assert ssc.values_match(ssc.normalized_tau(eta, xi),
-                                ssc.normalized_tau(exact, xi).complex_value())
 
 
 class TestCentralCharacter:
