@@ -11,13 +11,15 @@ polynomial into ordinary matrix computations.  Determinants and
 characteristic polynomials are computed division-free so that truncated
 series never need to be inverted along the way.
 
-Every sum of products of series (matrix products, the Berkowitz steps,
-the Toeplitz convolution) goes through _dot or _matmul, which skip every
-term with an exact-zero factor: the block uniformizer, its powers and
-Teichmuller diagonals have at most n nonzero entries.  AlgElem products
-skip exact-zero coefficients the same way.  Every membership test in the
-filtrations of O_D and of the standard order reduces to
-LaurentTrunc.val_at_least at a shifted threshold.
+Matrix products go through _matmul, which skips every term with an
+exact-zero factor: the block uniformizer, its powers and Teichmuller
+diagonals have at most n nonzero entries.  AlgElem products skip
+exact-zero coefficients the same way.  The sums of series products in the
+Berkowitz steps (each mat-vec, the Toeplitz entries and the Toeplitz
+convolution) go through locfield.ProductSums, which skips them too and
+reads each step's sums back from packed integers in one numpy pass.  Every
+membership test in the filtrations of O_D and of the standard order
+reduces to LaurentTrunc.val_at_least at a shifted threshold.
 """
 
 from __future__ import annotations
@@ -234,8 +236,8 @@ class AlgElem:
                 if carry:
                     term = term.shift(carry)
                 out[rem] = term if out[rem] is None else out[rem] + term
-        return AlgElem(D, tuple(lf.zero(D.kr) if c is None else c
-                                for c in out))
+        zero = lf.zero(D.kr)
+        return AlgElem(D, tuple(zero if c is None else c for c in out))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -465,36 +467,36 @@ def _all_certain(verdicts):
     return None if undetermined else True
 
 
-def _fold(pairs, x0, y0):
+def _fold(pairs, zero):
     """sum x * y over pairs free of exact zeros, added left to right from
-    the first product rather than from a zero.  The caller dropped every
-    term with an exact-zero factor, (x0, y0) among them if pairs is empty,
-    so the empty sum is x0 * y0: an exact zero of the entry type."""
+    the first product rather than from a zero; zero, the exact zero of the
+    entry type, when pairs is empty."""
     acc = None
     for x, y in pairs:
         t = x * y
         acc = t if acc is None else acc + t
-    return x0 * y0 if acc is None else acc
+    return zero if acc is None else acc
 
 
-def _dot(xs, ys):
-    """sum x * y over the paired terms, nonempty, skipping exact zeros: an
-    exact zero times x is an exact zero, and an exact zero plus y is y."""
-    return _fold([(x, y) for x, y in zip(xs, ys)
-                  if not (x.is_exact_zero() or y.is_exact_zero())],
-                 xs[0], ys[0])
+def _exact_zero(x):
+    """The exact zero of x's type: an element of x's algebra, or a series
+    over x's field."""
+    if isinstance(x, AlgElem):
+        return x.parent.zero()
+    return lf.zero(x.field)
 
 
 def _matmul(a, b):
     """The product of two matrices given as sequences of rows; each entry
-    is tested for an exact zero once, and _fold sums the surviving terms."""
+    is tested for an exact zero once, _fold sums the surviving terms, and
+    every entry without one shares one exact zero."""
     live_b = [[not y.is_exact_zero() for y in row] for row in b]
+    zero = _exact_zero(a[0][0])
     out = []
     for row in a:
         live = [(l, x) for l, x in enumerate(row) if not x.is_exact_zero()]
         out.append(tuple(
-            _fold([(x, b[l][j]) for l, x in live if live_b[l][j]],
-                  row[0], b[0][j])
+            _fold([(x, b[l][j]) for l, x in live if live_b[l][j]], zero)
             for j in range(len(live_b[0]))))
     return tuple(out)
 
@@ -617,22 +619,33 @@ def _berkowitz(mat, field):
     """Characteristic polynomial of det(x I - mat), division-free.
 
     Returns [1, c_1, ..., c_n] with the polynomial x^n + c_1 x^{n-1} + ... + c_n.
+    Round k multiplies the vector by the lower-triangular Toeplitz matrix of
+    [1, -a_kk, -R C, -R A C, ..., -R A^{k-2} C], with A the leading
+    (k-1) x (k-1) block, R and C the row and column beside it.  Every step
+    of a round is one call of one ProductSums: each mat-vec A^i C, then all
+    Toeplitz entries, then the Toeplitz product.
     """
     n = len(mat)
     one_ = lf.one(field)
-    vec = [one_]
-    for k in range(1, n + 1):
-        a = mat[k - 1][k - 1]
-        row = mat[k - 1][:k - 1]
-        col = [mat[i][k - 1] for i in range(k - 1)]
-        toep = [one_, -a]
-        cur = col
-        for i in range(k - 1):
-            if i:
-                cur = [_dot(mat[x][:k - 1], cur) for x in range(k - 1)]
-            toep.append(-_dot(row, cur))
-        # the lower-triangular Toeplitz matrix of toep times vec
-        vec = [_dot(toep[i::-1], vec) for i in range(k + 1)]
+    if n == 0:
+        return [one_]
+    sums = lf.ProductSums(field)
+    # round 1 needs no sum: the vector is [1 * 1, -a_11 * 1]
+    vec = [one_, -mat[0][0]]
+    for k in range(2, n + 1):
+        block = [row[:k - 1] for row in mat[:k - 1]]
+        cur = [row[k - 1] for row in mat[:k - 1]]
+        curs = [cur]
+        for _ in range(k - 2):
+            cur = sums([zip(r, cur) for r in block])
+            curs.append(cur)
+        neg_row = [-x for x in mat[k - 1][:k - 1]]
+        toep = [one_, -mat[k - 1][k - 1]]
+        toep += sums([zip(neg_row, c) for c in curs])
+        # vec[0] stays 1 * 1; entry i sums toep[i - j] * vec[j]
+        vec = [one_] + sums([[(toep[i - j], vec[j])
+                              for j in range(min(i, k - 1) + 1)]
+                             for i in range(1, k + 1)])
     return vec
 
 

@@ -7,6 +7,18 @@ are known, everything at exponents >= prec is unknown, and exact elements
 carry infinite precision.  Constants are their own Teichmuller lifts in equal
 characteristic, so residue arithmetic stays exact.  The additive character of
 K restricts an additive character of the residue field through residue().
+
+ProductSums computes sums of series products on packed integers (Kronecker
+substitution).  Over k_r = F_p[x]/(P) of absolute degree d, a series becomes
+one Python int: the x^j digit of the coefficient of w^(val+e) sits in slot
+e*S + j, with S = 2d - 1 slots of B bits per w-row, so a product of two
+series is one int product whose slot (e, j) holds the digit sum of x^j at
+w^e, for j up to 2d - 2, before reduction.  B is a whole number of bytes
+chosen per call from the bound sum min(len x, len y) * d * (p - 1)^2 over
+the terms of each sum, so no slot can carry into the next.  Each call adds
+its shifted products and reads every sum back with one numpy pass: the
+bytes, times the fixed table of x^s mod P and of 256^b mod p, reduced mod
+p and weighted into packed field codes.
 """
 
 from __future__ import annotations
@@ -14,8 +26,10 @@ from __future__ import annotations
 import operator
 from functools import reduce
 
+import numpy as np
+
 from . import ff
-from ._util import binary_power
+from ._util import binary_power, canonical
 from .chars import AddChar
 from .cyc import CycElem
 from .errors import DomainError, PrecisionError, ValidationError
@@ -114,9 +128,15 @@ class LaurentTrunc:
         o = self._check(other)
         f = self.field
         prec = min(self.prec, o.prec)
+        # an empty operand leaves the other one as it is, unless its
+        # precision lowers the sum's
         if not self.coeffs:
+            if o.prec == prec:
+                return o
             return LaurentTrunc(f, o.val, o.coeffs, prec)
         if not o.coeffs:
+            if self.prec == prec:
+                return self
             return LaurentTrunc(f, self.val, self.coeffs, prec)
         lo = min(self.val, o.val)
         hi = max(self.val + len(self.coeffs), o.val + len(o.coeffs))
@@ -130,8 +150,11 @@ class LaurentTrunc:
 
     def __neg__(self):
         f = self.field
-        return LaurentTrunc(f, self.val, [f.neg_packed(c) for c in self.coeffs],
-                            self.prec)
+        if f.p == 2:
+            return self
+        return _normalized(f, self.val,
+                           tuple([f.neg_packed(c) for c in self.coeffs]),
+                           self.prec)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -166,14 +189,19 @@ class LaurentTrunc:
         if c.field is not self.field:
             raise ValidationError("constant from a different field")
         f = self.field
-        return LaurentTrunc(
-            f, self.val, [f.mul_packed(c.packed, a) for a in self.coeffs],
+        if not c.packed:
+            return LaurentTrunc(f, self.val, (), self.prec)
+        return _normalized(
+            f, self.val,
+            tuple([f.mul_packed(c.packed, a) for a in self.coeffs]),
             self.prec)
 
     def shift(self, j: int) -> "LaurentTrunc":
         """Multiply by w^j (exact)."""
-        return LaurentTrunc(self.field, self.val + j, self.coeffs,
-                            self.prec if self.prec == INF else self.prec + j)
+        prec = self.prec if self.prec == INF else self.prec + j
+        if not self.coeffs:
+            return LaurentTrunc(self.field, self.val + j, (), prec)
+        return _normalized(self.field, self.val + j, self.coeffs, prec)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -248,6 +276,20 @@ class LaurentTrunc:
         return " + ".join(parts) + tail
 
 
+def _normalized(field: ff.FieldDesc, val: int, coeffs: tuple,
+                prec) -> LaurentTrunc:
+    """The series with these parts, which are already in normal form: coeffs
+    a tuple with nonzero first and last entries and val < prec, or coeffs
+    empty and val = prec (val = 0 at infinite precision).  Skips the
+    normalization of LaurentTrunc.__init__."""
+    x = object.__new__(LaurentTrunc)
+    x.field = field
+    x.val = val
+    x.coeffs = coeffs
+    x.prec = prec
+    return x
+
+
 def certify(verdict: bool | None, what: str) -> bool:
     """A True / False verdict; None means truncation hid it, and raises."""
     if verdict is None:
@@ -288,9 +330,10 @@ def from_coeffs(field: ff.FieldDesc, val: int, coeffs, prec=INF) -> LaurentTrunc
 def embed_series(x: LaurentTrunc, ext: ff.FieldDesc) -> LaurentTrunc:
     if not ext.has_subfield(x.field):
         raise ValidationError("target is not an extension of the series field")
-    return LaurentTrunc(ext, x.val,
-                        [ext.embed_packed(x.field, c) for c in x.coeffs],
-                        x.prec)
+    # embeddings are injective, so the normal form is kept
+    return _normalized(ext, x.val,
+                       tuple([ext.embed_packed(x.field, c) for c in x.coeffs]),
+                       x.prec)
 
 
 def pullback_series(x: LaurentTrunc, onto: ff.FieldDesc) -> LaurentTrunc:
@@ -305,8 +348,9 @@ def galois_series(x: LaurentTrunc, j: int, over: ff.FieldDesc) -> LaurentTrunc:
     if not x.field.has_subfield(over):
         raise ValidationError("series field does not extend the base")
     e = over.size ** (j % max(x.field.degree // over.degree, 1))
-    return LaurentTrunc(x.field, x.val,
-                        [x.field.pow_packed(c, e) for c in x.coeffs], x.prec)
+    return _normalized(x.field, x.val,
+                       tuple([x.field.pow_packed(c, e) for c in x.coeffs]),
+                       x.prec)
 
 
 def series_trace(x: LaurentTrunc, over: ff.FieldDesc) -> LaurentTrunc:
@@ -342,3 +386,196 @@ def psi_K(psi: AddChar, x: LaurentTrunc) -> CycElem:
     if v is not None and v < 0:
         raise DomainError("character of K evaluated outside the integers")
     return psi.eval(x.residue())
+
+
+# ---------------------------------------------------------------------------
+# sums of series products on packed integers
+
+
+class _Layout:
+    """How ProductSums lays out series over one field of absolute degree d.
+
+    A coefficient is a row of S = 2d - 1 slots, digit j of its x-adic
+    expansion in slot j; the slots past d - 1 only fill up in products.
+    Packing reads a code's low half digits and high half digits from two
+    tables of p^ceil(d/2) and p^floor(d/2) ints, one pair per slot width,
+    so no table grows with the field.  Unpacking multiplies the slot bytes
+    by a fixed table: row s * nb + b holds 256^b times x^s mod P, digit by
+    digit mod p, for slots of nb bytes.
+    """
+
+    __slots__ = ("p", "d", "S", "half", "weights", "_powers", "_spread",
+                 "_reduce")
+
+    def __init__(self, field: ff.FieldDesc):
+        p, d = field.p, field.degree
+        self.p, self.d, self.S = p, d, 2 * d - 1
+        self.half = p ** ((d + 1) // 2)
+        self.weights = np.array([p ** j for j in range(d)], dtype=np.int64)
+        # x^s mod P for s < S, from x^(s+1) = x * x^s and x^d = -sum c_j x^j
+        modulus = field.modulus
+        row = [1] + [0] * (d - 1)
+        powers = []
+        for _ in range(self.S):
+            powers.append(row)
+            top = row[-1]
+            row = [0] + row[:-1]
+            row = [(c - top * m) % p for c, m in zip(row, modulus)]
+        self._powers = np.array(powers, dtype=np.int64)
+        self._spread = {}
+        self._reduce = {}
+
+    def spread(self, nb: int):
+        """The low and high digit-spread tables for slots of nb bytes."""
+        tables = self._spread.get(nb)
+        if tables is None:
+            p, d, bits = self.p, self.d, 8 * nb
+            h = (d + 1) // 2
+
+            def table(ndigits, first):
+                out = []
+                for code in range(p ** ndigits):
+                    acc = 0
+                    for j in range(first, first + ndigits):
+                        code, digit = divmod(code, p)
+                        acc |= digit << (bits * j)
+                    out.append(acc)
+                return out
+
+            tables = self._spread[nb] = (table(h, 0), table(d - h, h))
+        return tables
+
+    def reduction(self, nb: int) -> np.ndarray:
+        """The (S * nb) x d unpacking table for slots of nb bytes."""
+        table = self._reduce.get(nb)
+        if table is None:
+            p = self.p
+            byte = np.array([pow(256, b, p) for b in range(nb)], dtype=np.int64)
+            table = (byte[None, :, None] * self._powers[:, None, :]) % p
+            table = self._reduce[nb] = table.reshape(self.S * nb, self.d)
+        return table
+
+
+@canonical
+def _layout(field: ff.FieldDesc) -> _Layout:
+    return _Layout(field)
+
+
+class ProductSums:
+    """Sums of series products over one field, on packed integers.
+
+    Calling it with a list of sums, each an iterable of (x, y) pairs of
+    series over the field, returns the list of the series sum x * y, equal
+    in (val, coeffs, prec) to the entrywise sum of the products added one
+    by one: a pair with an exact-zero factor is skipped (a sum of none is
+    the exact zero), each pair bounds the precision by
+    min(x.prec + v(y), y.prec + v(x)), where an empty series' v is its
+    precision, and the sum keeps the least bound.  All sums of one call are
+    read back in one numpy pass.  Each operand is packed once per slot
+    width over the life of the object, so reuse one object for the steps of
+    one computation.
+    """
+
+    __slots__ = ("field", "layout", "_packed")
+
+    def __init__(self, field: ff.FieldDesc):
+        self.field = field
+        self.layout = _layout(field)
+        self._packed = {}
+
+    def __call__(self, sums) -> list:
+        field, lay = self.field, self.layout
+        plans = []
+        load = 0
+        for pairs in sums:
+            prec = low = INF
+            top = -INF
+            terms = []
+            size = 0
+            for x, y in pairs:
+                xc, yc = x.coeffs, y.coeffs
+                if xc:
+                    vx = x.val
+                elif x.prec == INF:
+                    continue
+                else:
+                    vx = x.prec
+                if yc:
+                    vy = y.val
+                elif y.prec == INF:
+                    continue
+                else:
+                    vy = y.prec
+                bound = x.prec + vy
+                if y.prec + vx < bound:
+                    bound = y.prec + vx
+                if bound < prec:
+                    prec = bound
+                if xc and yc:
+                    # the product's exponents run from v to end - 1
+                    v = vx + vy
+                    nx, ny = len(xc), len(yc)
+                    if v < low:
+                        low = v
+                    if v + nx + ny - 1 > top:
+                        top = v + nx + ny - 1
+                    size += nx if nx < ny else ny
+                    terms.append((x, y, v))
+            if size > load:
+                load = size
+            rows = 0
+            if terms:
+                rows = (top if top < prec else prec) - low
+            plans.append((prec, terms, low, top, rows))
+        # no slot of any sum exceeds load * d * (p - 1)^2
+        nb = max(1, ((load * lay.d * (lay.p - 1) ** 2).bit_length() + 7) // 8)
+        row_bytes = nb * lay.S
+        row_bits = 8 * row_bytes
+        lo_table, hi_table = lay.spread(nb)
+        half = lay.half
+        packed = self._packed.setdefault(nb, {})
+
+        def pack(z):
+            acc = 0
+            for c in reversed(z.coeffs):
+                acc = acc << row_bits | lo_table[c % half] | hi_table[c // half]
+            # the series is held so that its id stays its own
+            packed[id(z)] = (z, acc)
+            return acc
+
+        chunks = []
+        for prec, terms, low, top, rows in plans:
+            if rows <= 0:
+                continue
+            total = 0
+            for x, y, v in terms:
+                hit = packed.get(id(x))
+                px = pack(x) if hit is None else hit[1]
+                hit = packed.get(id(y))
+                py = pack(y) if hit is None else hit[1]
+                total += px * py << (v - low) * row_bits
+            # total fits below its top row, which may lie past the precision
+            chunks.append(total.to_bytes((top - low) * row_bytes, "little")
+                          [:rows * row_bytes])
+        codes = []
+        if chunks:
+            slots = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+            digits = slots.reshape(-1, row_bytes) @ lay.reduction(nb) % lay.p
+            codes = (digits @ lay.weights).tolist()
+        out = []
+        start = 0
+        for prec, terms, low, top, rows in plans:
+            seg = codes[start:start + rows] if rows > 0 else ()
+            start += len(seg)
+            a, b = 0, len(seg)
+            while a < b and not seg[a]:
+                a += 1
+            while a < b and not seg[b - 1]:
+                b -= 1
+            if a == b:
+                # no term, or every coefficient below the precision is 0
+                out.append(_normalized(field, 0 if prec == INF else prec, (),
+                                       prec))
+            else:
+                out.append(_normalized(field, low + a, tuple(seg[a:b]), prec))
+        return out

@@ -70,6 +70,9 @@ FROZEN_REPORTS = [
      "6ddba50527940beca3682ce51f4d26b667184f18b6b699f5f8ce82eb58f27814"),
     ("csa-selftest-n6", "csa selftest --p 3 --f 1 --m 2 --r 3 --s 1", 0,
      "d2eeb9d92cd1d38b751983d3945d3599ad7bf08623db6e2862fa9bd39af7b7dc"),
+    ("csa-selftest-n6-prec30",
+     "csa selftest --p 2 --f 1 --m 3 --r 2 --s 1 --precision 30", 0,
+     "314c93b39258d24d14e4ee3b434305f65d196d4573b74678c0f4085e9897d864"),
     ("jl-verify-p2-r3",
      "jl verify --p 2 --f 1 --m 1 --r 3 --s 2 --all-lambda --samples 2", 0,
      "1a74569c9c4932b058a4e257535cc383bdeee713e9679e79fd1a90b1c4345969"),

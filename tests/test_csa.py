@@ -334,6 +334,12 @@ def oracle_dot(xs, ys):
     return acc
 
 
+def kernel_dot(field, xs, ys):
+    """sum x * y over the paired terms by the packed kernel's one-entry
+    call."""
+    return lf.ProductSums(field)([tuple(zip(xs, ys))])[0]
+
+
 def oracle_matmul(a, b):
     """Every one of the n^3 terms, folded by oracle_dot."""
     cols = tuple(zip(*b))
@@ -429,14 +435,16 @@ def alg_entries(draw, D):
 
 SKIP_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
 SKIP_ALGEBRAS = [(1, None), (2, 1), (3, 1), (3, 2)]
+# fields of absolute degree d >= 3 reduce the product slots x^d..x^(2d-2)
+KERNEL_FIELDS = SKIP_FIELDS + [(2, 4), (3, 3), (5, 2), (7, 2)]
 
 
 class TestExactZeroSkipping:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_series_products_match_the_full_fold(self, data):
-        k = ff.make_field(*data.draw(st.sampled_from(SKIP_FIELDS)))
-        n = data.draw(st.integers(1, 4))
+        k = ff.make_field(*data.draw(st.sampled_from(KERNEL_FIELDS)))
+        n = data.draw(st.integers(1, 6))
         a = data.draw(sparse_square(n, series_entries(k), lf.zero(k)))
         b = data.draw(sparse_square(n, series_entries(k), lf.zero(k)))
         assert exact_key(csa._matmul(a, b)) == exact_key(oracle_matmul(a, b))
@@ -444,8 +452,28 @@ class TestExactZeroSkipping:
                 == exact_key(oracle_berkowitz(a, k)))
         for i in range(n):
             col = [row[i] for row in b]
-            assert (exact_key(csa._dot(a[i], col))
+            assert (exact_key(kernel_dot(k, a[i], col))
                     == exact_key(oracle_dot(a[i], col)))
+        # a row against itself negated: every coefficient cancels, and only
+        # the precision is left
+        neg = [-x for x in a[0]]
+        assert (exact_key(kernel_dot(k, a[0] + neg, b[0] + b[0]))
+                == exact_key(oracle_dot(a[0] + neg, b[0] + b[0])))
+
+    def test_slots_wider_than_two_bytes(self):
+        # long exact series over GF(7^6): the per-sum slot bound passes 2^16
+        k = ff.make_field(7, 6)
+        rng = stable_rng(3, "wide-slots")
+
+        def series(length):
+            coeffs = [rng.randrange(1, k.size) for _ in range(length)]
+            return lf.LaurentTrunc(k, rng.randrange(-3, 3), coeffs)
+
+        xs = [series(80 + i) for i in range(4)]
+        ys = [series(90 - i) for i in range(4)]
+        load = sum(min(len(x.coeffs), len(y.coeffs)) for x, y in zip(xs, ys))
+        assert load * k.degree * (k.p - 1) ** 2 >= 2 ** 16
+        assert exact_key(kernel_dot(k, xs, ys)) == exact_key(oracle_dot(xs, ys))
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -471,13 +499,69 @@ class TestExactZeroSkipping:
     def test_all_zero_products_are_exact_zeros(self):
         k = ff.make_field(3, 1)
         z, t = lf.zero(k), lf.zero(k, 2)
-        assert csa._dot([z, t], [t, z]).is_exact_zero()
-        assert not csa._dot([t, t], [t, z]).is_exact_zero()
+        assert kernel_dot(k, [z, t], [t, z]).is_exact_zero()
+        assert not kernel_dot(k, [t, t], [t, z]).is_exact_zero()
         D = csa.div_algebra(k, 2, 1)
         MA = csa.matrix_algebra(D, 2)
         prod = MA.diag([D.one(), D.zero()]) * MA.diag([D.zero(), D.pi()])
         assert all(e.is_exact_zero() for row in prod.entries for e in row)
         assert isinstance(prod.entries[0][1], csa.AlgElem)
+
+
+def lift(x):
+    """The exact series with x's coefficients (a truncated zero lifts to
+    the exact zero)."""
+    return lf.LaurentTrunc(x.field, x.val, x.coeffs)
+
+
+def known_part(exact, prec):
+    """(val, coeffs, prec) of an exact series cut at prec."""
+    return exact_key(exact if prec == lf.INF else exact.truncate(prec))
+
+
+def reduced_norm_outcome(g):
+    try:
+        return csa.rnorm(g)
+    except (DomainError, PrecisionError) as exc:
+        return type(exc)
+
+
+class TestPrecisionSoundness:
+    """A truncated input and its exact lift must agree below every
+    precision a result reports: the truncated run may only claim what the
+    exact run confirms."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_charpoly_and_det_agree_with_the_exact_lift(self, data):
+        p, d = data.draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1),
+                                          (3, 2), (3, 3)]))
+        k = ff.make_field(p, d)
+        n = data.draw(st.integers(1, 4))
+        a = data.draw(sparse_square(n, series_entries(k), lf.zero(k)))
+        exact = [[lift(x) for x in row] for row in a]
+        for got, want in zip(csa._berkowitz(a, k), csa._berkowitz(exact, k)):
+            assert exact_key(got) == known_part(want, got.prec)
+        got = csa._det(a, k)
+        assert exact_key(got) == known_part(csa._det(exact, k), got.prec)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reduced_norm_agrees_with_the_exact_lift(self, data):
+        k = ff.make_field(*data.draw(st.sampled_from([(2, 1), (3, 1)])))
+        r, s = data.draw(st.sampled_from([(1, None), (2, 1), (3, 1), (3, 2)]))
+        m = data.draw(st.integers(1, 4 // r))
+        D = csa.div_algebra(k, r, s)
+        MA = csa.matrix_algebra(D, m)
+        g = MA.elem(data.draw(sparse_square(m, alg_entries(D), D.zero())))
+        exact = MA.elem([[D.elem([lift(a) for a in e.coeffs]) for e in row]
+                         for row in g.entries])
+        got = reduced_norm_outcome(g)
+        if isinstance(got, lf.LaurentTrunc):
+            assert exact_key(got) == known_part(csa.rnorm(exact), got.prec)
+        elif got is DomainError:
+            # only an exact zero determinant is called singular
+            assert reduced_norm_outcome(exact) is DomainError
 
 
 class TestUniformizers:

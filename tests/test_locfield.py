@@ -191,6 +191,62 @@ class TestArithmetic:
             a + b
 
 
+@st.composite
+def any_series(draw, field):
+    """Exact zeros, truncated zeros (precision -3..3) and series with
+    valuations down to -3, given with zero ends that the constructor
+    strips, exact or truncated."""
+    kind = draw(st.sampled_from(("exact_zero", "truncated_zero", "series")))
+    if kind == "exact_zero":
+        return lf.zero(field)
+    if kind == "truncated_zero":
+        return lf.zero(field, draw(st.integers(-3, 3)))
+    val = draw(st.integers(-3, 3))
+    coeffs = draw(st.lists(st.integers(0, field.size - 1), max_size=5))
+    extra = draw(st.one_of(st.none(), st.integers(-1, 2)))
+    return lf.LaurentTrunc(field, val, coeffs,
+                           lf.INF if extra is None else val + len(coeffs) + extra)
+
+
+def normal_key(y):
+    return (y.val, y.coeffs, y.prec, type(y.coeffs))
+
+
+class TestNormalForm:
+    """Every result built without the constructor's normalization is
+    already in the normal form the constructor would give it."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_results_are_already_normalized(self, data):
+        p, r = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]))
+        k = ff.make_field(p, 1)
+        kr = ff.make_extension(k, r)
+        x, y = data.draw(any_series(kr)), data.draw(any_series(kr))
+        z = data.draw(st.sampled_from((lf.zero(kr), lf.zero(kr, -1),
+                                       lf.zero(kr, 2))))
+        c = kr.elem(data.draw(st.integers(0, kr.size - 1)))
+        base = data.draw(any_series(k))
+        pairs = [(data.draw(any_series(kr)), data.draw(any_series(kr)))
+                 for _ in range(data.draw(st.integers(0, 3)))]
+        results = [-x, x.shift(data.draw(st.integers(-3, 3))),
+                   lf.galois_series(x, data.draw(st.integers(0, r)), k),
+                   lf.embed_series(base, kr), x.scale(c), x + z, z + x,
+                   x + y, x * y, lf.ProductSums(kr)([pairs])[0]]
+        for res in results:
+            rebuilt = lf.LaurentTrunc(kr, res.val, res.coeffs, res.prec)
+            assert normal_key(rebuilt) == normal_key(res)
+
+    def test_adding_an_empty_operand_keeps_the_other(self):
+        k = ff.make_field(3, 1)
+        x = lf.LaurentTrunc(k, -1, [1, 2], 4)
+        assert x + lf.zero(k) is x and lf.zero(k) + x is x
+        assert x + lf.zero(k, 4) is x and lf.zero(k, 5) + x is x
+        # a truncated zero below x's precision lowers it
+        assert (x + lf.zero(k, 1)).prec == 1
+        assert (lf.zero(k, 1) + x).coeffs == (1, 2)
+
+
 class TestInverse:
     def test_monomial_inverse_exact(self):
         k = ff.make_field(3, 2)
