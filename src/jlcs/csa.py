@@ -13,13 +13,17 @@ series never need to be inverted along the way.
 
 Matrix products go through _matmul, which skips every term with an
 exact-zero factor: the block uniformizer, its powers and Teichmuller
-diagonals have at most n nonzero entries.  AlgElem products skip
-exact-zero coefficients the same way.  The sums of series products in the
-Berkowitz steps (each mat-vec, the Toeplitz entries and the Toeplitz
-convolution) go through locfield.ProductSums, which skips them too and
-reads each step's sums back from packed integers in one numpy pass.  Every
-membership test in the filtrations of O_D and of the standard order
-reduces to LaurentTrunc.val_at_least at a shifted threshold.
+diagonals have at most n nonzero entries.  An AlgElem finds its live
+coefficients (those not an exact zero) once, when it is built: its
+products run over the live pairs only, its exact-zero test reads that
+list, adding an exact zero returns the other operand, and the empty slots
+of a product share the one exact-zero series of the DivAlgebra.  The sums
+of series products in the Berkowitz steps (each mat-vec, the Toeplitz
+entries and the Toeplitz convolution) go through locfield.ProductSums,
+which skips them too and reads each step's sums back from packed integers
+in one numpy pass.  Every membership test in the filtrations of O_D and
+of the standard order reduces to LaurentTrunc.val_at_least at a shifted
+threshold.
 """
 
 from __future__ import annotations
@@ -42,13 +46,15 @@ class DivAlgebra:
     instances; the coefficient field for the series entries is k_r.
     """
 
-    __slots__ = ("k", "r", "s", "kr")
+    __slots__ = ("k", "r", "s", "kr", "zero_series")
 
     def __init__(self, k: ff.FieldDesc, r: int, s: int | None):
         self.k = k
         self.r = r
         self.s = s
         self.kr = ff.make_extension(k, r)
+        # the exact zero over k_r, shared by every empty slot
+        self.zero_series = lf.zero(self.kr)
 
     # -- element constructors ------------------------------------------------
 
@@ -63,7 +69,7 @@ class DivAlgebra:
         return AlgElem(self, tuple(coeffs))
 
     def zero(self) -> "AlgElem":
-        return AlgElem(self, tuple(lf.zero(self.kr) for _ in range(self.r)))
+        return AlgElem(self, (self.zero_series,) * self.r)
 
     def one(self) -> "AlgElem":
         return self.from_series(lf.one(self.kr))
@@ -72,7 +78,7 @@ class DivAlgebra:
         """The uniformizing element Pi (equals w when r = 1)."""
         if self.r == 1:
             return self.from_series(lf.uniformizer(self.kr))
-        coeffs = [lf.zero(self.kr)] * self.r
+        coeffs = [self.zero_series] * self.r
         coeffs[1] = lf.one(self.kr)
         return AlgElem(self, tuple(coeffs))
 
@@ -80,7 +86,7 @@ class DivAlgebra:
         """The element x * Pi^0 for a series x over k_r."""
         if x.field is not self.kr:
             raise ValidationError("series must live over k_r")
-        coeffs = [x] + [lf.zero(self.kr)] * (self.r - 1)
+        coeffs = [x] + [self.zero_series] * (self.r - 1)
         return AlgElem(self, tuple(coeffs))
 
     def from_base_series(self, x: lf.LaurentTrunc) -> "AlgElem":
@@ -145,13 +151,18 @@ _div_algebra = cache(DivAlgebra)
 
 
 class AlgElem:
-    """sum_i a_i Pi^i with left coefficients a_i in K_r, 0 <= i < r."""
+    """sum_i a_i Pi^i with left coefficients a_i in K_r, 0 <= i < r.
 
-    __slots__ = ("parent", "coeffs")
+    live lists the (i, a_i) with a_i not an exact zero, found once here.
+    """
+
+    __slots__ = ("parent", "coeffs", "live")
 
     def __init__(self, parent: DivAlgebra, coeffs):
         self.parent = parent
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs = tuple(coeffs)
+        self.live = [(i, a) for i, a in enumerate(coeffs)
+                     if not a.is_exact_zero()]
 
     # -- valuation ------------------------------------------------------------
 
@@ -198,7 +209,7 @@ class AlgElem:
         return all(a.is_zero() for a in self.coeffs)
 
     def is_exact_zero(self) -> bool:
-        return all(a.is_exact_zero() for a in self.coeffs)
+        return not self.live
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -209,6 +220,11 @@ class AlgElem:
 
     def __add__(self, other):
         o = self._check(other)
+        # x + 0 keeps every coefficient of x as it is
+        if not o.live:
+            return self
+        if not self.live:
+            return o
         return AlgElem(self.parent,
                        tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
@@ -224,19 +240,15 @@ class AlgElem:
         r = D.r
         # exact-zero terms are skipped; a slot no term reaches stays None
         out = [None] * r
-        live = [(j, b) for j, b in enumerate(o.coeffs)
-                if not b.is_exact_zero()]
-        for i, a in enumerate(self.coeffs):
-            if a.is_exact_zero():
-                continue
-            for j, b in live:
+        for i, a in self.live:
+            for j, b in o.live:
                 # a Pi^i * b Pi^j = a sigma^{s i}(b) Pi^{i+j}, Pi^r = w
                 term = a * D.twist(b, i)
                 carry, rem = divmod(i + j, r)
                 if carry:
                     term = term.shift(carry)
                 out[rem] = term if out[rem] is None else out[rem] + term
-        zero = lf.zero(D.kr)
+        zero = D.zero_series
         return AlgElem(D, tuple(zero if c is None else c for c in out))
 
     def __pow__(self, e: int):

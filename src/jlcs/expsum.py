@@ -326,7 +326,11 @@ def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar,
             log_a.append(k.log[code])
             rows.append(g.coeffs)
     log_a = np.array(log_a, dtype=np.int64)
-    rows = np.array(rows, dtype=object).reshape(len(log_a), ring.deg)
+    # each slot of a transform adds at most one coefficient of every row;
+    # past int64, hold Python integers
+    bound = len(rows) * max((abs(c) for row in rows for c in row), default=0)
+    dtype = np.int64 if bound < 2 ** 62 else object
+    rows = np.array(rows, dtype=dtype).reshape(len(log_a), ring.deg)
     # psi(-a*x) = zeta_p**-tau[log a + log x], so G_n(a) psi(-a*x) is
     # row a moved by -(M/p)*tau[log a + log x] powers of zeta_M
     tau = psi.dlog_exponent_table().astype(np.int64)
@@ -341,7 +345,7 @@ def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar,
         else:
             e = np.where(log_a < 0, 0,
                          -tau[(log_a + k.log[x.packed]) % k.order])
-        vec = np.zeros(ring.M, dtype=object)
+        vec = np.zeros(ring.M, dtype=rows.dtype)
         np.add.at(vec, (slots + (ring.M // k.p) * e[:, None]) % ring.M, rows)
         total = ring.weighted_root_sum(ring.M, vec.tolist())
         if x.packed in mu_codes:

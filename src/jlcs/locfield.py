@@ -8,6 +8,13 @@ carry infinite precision.  Constants are their own Teichmuller lifts in equal
 characteristic, so residue arithmetic stays exact.  The additive character of
 K restricts an additive character of the residue field through residue().
 
+A product x * y runs once over the nonzero coefficients of the shorter
+operand.  Each gives one row over the longer operand, exp[log a + log b] per
+coefficient, cut at the product's precision; the first row starts the sum
+and later rows add into it.  A product by a one-term series is therefore
+one map over the other's coefficients, the shape of every product by a
+Teichmuller diagonal or a power of the uniformizer.
+
 ProductSums computes sums of series products on packed integers (Kronecker
 substitution).  Over k_r = F_p[x]/(P) of absolute degree d, a series becomes
 one Python int: the x^j digit of the coefficient of w^(val+e) sits in slot
@@ -172,17 +179,35 @@ class LaurentTrunc:
             return LaurentTrunc(f, 0, (), min(self.prec + v2, o.prec + v1))
         prec = min(self.prec + o.val, o.prec + self.val)
         val = self.val + o.val
-        n_terms = len(self.coeffs) + len(o.coeffs) - 1
+        short, longer = self.coeffs, o.coeffs
+        if len(short) > len(longer):
+            short, longer = longer, short
+        n_terms = len(short) + len(longer) - 1
+        # both operands have val < prec, so the cut keeps at least one term
         if prec != INF:
             n_terms = min(n_terms, prec - val)
-        out = [0] * max(n_terms, 0)
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i >= len(out):
+        # one row over the longer operand per nonzero coefficient of the
+        # shorter, in the log domain and cut at the precision; the first
+        # row starts the sum
+        exp, log, order = f.exp, f.log, f.order
+        la = log[short[0]]
+        out = [exp[(la + log[b]) % order] if b else 0
+               for b in longer[:n_terms]]
+        out.extend([0] * (n_terms - len(out)))
+        add = f.add_packed
+        for i in range(1, min(len(short), n_terms)):
+            a = short[i]
+            if not a:
                 continue
-            for j, b in enumerate(o.coeffs):
-                if b and i + j < len(out):
-                    out[i + j] = f.add_packed(out[i + j], f.mul_packed(a, b))
-        return LaurentTrunc(f, val, out, prec)
+            la = log[a]
+            for j, b in enumerate(longer[:n_terms - i], i):
+                if b:
+                    out[j] = add(out[j], exp[(la + log[b]) % order])
+        # out[0] is the product of two leading coefficients, so only the
+        # end can be zero: a cancellation, or a cut at an interior zero
+        while not out[-1]:
+            out.pop()
+        return _normalized(f, val, tuple(out), prec)
 
     def scale(self, c: ff.FFElem) -> "LaurentTrunc":
         """Multiply by a residue-field constant (exact)."""
@@ -348,6 +373,8 @@ def galois_series(x: LaurentTrunc, j: int, over: ff.FieldDesc) -> LaurentTrunc:
     if not x.field.has_subfield(over):
         raise ValidationError("series field does not extend the base")
     e = over.size ** (j % max(x.field.degree // over.degree, 1))
+    if e == 1:
+        return x
     return _normalized(x.field, x.val,
                        tuple([x.field.pow_packed(c, e) for c in x.coeffs]),
                        x.prec)

@@ -76,6 +76,12 @@ FROZEN_REPORTS = [
     ("jl-verify-p2-r3",
      "jl verify --p 2 --f 1 --m 1 --r 3 --s 2 --all-lambda --samples 2", 0,
      "1a74569c9c4932b058a4e257535cc383bdeee713e9679e79fd1a90b1c4345969"),
+    ("jl-verify-q4-m2-r3-s2",
+     "jl verify --p 2 --f 2 --m 2 --r 3 --s 2 --samples 2", 0,
+     "8ef66088247ab3335eddd17c3bc160febe57f7ddbce3b6a2dcee182e58a3cea3"),
+    ("jl-verify-p3-m3-r2-prec12",
+     "jl verify --p 3 --f 1 --m 3 --r 2 --s 1 --samples 2 --precision 12", 0,
+     "df40d483577ba75af1201031a0459fb14bdd4d06c4fd4463e348ae1981f29a0c"),
     ("gauss-q61", "sums gauss --p 61 --f 1", 0,
      "f596ac46ab0e4352391a77d217093eaf421a7cc97d200760cc5e08968c5dbd11"),
     ("restricted-gauss-p2", "sums restricted-gauss --p 2 --f 3 --n 7 "

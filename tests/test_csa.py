@@ -324,12 +324,48 @@ class TestMembershipAgainstTermLists:
         assert outcome(e.w_at_least, v) == expected
 
 
+def oracle_series_mul(x, y):
+    """LaurentTrunc.__mul__ as the double loop over every coefficient pair,
+    adding one product at a time and normalizing through the constructor."""
+    o = x._check(y)
+    f = x.field
+    if not x.coeffs or not o.coeffs:
+        if x.is_exact_zero() or o.is_exact_zero():
+            return lf.LaurentTrunc(f, 0, (), lf.INF)
+        # 0 * x is 0, but only to the precision the zero was known to;
+        # an empty series acts as if its valuation were its precision
+        v1 = x.val if x.coeffs else x.prec
+        v2 = o.val if o.coeffs else o.prec
+        return lf.LaurentTrunc(f, 0, (), min(x.prec + v2, o.prec + v1))
+    prec = min(x.prec + o.val, o.prec + x.val)
+    val = x.val + o.val
+    n_terms = len(x.coeffs) + len(o.coeffs) - 1
+    if prec != lf.INF:
+        n_terms = min(n_terms, prec - val)
+    out = [0] * max(n_terms, 0)
+    for i, a in enumerate(x.coeffs):
+        if a == 0 or i >= len(out):
+            continue
+        for j, b in enumerate(o.coeffs):
+            if b and i + j < len(out):
+                out[i + j] = f.add_packed(out[i + j], f.mul_packed(a, b))
+    return lf.LaurentTrunc(f, val, out, prec)
+
+
+def oracle_mul(x, y):
+    """x * y by oracle_alg_mul for algebra elements, by oracle_series_mul
+    for series."""
+    if isinstance(x, csa.AlgElem):
+        return oracle_alg_mul(x, y)
+    return oracle_series_mul(x, y)
+
+
 def oracle_dot(xs, ys):
     """sum x * y over the paired terms, added left to right starting from
     the first product rather than from a zero; None when there are none."""
     acc = None
     for x, y in zip(xs, ys):
-        t = x * y
+        t = oracle_mul(x, y)
         acc = t if acc is None else acc + t
     return acc
 
@@ -374,7 +410,7 @@ def oracle_alg_mul(x, y):
         if a.is_zero() and a.prec == lf.INF:
             continue
         for j, b in enumerate(y.coeffs):
-            term = a * D.twist(b, i)
+            term = oracle_series_mul(a, D.twist(b, i))
             carry, rem = divmod(i + j, r)
             if carry:
                 term = term.shift(carry)
@@ -508,6 +544,72 @@ class TestExactZeroSkipping:
         assert isinstance(prod.entries[0][1], csa.AlgElem)
 
 
+@st.composite
+def product_operands(draw, field):
+    """Exact zeros, truncated zeros at precision -3..3, one-term series, and
+    series of up to 8 terms with interior zeros, valuations -3..3, exact or
+    truncated (an operand's own cut may fall inside or before its terms)."""
+    kind = draw(st.sampled_from(("exact_zero", "truncated_zero", "one_term",
+                                 "series")))
+    if kind == "exact_zero":
+        return lf.zero(field)
+    if kind == "truncated_zero":
+        return lf.zero(field, draw(st.integers(-3, 3)))
+    nonzero = st.integers(1, field.size - 1)
+    val = draw(st.integers(-3, 3))
+    coeffs = [draw(nonzero)]
+    if kind == "series":
+        coeffs += draw(st.lists(st.one_of(st.just(0), nonzero), max_size=7))
+    extra = draw(st.one_of(st.none(), st.integers(-2, 4)))
+    prec = lf.INF if extra is None else val + len(coeffs) + extra
+    return lf.LaurentTrunc(field, val, coeffs, prec)
+
+
+def rescan(x):
+    """AlgElem.live as a fresh scan of x's coefficients."""
+    return [(i, id(a)) for i, a in enumerate(x.coeffs)
+            if not a.is_exact_zero()]
+
+
+# (p, f, r, s): p = 2 and odd p, and k_r of absolute degree 3 and 4
+ROW_ALGEBRAS = [(2, 1, 1, None), (3, 1, 1, None), (5, 1, 1, None),
+                (2, 1, 2, 1), (7, 1, 2, 1), (2, 1, 3, 1), (3, 1, 3, 2),
+                (2, 2, 2, 1)]
+
+
+class TestRowProducts:
+    """Series products by rows over the longer operand, and algebra
+    elements that keep their live coefficients, against the double loop."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_rows_match_the_double_loop(self, data):
+        p, f, r, s = data.draw(st.sampled_from(ROW_ALGEBRAS))
+        k = ff.make_field(p, f)
+        D = csa.div_algebra(k, r, s)
+        x = data.draw(product_operands(D.kr))
+        y = data.draw(product_operands(D.kr))
+        for a, b in ((x, y), (y, x)):
+            got = a * b
+            assert exact_key(got) == exact_key(oracle_series_mul(a, b))
+            assert type(got.coeffs) is tuple
+        # sigma^0 and sigma^r are the identity
+        for j in (0, r, -2 * r):
+            assert exact_key(lf.galois_series(x, j, k)) == exact_key(x)
+        u = D.elem([data.draw(product_operands(D.kr)) for _ in range(r)])
+        v = D.elem([data.draw(product_operands(D.kr)) for _ in range(r)])
+        uv = u * v
+        assert exact_key(uv) == exact_key(oracle_alg_mul(u, v))
+        assert exact_key(u + v) == tuple(
+            exact_key(a + b) for a, b in zip(u.coeffs, v.coeffs))
+        zero = D.zero()
+        assert exact_key(u + zero) == exact_key(zero + u) == exact_key(u)
+        for e in (u, v, uv, u + v, u + zero, zero + u, zero, D.one(), D.pi(),
+                  D.from_series(x), D.teich(D.kr.gen()), uv * u):
+            assert [(i, id(a)) for i, a in e.live] == rescan(e)
+            assert e.is_exact_zero() == (not rescan(e))
+
+
 def lift(x):
     """The exact series with x's coefficients (a truncated zero lifts to
     the exact zero)."""
@@ -544,6 +646,61 @@ class TestPrecisionSoundness:
             assert exact_key(got) == known_part(want, got.prec)
         got = csa._det(a, k)
         assert exact_key(got) == known_part(csa._det(exact, k), got.prec)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_series_products_and_sums_agree_with_the_exact_lift(self, data):
+        p, d = data.draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2)]))
+        k = ff.make_field(p, d)
+        x = data.draw(product_operands(k))
+        y = data.draw(product_operands(k))
+        got = x * y
+        assert exact_key(got) == known_part(lift(x) * lift(y), got.prec)
+        got = x + y
+        assert exact_key(got) == known_part(lift(x) + lift(y), got.prec)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_products_agree_with_the_exact_lift(self, data):
+        k = ff.make_field(*data.draw(st.sampled_from([(2, 1), (3, 1)])))
+        r, s = data.draw(st.sampled_from([(1, None), (2, 1), (3, 1), (3, 2)]))
+        m = data.draw(st.integers(1, 4 // r))
+        D = csa.div_algebra(k, r, s)
+        MA = csa.matrix_algebra(D, m)
+
+        def exact(g):
+            return MA.elem([[D.elem([lift(a) for a in e.coeffs]) for e in row]
+                            for row in g.entries])
+
+        g = MA.elem(data.draw(sparse_square(m, alg_entries(D), D.zero())))
+        h = MA.elem(data.draw(sparse_square(m, alg_entries(D), D.zero())))
+        want = exact(g) * exact(h)
+        for got_row, want_row in zip((g * h).entries, want.entries):
+            for got, wanted in zip(got_row, want_row):
+                for a, b in zip(got.coeffs, wanted.coeffs):
+                    assert exact_key(a) == known_part(b, a.prec)
+
+    # (x, y, the precision of x * y): min(x.prec + v(y), y.prec + v(x)),
+    # an empty series' v being its precision
+    PRODUCT_PRECISIONS = [
+        ((0, [1, 1], 4), (2, [2], 5), 5),
+        ((1, [1, 1], 4), (2, [2], 5), 6),
+        ((-2, [1, 0, 1], 3), (1, [1], lf.INF), 4),
+        ((-2, [1, 0, 1], lf.INF), (-1, [1, 2], lf.INF), lf.INF),
+        ((0, [], 2), (-3, [1], 1), -1),
+        ((0, [], 2), (0, [], -1), 1),
+        ((0, [], lf.INF), (-3, [1], 1), lf.INF),
+        ((0, [], -2), (0, [], lf.INF), lf.INF),
+        ((3, [1], 4), (-3, [1, 0, 0, 2], lf.INF), 1),
+        ((0, [1], 2), (0, [1, 0, 1, 1], 7), 2),
+        ((-1, [1, 1], 0), (-1, [2], 0), -1),
+    ]
+
+    @pytest.mark.parametrize("xs,ys,prec", PRODUCT_PRECISIONS)
+    def test_product_precision_is_the_min_plus_rule(self, xs, ys, prec):
+        k = ff.make_field(3, 1)
+        x, y = lf.LaurentTrunc(k, *xs), lf.LaurentTrunc(k, *ys)
+        assert (x * y).prec == (y * x).prec == prec
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

@@ -532,6 +532,43 @@ class TestWitnesses:
                 want = want + g * psi.eval(-(a * x))
             assert got == want
 
+    @pytest.mark.parametrize("p,f,n,j", [(3, 2, 2, 1), (2, 3, 7, 2),
+                                         (7, 1, 3, 4)])
+    def test_fourier_rows_past_int64_hold_python_ints(self, p, f, n, j,
+                                                      monkeypatch):
+        # every G_n(a) times c = 2^62 + 1 puts rows x max|coefficient| past
+        # 2^62, so the rows are Python integers, and each transform read
+        # before the first failing x must be exactly c times the sum of
+        # ring products
+        k, R, psi = setup_k(p, f)
+        chi = chars.MultChar(k, j, R)
+        c = R.from_int(2 ** 62 + 1)
+        gauss = expsum.restricted_gauss
+        seen = []
+        wrs = cyc.CycRing.weighted_root_sum
+
+        def recorded(ring, order, counts):
+            seen.append(wrs(ring, order, counts))
+            return seen[-1]
+
+        monkeypatch.setattr(expsum, "restricted_gauss",
+                            lambda *args: gauss(*args) * c)
+        monkeypatch.setattr(cyc.CycRing, "weighted_root_sum", recorded)
+        rep = expsum.fourier_inversion_check(n, chi, psi)
+        monkeypatch.undo()
+        # x = 1 is an n_q-th root of unity, where the scaled transform is
+        # c * q * chi(1), not q * chi(1)
+        assert not rep.equal
+        assert rep.lhs == c * rep.rhs and not rep.rhs.is_zero()
+        gvals = [gauss(n, chi, psi, a) for a in k.elements()]
+        # elements() runs through the codes in order
+        transforms = seen[-rep.witness.packed - 1:]
+        for x, got in zip(k.elements(), transforms):
+            want = R.zero()
+            for a, g in zip(k.elements(), gvals):
+                want = want + g * psi.eval(-(a * x))
+            assert got == c * want
+
     @pytest.mark.parametrize("j", [0, 1, 5, 21])
     def test_fourier_makes_no_product_per_pair(self, j, monkeypatch):
         # over F_64 with n = 3: the transform side is one weighted_root_sum
