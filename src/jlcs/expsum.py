@@ -8,10 +8,15 @@ materialized once at the end, or never where sums in Z[zeta_p] are only
 compared (separation_witness compares count rows directly).  Restricted
 Gauss sums and d716's chi-weighted sums share the one fold _fold_chi_psi
 into counts over the powers of zeta_lcm(p, q-1).  Every sum over unit
-l-tuples, l >= 2, is a row of one histogram, built by
-_tuple_counts as a convolution of single-unit counts.  A sum over one norm
-fiber (l = 1) reads its own coset of the unit group: a strided slice of the
-field's trace_exp array, counted with no histogram over the other units.
+l-tuples, l >= 2, is a row of one d x p histogram (row: product dlog mod
+d; column: exponent of the sum), built by _tuple_counts as the l-fold
+convolution of single-unit counts on Z/d x Z/p.  d divides q - 1 and p
+divides q, so the two are coprime and the CRT makes that group the cyclic
+Z/(d*p): the kernel convolves one flat vector, one contiguous shifted add
+per nonzero single-unit cell and step, and reads the d x p layout back
+with one gather.  A sum over one norm fiber (l = 1) reads its own coset of
+the unit group: a strided slice of the field's trace_exp array, counted
+with no histogram over the other units.
 """
 
 from __future__ import annotations
@@ -132,22 +137,33 @@ def _tuple_counts(fld, tau, l, d) -> np.ndarray:
 
     The character is additive, so the exponent of a sum is the sum of the
     exponents, and the l-tuple table is the l-fold convolution of the
-    single-unit table on Z/d x Z/p.  d must divide the unit group order.
+    single-unit table on Z/d x Z/p.  d must divide the unit group order,
+    so gcd(d, p) = 1, and the CRT index i = T*u + e*v mod N, N = d*p
+    (u = 1 mod d, 0 mod p; v = 0 mod d, 1 mod p), makes that group the
+    cyclic Z/N.  Each of the l - 1 steps adds, per nonzero cell c of
+    weight w of the single-unit table, w times the contiguous slice
+    dbl[N - c:2N - c] of the table written out twice; the d x p layout is
+    read back with one gather.
     """
     p = fld.p
+    N = d * p
+    u = p * pow(p, -1, d)
+    v = d * pow(d, -1, p)
     # every count is at most order**l; past int64, hold Python integers
     dtype = np.int64 if fld.order ** l < 2 ** 63 else object
-    single = np.bincount(np.arange(fld.order) % d * p + tau,
-                         minlength=d * p).reshape(d, p).astype(dtype)
-    cells = [(a, b, int(single[a, b])) for a, b in zip(*single.nonzero())]
+    single = np.bincount((np.arange(fld.order) * u
+                          + tau.astype(np.int64) * v) % N,
+                         minlength=N).astype(dtype)
+    cells = [(N - int(c), single[c]) for c in np.flatnonzero(single)]
     counts = single
     for _ in range(l - 1):
-        # wrap[d - a:, p - b:] is counts rolled by (a, b)
-        wrap = np.tile(counts, (2, 2))
+        dbl = np.concatenate((counts, counts))
         counts = np.zeros_like(single)
-        for a, b, w in cells:
-            counts += w * wrap[d - a:2 * d - a, p - b:2 * p - b]
-    return counts
+        for start, w in cells:
+            # when d = q - 1 every unit has its own cell, of weight 1
+            shifted = dbl[start:start + N]
+            counts += shifted if w == 1 else w * shifted
+    return counts[(np.arange(d)[:, None] * u + np.arange(p) * v) % N]
 
 
 def _coset_counts(psi: AddChar, d: int, t0: int) -> np.ndarray:

@@ -237,7 +237,8 @@ class LaurentTrunc:
         """Multiplicative inverse.
 
         Exact when the element is an exact monomial; otherwise computed to
-        the precision the input supports (or to rel_prec terms if given).
+        the precision the input supports, or to rel_prec terms if given and
+        the input supports that many.
         """
         if not self.coeffs:
             raise DomainError("inverse of zero (within known precision)")
@@ -253,6 +254,8 @@ class LaurentTrunc:
                 raise PrecisionError(
                     "inverting an exact non-monomial needs a target precision")
             rel_prec = self.prec - v
+        # terms past the input's own precision are unknown, not zero
+        rel_prec = min(rel_prec, self.prec - v)
         # write the element as c0 * w^v * (1 + y) and sum the geometric series
         unit = LaurentTrunc(f, 0, [f.mul_packed(inv0, c) for c in self.coeffs],
                             rel_prec)

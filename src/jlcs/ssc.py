@@ -277,7 +277,12 @@ def char_at_gu_direct(eta: SscParam, u: csa.MatA):
         raise ValidationError("u from a different algebra")
     if not u.in_order():
         raise ValidationError("u must lie in the standard order")
-    g = csa.make_g_u(eta.alg.m, eta.alg.D, eta.zeta, u)
+    return _gu_coset_sum(eta, csa.make_g_u(eta.alg.m, eta.alg.D, eta.zeta, u))
+
+
+def _gu_coset_sum(eta: SscParam, g: csa.MatA):
+    """theta summed over the conjugates x^-1 g x, one per coset of
+    mu_{n_q}, for a g = g_u already built."""
     return reduce(operator.add, (theta_eval(eta, x_inv * g * x)
                                  for _lam, x, x_inv in gu_cosets(eta.alg)))
 
@@ -429,9 +434,10 @@ def character_relation_check(eta: SscParam, us=(), lambdas=(),
         g = csa.make_g_u(eta.alg.m, eta.alg.D, eta.zeta, u)
         fpoly = csa.red_charpoly(g)
         trd_res = csa.rtrace(u).residue()
-        u_alpha, _g_alpha = csa.matching_element(fpoly, eta.zeta, trd_res)
-        d_val = char_at_gu_direct(eta, u)
-        s_val = char_at_gu_direct(eta2, u_alpha)
+        # g_alpha is g_{u_alpha} on the split side, built by the matching
+        _u_alpha, g_alpha = csa.matching_element(fpoly, eta.zeta, trd_res)
+        d_val = _gu_coset_sum(eta, g)
+        s_val = _gu_coset_sum(eta2, g_alpha)
         scaled = -d_val if sign < 0 else d_val
         rows.append(CharTableRow(
             kind="g_u",

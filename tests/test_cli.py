@@ -99,6 +99,12 @@ FROZEN_REPORTS = [
      "4f2000609d6a07dee1b58c384b6e2b2e2795351a13e2b46401a34bd1029477d7"),
     ("d725-q9-r6", "verify d725 --p 3 --f 2 --m 1 --r 6 --lambda-dlog 3", 0,
      "6742067d4890883b271be5e7531817043fedde4587d6e1914d689902b5877563"),
+    ("separation-q47-n3", "verify separation --p 47 --f 1 --n 3", 0,
+     "e1edf516d059249ec3ac729b7adff5f8aa36a79735900aac48fad7e47cbcbb64"),
+    ("separation-q81-n3", "verify separation --p 3 --f 4 --n 3", 0,
+     "c3a1c92acefbbc06684a37512ba36f8b9e738df8e225f46c46851ebaccc1c6a8"),
+    ("d716-q7-n4", "verify d716 --p 7 --f 1 --n 4", 0,
+     "2cc53c106ac671564f53b9c258def62f4654e4cadb4b4a2b8caab0146aedca21"),
 ]
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jlcs import csa, ff, locfield as lf
 from jlcs._util import stable_rng
@@ -616,6 +616,13 @@ def lift(x):
     return lf.LaurentTrunc(x.field, x.val, x.coeffs)
 
 
+def exact_matrix(g):
+    """g with every coefficient lifted to an exact series."""
+    D = g.parent.D
+    return g.parent.elem([[D.elem([lift(a) for a in e.coeffs]) for e in row]
+                          for row in g.entries])
+
+
 def known_part(exact, prec):
     """(val, coeffs, prec) of an exact series cut at prec."""
     return exact_key(exact if prec == lf.INF else exact.truncate(prec))
@@ -629,9 +636,9 @@ def reduced_norm_outcome(g):
 
 
 class TestPrecisionSoundness:
-    """A truncated input and its exact lift must agree below every
-    precision a result reports: the truncated run may only claim what the
-    exact run confirms."""
+    """A truncated input and its exact lift, or any exact completion of
+    it, must agree below every precision a result reports: the truncated
+    run may only claim what the exact run confirms."""
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -667,14 +674,9 @@ class TestPrecisionSoundness:
         m = data.draw(st.integers(1, 4 // r))
         D = csa.div_algebra(k, r, s)
         MA = csa.matrix_algebra(D, m)
-
-        def exact(g):
-            return MA.elem([[D.elem([lift(a) for a in e.coeffs]) for e in row]
-                            for row in g.entries])
-
         g = MA.elem(data.draw(sparse_square(m, alg_entries(D), D.zero())))
         h = MA.elem(data.draw(sparse_square(m, alg_entries(D), D.zero())))
-        want = exact(g) * exact(h)
+        want = exact_matrix(g) * exact_matrix(h)
         for got_row, want_row in zip((g * h).entries, want.entries):
             for got, wanted in zip(got_row, want_row):
                 for a, b in zip(got.coeffs, wanted.coeffs):
@@ -711,14 +713,176 @@ class TestPrecisionSoundness:
         D = csa.div_algebra(k, r, s)
         MA = csa.matrix_algebra(D, m)
         g = MA.elem(data.draw(sparse_square(m, alg_entries(D), D.zero())))
-        exact = MA.elem([[D.elem([lift(a) for a in e.coeffs]) for e in row]
-                         for row in g.entries])
+        exact = exact_matrix(g)
         got = reduced_norm_outcome(g)
         if isinstance(got, lf.LaurentTrunc):
             assert exact_key(got) == known_part(csa.rnorm(exact), got.prec)
         elif got is DomainError:
             # only an exact zero determinant is called singular
             assert reduced_norm_outcome(exact) is DomainError
+
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_series_inverse_agrees_with_the_exact_lift(self, data):
+        p, d = data.draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2)]))
+        k = ff.make_field(p, d)
+        x = data.draw(product_operands(k))
+        assume(x.coeffs)
+        rel_prec = data.draw(st.one_of(st.none(), st.integers(-2, 12)))
+        if x.prec == lf.INF and len(x.coeffs) > 1 and rel_prec is None:
+            with pytest.raises(PrecisionError):
+                x.inverse()
+            return
+        got = x.inverse(rel_prec)
+        # an exact completion's inverse, known far past anything x supports
+        exact = completion(x, data.draw(tails(k)))
+        want = exact.inverse(EXACT_REL_PREC)
+        assert exact_key(got) == known_part(want, got.prec)
+        if x.prec != lf.INF and len(x.coeffs) > 1:
+            supported = x.prec - x.val
+            if rel_prec is not None:
+                supported = min(supported, rel_prec)
+            assert got.prec == supported - x.val
+
+    # (x, rel_prec, the precision of x.inverse(rel_prec)): rel_prec - v(x),
+    # rel_prec capped at the x.prec - v(x) terms x knows; x.prec - 2 v(x)
+    # for a monomial
+    INVERSE_PRECISIONS = [
+        ((0, [1, 1], 2), None, 2),
+        ((0, [1, 1], 2), 1, 1),
+        ((0, [1, 1], 2), 3, 2),
+        ((2, [1, 1, 2], 7), None, 3),
+        ((2, [1, 1, 2], 7), 2, 0),
+        ((2, [1, 1, 2], 7), 10, 3),
+        ((-1, [1, 2], lf.INF), 4, 5),
+        ((1, [2], 4), 9, 2),
+        ((1, [2], lf.INF), 9, lf.INF),
+    ]
+
+    @pytest.mark.parametrize("xs,rel_prec,prec", INVERSE_PRECISIONS)
+    def test_inverse_precision_is_what_the_input_supports(self, xs, rel_prec,
+                                                          prec):
+        k = ff.make_field(3, 1)
+        assert lf.LaurentTrunc(k, *xs).inverse(rel_prec).prec == prec
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_series_powers_agree_with_the_exact_lift(self, data):
+        p, d = data.draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2)]))
+        k = ff.make_field(p, d)
+        x = data.draw(product_operands(k))
+        e = data.draw(st.integers(-3, 4))
+        if e < 0 and not x.coeffs:
+            with pytest.raises(DomainError):
+                x ** e
+            return
+        if e < 0 and x.prec == lf.INF and len(x.coeffs) > 1:
+            with pytest.raises(PrecisionError):
+                x ** e
+            return
+        got = x ** e
+        exact = completion(x, data.draw(tails(k)))
+        base = exact if e >= 0 else exact.inverse(EXACT_REL_PREC)
+        want = base ** abs(e)
+        assert exact_key(got) == known_part(want, got.prec)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_plus_inverse_agrees_with_the_exact_lift(self, data):
+        k = ff.make_field(*data.draw(st.sampled_from([(2, 1), (3, 1)])))
+        r, s = data.draw(st.sampled_from([(1, None), (2, 1), (3, 1), (3, 2)]))
+        m = data.draw(st.integers(1, 4 // r))
+        D = csa.div_algebra(k, r, s)
+        MA = csa.matrix_algebra(D, m)
+        # y = phi a with a in the standard order is in the radical
+        a = MA.elem([[data.draw(order_entries(D, 1 if i > j else 0))
+                      for j in range(m)] for i in range(m)])
+        phi = csa.make_phi_zeta(m, D, k.gen())
+        try:
+            got = csa.one_plus_inverse(phi * a)
+        except PrecisionError:
+            # an exact y, or a truncation that hides radical membership
+            assume(False)
+        # completing a's coefficients keeps it in the order, so phi times
+        # the completion is an exact radical y that agrees with phi * a
+        exact_a = MA.elem([[D.elem([completion(c, data.draw(tails(D.kr)))
+                                    for c in e.coeffs]) for e in row]
+                           for row in a.entries])
+        cut = 1 + max(c.prec for row in got.entries for e in row
+                      for c in e.coeffs if c.prec != lf.INF)
+        want = exact_geometric_inverse(phi * exact_a, cut)
+        for got_row, want_row in zip(got.entries, want.entries):
+            for got_e, want_e in zip(got_row, want_row):
+                for c, w in zip(got_e.coeffs, want_e.coeffs):
+                    # y is truncated, so no coefficient can be exact
+                    assert c.prec != lf.INF
+                    assert exact_key(c) == known_part(w, c.prec)
+
+
+# the inverse of an exact completion is taken to this relative precision,
+# past every precision a drawn operand (valuations -3..3, at most 12 terms
+# known) can support, so the exact side is never the one cut short
+EXACT_REL_PREC = 60
+
+
+def tails(field):
+    """Up to three coefficients for the exponents a truncated series does
+    not know."""
+    return st.lists(st.integers(0, field.size - 1), max_size=3)
+
+
+def completion(x, tail):
+    """An exact series that agrees with x below x.prec and has the tail's
+    coefficients from there on (x itself when exact).  A claim that holds
+    for the zero tail only is caught by some other tail."""
+    if x.prec == lf.INF:
+        return x
+    if not x.coeffs:
+        return lf.LaurentTrunc(x.field, x.prec, tail)
+    known = list(x.coeffs) + [0] * (x.prec - x.val - len(x.coeffs))
+    return lf.LaurentTrunc(x.field, x.val, known + tail)
+
+
+@st.composite
+def order_entries(draw, D, lead):
+    """Elements of O_D (lead 0) or of its maximal ideal (lead 1): exact
+    zeros, truncated zeros, and series with the Pi^0 coefficient from
+    w^lead and the others from w^0, exact or truncated."""
+    coeffs = []
+    for i in range(D.r):
+        low = lead if i == 0 else 0
+        kind = draw(st.sampled_from(("exact_zero", "truncated_zero",
+                                     "series")))
+        if kind == "exact_zero":
+            coeffs.append(lf.zero(D.kr))
+        elif kind == "truncated_zero":
+            coeffs.append(lf.zero(D.kr, draw(st.integers(low, low + 3))))
+        else:
+            val = draw(st.integers(low, low + 2))
+            terms = draw(st.lists(st.integers(0, D.kr.size - 1),
+                                  min_size=1, max_size=3))
+            terms[0] = draw(st.integers(1, D.kr.size - 1))
+            extra = draw(st.one_of(st.none(), st.integers(0, 2)))
+            prec = lf.INF if extra is None else val + len(terms) + extra
+            coeffs.append(lf.LaurentTrunc(D.kr, val, terms, prec))
+    return D.elem(coeffs)
+
+
+def exact_geometric_inverse(y, cut):
+    """(1 + y)^-1 for an exact radical y, by the geometric series in exact
+    arithmetic: every coefficient is right below w^cut.  Each power of -y
+    is cut to its terms below w^cut, which loses nothing there since the
+    coefficients of an order element have no negative valuation."""
+    acc = term = y.parent.identity()
+    # y^n lies in w times the order, so a term vanishes below w^cut
+    # after at most n * cut steps
+    for _ in range(y.parent.n * cut + 1):
+        term = exact_matrix((term * (-y)).truncate(cut))
+        if term.is_zero():
+            return acc
+        acc = acc + term
+    raise AssertionError("the geometric series did not vanish below the cut")
 
 
 class TestUniformizers:

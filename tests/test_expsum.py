@@ -270,11 +270,77 @@ def test_tuple_counts_match_enumeration_random(pf, l, data):
     assert np.array_equal(got, literal_counts(k, l, d, psi.exponent))
 
 
+def oracle_tuple_counts(fld, tau, l, d):
+    """The earlier _tuple_counts, kept as the oracle for the CRT kernel:
+    the l-fold convolution on Z/d x Z/p, one strided 2-D slice of the
+    tiled table per nonzero cell of the single-unit table."""
+    p = fld.p
+    dtype = np.int64 if fld.order ** l < 2 ** 63 else object
+    single = np.bincount(np.arange(fld.order) % d * p + tau,
+                         minlength=d * p).reshape(d, p).astype(dtype)
+    cells = [(a, b, int(single[a, b])) for a, b in zip(*single.nonzero())]
+    counts = single
+    for _ in range(l - 1):
+        # wrap[d - a:, p - b:] is counts rolled by (a, b)
+        wrap = np.tile(counts, (2, 2))
+        counts = np.zeros_like(single)
+        for a, b, w in cells:
+            counts += w * wrap[d - a:2 * d - a, p - b:2 * p - b]
+    return counts
+
+
+def assert_same_counts(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+# the fields of the perfbench `bigring` and `sums` workloads
+BIGRING_FIELDS = [(47, 1), (7, 2), (61, 1), (2, 6), (3, 4)]
+SUMS_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(BIGRING_FIELDS + SUMS_FIELDS), st.integers(1, 4),
+       st.data())
+def test_tuple_counts_match_the_tile_loop(pf, l, data):
+    # every divisor d of the unit order, so cells of weight > 1 too
+    k, R, _ = setup_k(*pf)
+    psi = chars.AddChar(k, k.from_dlog(data.draw(
+        st.integers(0, k.order - 1), label="twist dlog")), R)
+    d = data.draw(st.sampled_from(divisors(k.order)), label="d")
+    tau = psi.dlog_exponent_table()
+    assert_same_counts(expsum._tuple_counts(k, tau, l, d),
+                       oracle_tuple_counts(k, tau, l, d))
+
+
+@pytest.mark.parametrize("p,f,r", [(p, f, r) for p, f in SUMS_FIELDS
+                                   for r in range(2, 7)])
+def test_extension_counts_match_the_tile_loop(p, f, r):
+    # route 1 of d725: units of k_r by psi o Tr, rows mod |k^x|
+    k, R, psi = setup_k(p, f)
+    kr = ff.make_extension(k, r)
+    tau = chars.inflate_add(psi, kr).dlog_exponent_table()
+    for l in range(1, 5):
+        assert_same_counts(expsum._tuple_counts(kr, tau, l, k.order),
+                           oracle_tuple_counts(kr, tau, l, k.order))
+
+
+@pytest.mark.parametrize("l,dtype", [(10, np.int64), (11, object)])
+@pytest.mark.parametrize("d", [1, 7, 63])
+def test_dtype_switch_matches_the_tile_loop(l, dtype, d):
+    # 63**10 < 2**63 < 63**11: the last int64 and the first object table
+    k, R, psi = setup_k(2, 6)
+    tau = psi.dlog_exponent_table()
+    got = expsum._tuple_counts(k, tau, l, d)
+    assert got.dtype == dtype
+    assert_same_counts(got, oracle_tuple_counts(k, tau, l, d))
+    assert sum(got.ravel().tolist()) == k.order ** l
+
+
 # every field of the perfbench `sums` set-up, k_l over k with q <= 9 and
 # l <= 6, and the odd prime fields up to 61
-SUMS_EXTENSIONS = [(p, f, l) for p, f in [(2, 1), (3, 1), (2, 2), (5, 1),
-                                          (7, 1), (2, 3), (3, 2)]
-                   for l in range(1, 7)]
+SUMS_EXTENSIONS = [(p, f, l) for p, f in SUMS_FIELDS for l in range(1, 7)]
 ODD_PRIMES = [(p, 1, 1) for p in range(3, 62) if ff.is_prime(p)]
 
 
