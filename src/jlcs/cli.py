@@ -321,10 +321,10 @@ def _run_verify(args):
                 f"F_{k.size} has no ratio a' outside zero and one")
         dlogs = (range(1, k.order) if args.aprime_dlog is None
                  else [args.aprime_dlog])
-        for t in dlogs:
-            aprime = k.from_dlog(t)
-            witness = expsum.separation_witness(args.n, psi, aprime,
+        aprimes = [k.from_dlog(t) for t in dlogs]
+        witnesses = expsum.separation_witnesses(args.n, psi, aprimes,
                                                 args.budget)
+        for aprime, witness in zip(aprimes, witnesses):
             records.append({
                 "kind": "separation",
                 "parameters": {"q": k.size, "n": args.n,

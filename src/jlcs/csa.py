@@ -24,6 +24,13 @@ which skips them too and reads each step's sums back from packed integers
 in one numpy pass.  Every membership test in the filtrations of O_D and
 of the standard order reduces to LaurentTrunc.val_at_least at a shifted
 threshold.
+
+Conjugation by a Teichmuller diagonal diag(d_1, ..., d_m) is a
+per-coefficient scaling, not a product: Pi^l d = sigma^{sl}(d) Pi^l, so
+teich_conjugate multiplies the Pi^l coefficient of entry (i, j) by the
+constant d_i^{-1} sigma^{sl}(d_j) of k_r, and MatA.scale_teich scales
+every coefficient by one constant of k.  rtrace_product reads the reduced
+trace of a product from the Pi^0 terms of its diagonal entries alone.
 """
 
 from __future__ import annotations
@@ -387,7 +394,9 @@ class MatA:
     def __pow__(self, e: int):
         if e < 0:
             raise ValidationError("negative matrix powers are not defined here")
-        return binary_power(self, e, self.parent.identity())
+        if e == 0:
+            return self.parent.identity()
+        return binary_power(self, e, None)
 
     def scale_elem(self, d: AlgElem) -> "MatA":
         """Left multiplication by the scalar matrix diag(d, ..., d)."""
@@ -400,6 +409,30 @@ class MatA:
         """Multiplication by the central series x over k."""
         d = self.parent.D.from_base_series(x)
         return self.scale_elem(d)
+
+    def scale_teich(self, c: ff.FFElem) -> "MatA":
+        """Multiplication by the central Teichmuller scalar of a unit c of
+        k: every coefficient of every entry is scaled by c, exact zeros
+        kept, as scale_base_series(teichmuller(c)) would give it."""
+        D = self.parent.D
+        if c.field is not D.k or c.packed == 0:
+            raise ValidationError("the scalar must be a unit of k")
+        consts = [ff.embed(c, D.kr)] * D.r
+        return MatA(self.parent, tuple(
+            tuple(_scale_coeffs(e, consts) for e in row)
+            for row in self.entries))
+
+    def minus_identity(self) -> "MatA":
+        """self - 1, subtracting on the diagonal only: the entries off it
+        are kept as they are, and so are the Pi^l coefficients, l > 0, on
+        it."""
+        D = self.parent.D
+        neg_one = -lf.one(D.kr)
+        rows = [list(row) for row in self.entries]
+        for i, row in enumerate(rows):
+            c = row[i].coeffs
+            row[i] = AlgElem(D, (c[0] + neg_one,) + c[1:])
+        return MatA(self.parent, tuple(tuple(row) for row in rows))
 
     def truncate(self, prec: int) -> "MatA":
         return MatA(self.parent, tuple(tuple(a.truncate(prec) for a in row)
@@ -496,6 +529,44 @@ def _exact_zero(x):
     if isinstance(x, AlgElem):
         return x.parent.zero()
     return lf.zero(x.field)
+
+
+def _scale_coeffs(e: AlgElem, consts) -> AlgElem:
+    """sum_l consts[l] a_l Pi^l for e = sum_l a_l Pi^l, the constants units
+    of k_r: each live coefficient is scaled and exact zeros are kept."""
+    if not e.live:
+        return e
+    coeffs = list(e.coeffs)
+    for l, a in e.live:
+        coeffs[l] = a.scale(consts[l])
+    return AlgElem(e.parent, coeffs)
+
+
+def teich_conjugate(g: MatA, units) -> MatA:
+    """x^{-1} g x for the Teichmuller diagonal x = diag(d_1, ..., d_m), the
+    d_i units of k_r.
+
+    Pi^l d = sigma^{sl}(d) Pi^l, so conjugation by a Teichmuller diagonal
+    is a per-coefficient scaling: the Pi^l coefficient of entry (i, j) is
+    multiplied by the constant d_i^{-1} sigma^{sl}(d_j) of k_r.  Exact zeros
+    are kept; every other coefficient equals that of the product
+    x^{-1} * g * x in (val, coeffs, prec).
+    """
+    MA = g.parent
+    D = MA.D
+    units = list(units)
+    if len(units) != MA.m:
+        raise ValidationError(
+            f"expected {MA.m} diagonal units, got {len(units)}")
+    if any(d.field is not D.kr or d.packed == 0 for d in units):
+        raise ValidationError("the diagonal must hold units of k_r")
+    # sigma^{sl}(d_j) for l < r; r = 1 needs no twist
+    twisted = [[ff.frobenius(d, D.s * l, D.k) if l else d
+                for l in range(D.r)] for d in units]
+    return MatA(MA, tuple(
+        tuple(_scale_coeffs(e, [d_inv * t for t in twisted[j]])
+              for j, e in enumerate(row))
+        for d_inv, row in zip((d.inverse() for d in units), g.entries)))
 
 
 def _matmul(a, b):
@@ -684,6 +755,29 @@ def rtrace(g: MatA) -> lf.LaurentTrunc:
     MA = g.parent
     diagonal = (g.entries[i][i].coeffs[0] for i in range(MA.m))
     return lf.series_trace(reduce(operator.add, diagonal), MA.D.k)
+
+
+def rtrace_product(a: MatA, b: MatA) -> lf.LaurentTrunc:
+    """rtrace(a * b) from the Pi^0 coefficients of the m diagonal entries
+    of the product alone: the terms a_il b_li of Pi-degrees p + q = 0 or r.
+    Equal to rtrace(a * b) in (val, coeffs, prec)."""
+    b = a._check(b)
+    D = a.parent.D
+    r = D.r
+    diagonal = []
+    for i, row in enumerate(a.entries):
+        acc = D.zero_series
+        for l, x in enumerate(row):
+            for p, s in x.live:
+                q = -p % r
+                t = b.entries[l][i].coeffs[q]
+                if t.is_exact_zero():
+                    continue
+                # s Pi^p * t Pi^q = s sigma^{sp}(t) Pi^{p+q}, Pi^r = w
+                term = s * D.twist(t, p)
+                acc = acc + (term.shift(1) if p else term)
+        diagonal.append(acc)
+    return lf.series_trace(reduce(operator.add, diagonal), D.k)
 
 
 def rnorm(g: MatA) -> lf.LaurentTrunc:

@@ -5,18 +5,19 @@ identities relating them.
 Every sum is computed in integer counting coordinates: the kernels only
 ever build counts-per-exponent vectors, and the cyclotomic value is
 materialized once at the end, or never where sums in Z[zeta_p] are only
-compared (separation_witness compares count rows directly).  Restricted
-Gauss sums and d716's chi-weighted sums share the one fold _fold_chi_psi
-into counts over the powers of zeta_lcm(p, q-1).  Every sum over unit
-l-tuples, l >= 2, is a row of one d x p histogram (row: product dlog mod
-d; column: exponent of the sum), built by _tuple_counts as the l-fold
-convolution of single-unit counts on Z/d x Z/p.  d divides q - 1 and p
-divides q, so the two are coprime and the CRT makes that group the cyclic
-Z/(d*p): the kernel convolves one flat vector, one contiguous shifted add
-per nonzero single-unit cell and step, and reads the d x p layout back
-with one gather.  A sum over one norm fiber (l = 1) reads its own coset of
-the unit group: a strided slice of the field's trace_exp array, counted
-with no histogram over the other units.
+compared (separation_witnesses compares count rows directly, every ratio
+against one table).  Restricted Gauss sums and d716's chi-weighted sums
+share the one fold _fold_chi_psi into counts over the powers of
+zeta_lcm(p, q-1).  Every sum over unit l-tuples, l >= 2, is a row of one
+d x p histogram (row: product dlog mod d; column: exponent of the sum),
+built by _tuple_counts as the l-fold convolution of single-unit counts
+on Z/d x Z/p.  d divides q - 1 and p divides q, so the two are coprime
+and the CRT makes that group the cyclic Z/(d*p): the kernel convolves
+one flat vector, one contiguous shifted add per nonzero single-unit cell
+and step, and reads the d x p layout back with one gather.  A sum over
+one norm fiber (l = 1) reads its own coset of the unit group: a strided
+slice of the field's trace_exp array, counted with no histogram over the
+other units.
 """
 
 from __future__ import annotations
@@ -384,15 +385,28 @@ def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar,
 def separation_witness(n: int, psi: AddChar, aprime: ff.FFElem,
                        budget: int | None = None) -> ff.FFElem | None:
     """Least a (by dlog) with K_{n,a} != K_{n,a*aprime}; None if none exists."""
+    return separation_witnesses(n, psi, [aprime], budget)[0]
+
+
+def separation_witnesses(n: int, psi: AddChar, aprimes,
+                         budget: int | None = None) -> list:
+    """separation_witness for each ratio in aprimes, in order, all read
+    from one count table of the K_{n,a}."""
     k = psi.field
-    if aprime.field is not k:
-        raise ValidationError("the ratio must live on the field")
-    if aprime.is_zero() or aprime == k.one():
-        raise ValidationError("the ratio must differ from zero and one")
+    aprimes = list(aprimes)
+    for aprime in aprimes:
+        if aprime.field is not k:
+            raise ValidationError("the ratio must live on the field")
+        if aprime.is_zero() or aprime == k.one():
+            raise ValidationError("the ratio must differ from zero and one")
     counts = _kloosterman_counts(k, n, psi, budget)
-    # K_{n,a} lies in Z[zeta_p], where the only relation among the powers
-    # zeta_p**e is that they sum to zero: two count rows give the same
-    # value iff their difference is constant
-    diff = counts - np.roll(counts, -ff.dlog(aprime), axis=0)
-    unequal = np.flatnonzero((diff != diff[:, :1]).any(axis=1))
-    return k.from_dlog(int(unequal[0])) if unequal.size else None
+    witnesses = []
+    for aprime in aprimes:
+        # K_{n,a} lies in Z[zeta_p], where the only relation among the
+        # powers zeta_p**e is that they sum to zero: two count rows give
+        # the same value iff their difference is constant
+        diff = counts - np.roll(counts, -ff.dlog(aprime), axis=0)
+        unequal = np.flatnonzero((diff != diff[:, :1]).any(axis=1))
+        witnesses.append(k.from_dlog(int(unequal[0])) if unequal.size
+                         else None)
+    return witnesses

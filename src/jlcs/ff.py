@@ -376,6 +376,15 @@ class FieldDesc:
             raise ValidationError("element does not lie in the subfield")
         return sub.exp[s // step * u_inv % sub.order]
 
+    def trace_packed(self, sub: "FieldDesc", code: int) -> int:
+        """The trace of a packed code down to a declared subfield."""
+        q = sub.size
+        acc = 0
+        for _ in range(self.degree // sub.degree):
+            acc = self.add_packed(acc, code)
+            code = self.pow_packed(code, q)
+        return self.pullback_packed(sub, acc)
+
     # -- element constructors -------------------------------------------------
 
     def elem(self, packed: int) -> "FFElem":
@@ -538,16 +547,9 @@ def frobenius(x: FFElem, j: int, over: FieldDesc) -> FFElem:
 
 def rel_trace(x: FFElem, over: FieldDesc) -> FFElem:
     """Trace of x down to a declared subfield."""
-    fld = x.field
-    if not fld.has_subfield(over):
+    if not x.field.has_subfield(over):
         raise ValidationError("trace over a field outside the tower")
-    d = fld.degree // over.degree
-    acc = fld.zero()
-    y = x
-    for _ in range(d):
-        acc = acc + y
-        y = y ** over.size
-    return pullback(acc, over)
+    return FFElem(over, x.field.trace_packed(over, x.packed))
 
 
 def rel_norm(x: FFElem, over: FieldDesc) -> FFElem:

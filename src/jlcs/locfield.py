@@ -216,9 +216,12 @@ class LaurentTrunc:
         f = self.field
         if not c.packed:
             return LaurentTrunc(f, self.val, (), self.prec)
+        exp, log, order = f.exp, f.log, f.order
+        lc = log[c.packed]
         return _normalized(
             f, self.val,
-            tuple([f.mul_packed(c.packed, a) for a in self.coeffs]),
+            tuple([exp[(lc + log[a]) % order] if a else 0
+                   for a in self.coeffs]),
             self.prec)
 
     def shift(self, j: int) -> "LaurentTrunc":
@@ -387,7 +390,7 @@ def series_trace(x: LaurentTrunc, over: ff.FieldDesc) -> LaurentTrunc:
     """Trace of the unramified extension, coefficient by coefficient."""
     if not x.field.has_subfield(over):
         raise ValidationError("series field does not extend the base")
-    coeffs = [ff.rel_trace(x.field.elem(c), over).packed for c in x.coeffs]
+    coeffs = [x.field.trace_packed(over, c) for c in x.coeffs]
     return LaurentTrunc(over, x.val, coeffs, x.prec)
 
 

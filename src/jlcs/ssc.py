@@ -13,6 +13,13 @@ package exists to run.
 
 The scalar c is a root of unity of declared order, so every value is a
 CycElem in the parameter's cyclotomic ring and every comparison is exact.
+
+Both direct sums evaluate theta on conjugates x^{-1} g x by Teichmuller
+diagonals, and conjugation by a Teichmuller diagonal is a per-coefficient
+scaling (csa.teich_conjugate).  In theta_eval the one matrix product is
+phi^{-v} g: the unit part is a second scaling, u - 1 is computed once on
+the diagonal, and Trd(phi^{-1}(u - 1)) reads only the diagonal of the
+product.
 """
 
 from __future__ import annotations
@@ -164,6 +171,15 @@ def decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
     factorization is then verified piece by piece, so failure at any step
     means g lies outside the group where theta is defined.
     """
+    return _decompose(alg, zeta, g)[:3]
+
+
+def _decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
+    """decompose's (v, residue of x, u) and u - 1, computed once.
+
+    The unit part x^{-1} is central and Teichmuller, so u is phi^{-v} g
+    with every coefficient scaled by the residue of x^{-1}.
+    """
     if g.parent is not alg:
         raise ValidationError("element from a different algebra")
     v = g.radical_valuation()
@@ -185,19 +201,19 @@ def decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
             "the unit part is not a k-rational scalar") from exc
     if xbar.packed == 0:
         raise DecompositionError("the unit part is not invertible")
-    u = h.scale_base_series(lf.teichmuller(k.one() / xbar))
-    du = u - alg.identity()
+    u = h.scale_teich(xbar.inverse())
+    du = u.minus_identity()
     if not du.in_radical_power(1):
         raise DecompositionError(
             "the remainder is not a 1-unit of the order")
-    return v, xbar, u
+    return v, xbar, u, du
 
 
 def theta_eval(eta: SscParam, g: csa.MatA):
     """theta(phi^v x u) = ((-1)^{m-1} c)^v chi(x) psi_K(Trd(phi^{-1}(u-1)))."""
-    v, xbar, u = decompose(eta.alg, eta.zeta, g)
+    v, xbar, _u, du = _decompose(eta.alg, eta.zeta, g)
     phi_inv = csa.phi_inverse(eta.alg.m, eta.alg.D, eta.zeta)
-    t = csa.rtrace(phi_inv * (u - eta.alg.identity()))
+    t = csa.rtrace_product(phi_inv, du)
     root = eta.chi.eval(xbar) * lf.psi_K(eta.psi, t)
     return eta._finish(root, v, (eta.alg.m - 1) * v)
 
@@ -271,6 +287,11 @@ def _teich_diag(alg: csa.MatrixAlgebra, entries) -> csa.MatA:
     return alg.diag([alg.D.teich(e) for e in entries])
 
 
+def _teich_units(x: csa.MatA) -> list:
+    """The units d_i of k_r with x = diag(teich d_1, ..., teich d_m)."""
+    return [row[i].coeffs[0].residue() for i, row in enumerate(x.entries)]
+
+
 def char_at_gu_direct(eta: SscParam, u: csa.MatA):
     """The coset sum over mu_{n_q}: theta on conjugates of g_u."""
     if u.parent is not eta.alg:
@@ -283,8 +304,9 @@ def char_at_gu_direct(eta: SscParam, u: csa.MatA):
 def _gu_coset_sum(eta: SscParam, g: csa.MatA):
     """theta summed over the conjugates x^-1 g x, one per coset of
     mu_{n_q}, for a g = g_u already built."""
-    return reduce(operator.add, (theta_eval(eta, x_inv * g * x)
-                                 for _lam, x, x_inv in gu_cosets(eta.alg)))
+    return reduce(operator.add,
+                  (theta_eval(eta, csa.teich_conjugate(g, _teich_units(x)))
+                   for _lam, x, _x_inv in gu_cosets(eta.alg)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +367,7 @@ def char_at_unipotent_deep(eta: SscParam, lam: ff.FFElem,
             for rest in itertools.product(range(Q), repeat=m - 1):
                 diag = [kr.from_dlog(t1)]
                 diag.extend(kr.from_dlog(t) for t in rest)
-                a = _teich_diag(eta.alg, diag)
-                a_inv = _teich_diag(eta.alg, [kr.one() / e for e in diag])
-                val = theta_eval(eta, a_inv * target * a)
+                val = theta_eval(eta, csa.teich_conjugate(target, diag))
                 total = val if total is None else total + val
         results.append(total)
     first = results[0]

@@ -58,6 +58,9 @@ FROZEN_REPORTS = [
      "2b3150a428232fb01cacb4d061c44b5be535c38b91448457ec9e198e3a676251"),
     ("char-deep", "char --p 3 --f 1 --m 2 --r 2 --s 1 --deep", 0,
      "e47a691608e9d554aba56bcb9a64c6f597bc743c61239724bcae8bdcf5624e1f"),
+    # r = 3: both nontrivial Frobenius twists scale the conjugates
+    ("char-deep-r3", "char --p 3 --f 1 --m 2 --r 3 --s 1 --all-lambda --deep",
+     0, "43dada4fb7542aef91d22a05b56a0fc24b5834d1eda7c064ed96b563e8d38b9d"),
     ("jl-verify", "jl verify --p 3 --f 1 --m 1 --r 2 --s 1 --all-lambda", 0,
      "106c1b60627c2f1d2533a9113a52704407848bb676b0d41cb5f376e034ae78e9"),
     ("epsilon", "epsilon --p 3 --f 1 --m 1 --r 2 --s 1 --twist-unit 1 "

@@ -1276,3 +1276,86 @@ class TestSelfTest:
     def test_selftest_split_case(self):
         rep = csa.selftest(2, 1, 3, 1, None)
         assert rep["ok"]
+
+
+SCALING_ALGEBRAS = [(p, f, r, s) for p, f in ((2, 1), (3, 1), (2, 2))
+                    for r, s in ((1, None), (2, 1), (3, 1), (3, 2), (4, 3))]
+
+
+class TestTeichmullerScalings:
+    """Conjugation by a Teichmuller diagonal, the central Teichmuller
+    scaling, u - 1 and the trace of a product, each against the product
+    route it replaces, in (val, coeffs, prec)."""
+
+    @staticmethod
+    def draw_algebra(data):
+        p, f, r, s = data.draw(st.sampled_from(SCALING_ALGEBRAS))
+        D = csa.div_algebra(ff.make_field(p, f), r, s)
+        m = data.draw(st.integers(1, max(4 // r, 1)))
+        return csa.matrix_algebra(D, m)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_conjugation_is_the_product(self, data):
+        MA = self.draw_algebra(data)
+        D = MA.D
+        g = MA.elem(data.draw(sparse_square(MA.m, alg_entries(D), D.zero())))
+        units = [D.kr.from_dlog(data.draw(st.integers(0, D.kr.order - 1)))
+                 for _ in range(MA.m)]
+        x = MA.diag([D.teich(d) for d in units])
+        x_inv = MA.diag([D.teich(d.inverse()) for d in units])
+        got = csa.teich_conjugate(g, units)
+        assert exact_key(got.entries) == exact_key((x_inv * g * x).entries)
+        # exact zeros are kept as they are
+        for row, got_row in zip(g.entries, got.entries):
+            for e, c in zip(row, got_row):
+                for a, b in zip(e.coeffs, c.coeffs):
+                    if a.is_exact_zero():
+                        assert b is a
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_central_scaling_and_minus_one_are_the_product_route(self, data):
+        MA = self.draw_algebra(data)
+        D = MA.D
+        g = MA.elem(data.draw(sparse_square(MA.m, alg_entries(D), D.zero())))
+        c = D.k.from_dlog(data.draw(st.integers(0, D.k.order - 1)))
+        assert exact_key(g.scale_teich(c).entries) == \
+            exact_key(g.scale_base_series(lf.teichmuller(c)).entries)
+        assert exact_key(g.minus_identity().entries) == \
+            exact_key((g - MA.identity()).entries)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_diagonal_trace_is_the_trace_of_the_product(self, data):
+        MA = self.draw_algebra(data)
+        D = MA.D
+        a = MA.elem(data.draw(sparse_square(MA.m, alg_entries(D), D.zero())))
+        b = MA.elem(data.draw(sparse_square(MA.m, alg_entries(D), D.zero())))
+        assert exact_key(csa.rtrace_product(a, b)) == \
+            exact_key(csa.rtrace(a * b))
+
+    def test_trace_of_phi_inverse_products(self):
+        # the shape theta evaluates: phi^{-1} times a radical element
+        for p, f, r, s in SCALING_ALGEBRAS:
+            D = csa.div_algebra(ff.make_field(p, f), r, s)
+            MA = csa.matrix_algebra(D, max(4 // r, 1))
+            zeta = D.k.gen()
+            phi_inv = csa.phi_inverse(MA.m, D, zeta)
+            rng = stable_rng(7, "trace", p, f, r, s or 0)
+            y = csa.make_phi_zeta(MA.m, D, zeta) * MA.random_in_order(rng, 5)
+            assert exact_key(csa.rtrace_product(phi_inv, y)) == \
+                exact_key(csa.rtrace(phi_inv * y))
+
+    def test_units_are_validated(self):
+        k = ff.make_field(3, 1)
+        D = csa.div_algebra(k, 2, 1)
+        MA = csa.matrix_algebra(D, 2)
+        g = MA.identity()
+        one = D.kr.one()
+        for units in ([one], [one, D.kr.zero()], [one, k.one()]):
+            with pytest.raises(ValidationError):
+                csa.teich_conjugate(g, units)
+        for c in (k.zero(), D.kr.gen()):
+            with pytest.raises(ValidationError):
+                g.scale_teich(c)

@@ -706,6 +706,37 @@ class TestSeparationCounts:
                 assert expsum.separation_witness(n, psi, ap) == \
                     table_separation(n, psi, ap), (n, t)
 
+    @pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (7, 1), (3, 2)])
+    def test_one_table_serves_every_ratio(self, p, f, monkeypatch):
+        k, R, psi = setup_k(p, f)
+        ratios = [k.from_dlog(t) for t in range(1, k.order)]
+        for n in (1, 2, 3):
+            want = [table_separation(n, psi, ap) for ap in ratios]
+            built = []
+            counts = expsum._kloosterman_counts
+
+            def counted(*args):
+                built.append(args)
+                return counts(*args)
+
+            monkeypatch.setattr(expsum, "_kloosterman_counts", counted)
+            assert expsum.separation_witnesses(n, psi, ratios) == want
+            assert expsum.separation_witnesses(n, psi, ratios[::-1]) == \
+                want[::-1]
+            monkeypatch.undo()
+            assert len(built) == 2
+
+    def test_every_ratio_is_checked_before_the_table(self, monkeypatch):
+        k, R, psi = setup_k(5, 1)
+
+        def refuse(*args):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(expsum, "_kloosterman_counts", refuse)
+        for bad in (k.one(), k.zero(), ff.make_field(7, 1).gen()):
+            with pytest.raises(ValidationError):
+                expsum.separation_witnesses(2, psi, [k.gen(), bad])
+
     def test_object_dtype_table(self):
         # 6**25 > 2**63, so the counts are Python integers
         k, R, psi = setup_k(7, 1)

@@ -250,6 +250,23 @@ class TestTables:
             expect = ff.rel_trace(k.from_dlog(t), kp)
             assert k.trace_exp[t] == expect.packed
 
+    @pytest.mark.parametrize("p,f,l", [(2, 1, 3), (3, 1, 2), (2, 2, 4),
+                                       (3, 2, 3), (5, 1, 3)])
+    def test_packed_trace_sums_the_conjugates(self, p, f, l):
+        # over the base and over the prime field, zero included
+        base = ff.make_field(p, f)
+        k = ff.make_extension(base, l)
+        for over in {base, ff.make_field(p, 1)}:
+            for code in range(k.size):
+                x = k.elem(code)
+                total = k.zero()
+                for j in range(k.degree // over.degree):
+                    total = total + ff.frobenius(x, j, over)
+                assert k.trace_packed(over, code) == \
+                    ff.pullback(total, over).packed
+                assert ff.rel_trace(x, over).packed == \
+                    k.trace_packed(over, code)
+
     @pytest.mark.parametrize("p,f", SMALL_FIELDS + [(61, 1), (251, 1),
                                                     (257, 1)])
     def test_trace_exp_is_a_compact_read_only_array(self, p, f):

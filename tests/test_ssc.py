@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from jlcs import csa, expsum, ff, ssc
 from jlcs import locfield as lf
 from jlcs.chars import MultChar
 from jlcs.errors import (BudgetExceeded, DecompositionError, DomainError,
-                         ValidationError)
+                         PrecisionError, ValidationError)
 
 
 def param_q3_21(**kw):
@@ -552,3 +553,254 @@ class TestEndoclass:
         a = ssc.make_param(3, 1, 2, 1, None, zeta_dlog=0)
         b = ssc.make_param(3, 1, 2, 1, None, zeta_dlog=1)
         assert ssc.endoclass_label(a) != ssc.endoclass_label(b)
+
+
+# ---------------------------------------------------------------------------
+# theta on coset conjugates, against the product route
+
+
+def key(x):
+    """(val, coeffs, prec) of a series, nested through AlgElem, MatA and
+    tuples."""
+    if isinstance(x, lf.LaurentTrunc):
+        return (x.val, x.coeffs, x.prec)
+    if isinstance(x, csa.AlgElem):
+        return tuple(key(a) for a in x.coeffs)
+    if isinstance(x, csa.MatA):
+        return key(x.entries)
+    return tuple(key(e) for e in x)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the DecompositionError or PrecisionError
+    it raised."""
+    try:
+        return fn(*args)
+    except (DecompositionError, PrecisionError) as exc:
+        return type(exc)
+
+
+def oracle_decompose(alg, zeta, g):
+    """decompose by matrix products: phi^{-v} g, the central scaling
+    through scale_base_series, and u - identity for the 1-unit check."""
+    v = g.radical_valuation()
+    if v is None:
+        raise DecompositionError("the element is not invertible")
+    if v >= 0:
+        h = (csa.phi_inverse(alg.m, alg.D, zeta) ** v) * g
+    else:
+        h = (csa.make_phi_zeta(alg.m, alg.D, zeta) ** (-v)) * g
+    if not h.in_order():
+        raise DecompositionError("not in the standard order")
+    k = alg.D.k
+    lead = h.entries[0][0].coeffs[0].residue()
+    try:
+        xbar = ff.pullback(lead, k)
+    except ValidationError as exc:
+        raise DecompositionError("not k-rational") from exc
+    if xbar.packed == 0:
+        raise DecompositionError("not invertible")
+    u = h.scale_base_series(lf.teichmuller(k.one() / xbar))
+    if not (u - alg.identity()).in_radical_power(1):
+        raise DecompositionError("not a 1-unit")
+    return v, xbar, u
+
+
+def oracle_theta_on_conjugate(eta, g, x, x_inv):
+    """theta(x^-1 g x) by matrix products: the conjugate x_inv * g * x,
+    oracle_decompose, then rtrace(phi_inv * (u - 1)).  Returns the
+    conjugate, the decomposition (or the error type) and the value."""
+    conj = x_inv * g * x
+    dec = outcome(oracle_decompose, eta.alg, eta.zeta, conj)
+    if isinstance(dec, type):
+        return conj, dec, dec
+
+    def value():
+        v, xbar, u = dec
+        phi_inv = csa.phi_inverse(eta.alg.m, eta.alg.D, eta.zeta)
+        t = csa.rtrace(phi_inv * (u - eta.alg.identity()))
+        root = eta.chi.eval(xbar) * lf.psi_K(eta.psi, t)
+        return eta._finish(root, v, (eta.alg.m - 1) * v)
+
+    return conj, dec, outcome(value)
+
+
+@st.composite
+def order_coeffs(draw, field, low):
+    """An exact zero, a truncated zero at precision low..4, or a series
+    from w^low on of up to 4 terms, exact or truncated."""
+    kind = draw(st.sampled_from(("exact_zero", "truncated_zero", "series")))
+    if kind == "exact_zero":
+        return lf.zero(field)
+    if kind == "truncated_zero":
+        return lf.zero(field, draw(st.integers(low, 4)))
+    val = draw(st.integers(low, low + 2))
+    terms = draw(st.lists(st.integers(0, field.size - 1),
+                          min_size=1, max_size=4))
+    terms[0] = draw(st.integers(1, field.size - 1))
+    extra = draw(st.one_of(st.none(), st.integers(0, 2)))
+    prec = lf.INF if extra is None else val + len(terms) + extra
+    return lf.LaurentTrunc(field, val, terms, prec)
+
+
+@st.composite
+def order_elements(draw, alg):
+    """alg.zero(), or an element of the standard order entry by entry:
+    below the diagonal the Pi^0 coefficient starts at w^1."""
+    if draw(st.integers(0, 5)) == 0:
+        return alg.zero()
+    D = alg.D
+    return alg.elem([[D.elem([draw(order_coeffs(D.kr, int(i > j and l == 0)))
+                              for l in range(D.r)])
+                      for j in range(alg.m)] for i in range(alg.m)])
+
+
+ORACLE_CONFIGS = [(p, f, m, r, s)
+                  for p, f in [(2, 1), (3, 1), (2, 2), (3, 2)]
+                  for m, r in [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2),
+                               (2, 2), (1, 3), (1, 4)]
+                  for s in ([None] if r == 1 else
+                            [t for t in range(1, r) if math.gcd(t, r) == 1])]
+
+
+@st.composite
+def oracle_params(draw):
+    p, f, m, r, s = draw(st.sampled_from(ORACLE_CONFIGS))
+    units = p ** f - 1
+    return ssc.make_param(
+        p, f, m, r, s, zeta_dlog=draw(st.integers(0, units - 1)),
+        chi_j=draw(st.integers(0, units - 1)),
+        c=ssc.CUnit(order=4, power=draw(st.integers(0, 3))))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_theta_on_conjugates_matches_the_product_route(data):
+    """Every conjugate of g_u, its (v, xbar, u), its theta value and the
+    coset sum equal the product route's, conjugate entries and u in
+    (val, coeffs, prec)."""
+    eta = data.draw(oracle_params())
+    u = data.draw(order_elements(eta.alg))
+    g = csa.make_g_u(eta.alg.m, eta.alg.D, eta.zeta, u)
+    want = []
+    for _lam, x, x_inv in ssc.gu_cosets(eta.alg):
+        want_conj, want_dec, want_theta = oracle_theta_on_conjugate(
+            eta, g, x, x_inv)
+        conj = csa.teich_conjugate(g, ssc._teich_units(x))
+        assert key(conj) == key(want_conj)
+        got = outcome(ssc.decompose, eta.alg, eta.zeta, conj)
+        if isinstance(want_dec, type):
+            assert got is want_dec
+        else:
+            assert got[:2] == want_dec[:2]
+            assert key(got[2]) == key(want_dec[2])
+        # an error type equals only itself
+        assert outcome(ssc.theta_eval, eta, conj) == want_theta
+        want.append(want_theta)
+    errors = [w for w in want if isinstance(w, type)]
+    if errors:
+        with pytest.raises(errors[0]):
+            ssc.char_at_gu_direct(eta, u)
+    else:
+        total = want[0]
+        for w in want[1:]:
+            total = total + w
+        assert ssc.char_at_gu_direct(eta, u) == total
+
+
+def lift(x):
+    """The exact series with x's coefficients (a truncated zero lifts to
+    the exact zero)."""
+    return lf.LaurentTrunc(x.field, x.val, x.coeffs)
+
+
+def exact_matrix(g):
+    D = g.parent.D
+    return g.parent.elem([[D.elem([lift(a) for a in e.coeffs]) for e in row]
+                          for row in g.entries])
+
+
+def min_plus_prec(a, b, i, j, t):
+    """The precision the min-plus rule gives the Pi^t coefficient of entry
+    (i, j) of a * b: the least, over the terms x Pi^p * y Pi^q with no
+    exact-zero factor and p + q = t mod r, of min(x.prec + v(y), y.prec +
+    v(x)) + (p + q) // r, an empty series' v being its precision."""
+    r = a.parent.D.r
+    best = lf.INF
+    for l in range(a.parent.m):
+        for p, x in enumerate(a.entries[i][l].coeffs):
+            for q, y in enumerate(b.entries[l][j].coeffs):
+                if x.is_exact_zero() or y.is_exact_zero() or (p + q) % r != t:
+                    continue
+                vx = x.val if x.coeffs else x.prec
+                vy = y.val if y.coeffs else y.prec
+                best = min(best, min(x.prec + vy, y.prec + vx) + (p + q) // r)
+    return best
+
+
+@st.composite
+def theta_domain_elements(draw, eta):
+    """phi^v x (1 + phi u) with v in -1..2, x a Teichmuller unit of k and u
+    from order_elements, or phi^v u, which is mostly outside the domain of
+    theta."""
+    alg = eta.alg
+    v = draw(st.integers(-1, 2))
+    phi = (eta.phi() if v >= 0 else
+           csa.phi_inverse(alg.m, alg.D, eta.zeta)) ** abs(v)
+    u = draw(order_elements(alg))
+    if draw(st.integers(0, 3)) == 0:
+        return phi * u
+    xbar = eta.k.from_dlog(draw(st.integers(0, eta.k.order - 1)))
+    unit = alg.scalar_series(lf.teichmuller(xbar))
+    return phi * unit * (alg.identity() + eta.phi() * u)
+
+
+class TestDecomposePrecision:
+    """decompose on a truncated input against the same input lifted to
+    exact series: the truncated run may only claim what the exact run
+    confirms, and u carries the min-plus precision of phi^{-v} g."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_decomposition_agrees_with_the_exact_lift(self, data):
+        eta = data.draw(oracle_params())
+        alg = eta.alg
+        g = data.draw(theta_domain_elements(eta))
+        got = outcome(ssc.decompose, alg, eta.zeta, g)
+        if got is PrecisionError:
+            return
+        exact = outcome(ssc.decompose, alg, eta.zeta, exact_matrix(g))
+        if got is DecompositionError:
+            assert exact is DecompositionError
+            return
+        v, xbar, u = got
+        assert exact[:2] == (v, xbar)
+        phi_v = (csa.phi_inverse(alg.m, alg.D, eta.zeta) ** v if v >= 0
+                 else eta.phi() ** -v)
+        for i, (row, exact_row) in enumerate(zip(u.entries,
+                                                 exact[2].entries)):
+            for j, (e, exact_e) in enumerate(zip(row, exact_row)):
+                for t, (a, b) in enumerate(zip(e.coeffs, exact_e.coeffs)):
+                    assert b.prec == lf.INF
+                    cut = b if a.prec == lf.INF else b.truncate(a.prec)
+                    assert key(a) == key(cut)
+                    assert a.prec == min_plus_prec(phi_v, g, i, j, t)
+
+    def test_hidden_valuation_raises_precision_error(self):
+        # truncated zeros that hide the radical valuation of g, or the
+        # 1-unit membership of u, raise rather than decide
+        eta = param_q3_21(zeta_dlog=1)
+        alg = eta.alg
+        D = alg.D
+        z = D.zero()
+        blur = D.from_series(lf.zero(D.kr, 0))
+        one_plus = [alg.identity() + alg.elem(y)
+                    for y in ([[z, z], [blur, z]], [[z, z], [z, blur]])]
+        hidden = [(alg.zero().truncate(3), "radical valuation"),
+                  (eta.phi() * one_plus[0], "radical valuation"),
+                  (eta.phi() * one_plus[1], "radical membership")]
+        for g, what in hidden:
+            with pytest.raises(PrecisionError, match=what):
+                ssc.decompose(alg, eta.zeta, g)
+            with pytest.raises(PrecisionError, match=what):
+                ssc.theta_eval(eta, g)
