@@ -11,19 +11,22 @@ polynomial into ordinary matrix computations.  Determinants and
 characteristic polynomials are computed division-free so that truncated
 series never need to be inverted along the way.
 
-Matrix products go through _matmul, which skips every term with an
-exact-zero factor: the block uniformizer, its powers and Teichmuller
-diagonals have at most n nonzero entries.  An AlgElem finds its live
-coefficients (those not an exact zero) once, when it is built: its
-products run over the live pairs only, its exact-zero test reads that
-list, adding an exact zero returns the other operand, and the empty slots
-of a product share the one exact-zero series of the DivAlgebra.  The sums
-of series products in the Berkowitz steps (each mat-vec, the Toeplitz
-entries and the Toeplitz convolution) go through locfield.ProductSums,
-which skips them too and reads each step's sums back from packed integers
-in one numpy pass.  Every membership test in the filtrations of O_D and
-of the standard order reduces to LaurentTrunc.val_at_least at a shifted
-threshold.
+Multiplication by a power of the block uniformizer phi is a row map, not
+a product: phi_power_mul permutes the rows of g and multiplies each by a
+power of the corner c Pi, a twist, a scaling and a shift of every
+coefficient.  The matrix products left (the geometric series of
+one_plus_inverse, the self-test, and the checks that phi^n is zeta w) go
+through _matmul, which skips every term with an exact-zero factor.  An
+AlgElem finds its live coefficients (those not an exact zero) once, when
+it is built: its products run over the live pairs only, its exact-zero
+test reads that list, adding an exact zero returns the other operand,
+and the empty slots of a product share the one exact-zero series of the
+DivAlgebra.  The sums of series products in the Berkowitz steps (each
+mat-vec, the Toeplitz entries and the Toeplitz convolution) go through
+locfield.ProductSums, which skips them too and reads each step's sums
+back from packed integers in one numpy pass.  Every membership test in
+the filtrations of O_D and of the standard order reduces to
+LaurentTrunc.val_at_least at a shifted threshold.
 
 Conjugation by a Teichmuller diagonal diag(d_1, ..., d_m) is a
 per-coefficient scaling, not a product: Pi^l d = sigma^{sl}(d) Pi^l, so
@@ -422,16 +425,23 @@ class MatA:
             tuple(_scale_coeffs(e, consts) for e in row)
             for row in self.entries))
 
+    def plus_identity(self) -> "MatA":
+        """self + 1, adding on the diagonal only, as minus_identity does."""
+        return self._add_on_diagonal(lf.one(self.parent.D.kr))
+
     def minus_identity(self) -> "MatA":
         """self - 1, subtracting on the diagonal only: the entries off it
         are kept as they are, and so are the Pi^l coefficients, l > 0, on
         it."""
+        return self._add_on_diagonal(-lf.one(self.parent.D.kr))
+
+    def _add_on_diagonal(self, x: lf.LaurentTrunc) -> "MatA":
+        """self + x, x a series over k_r (a central one)."""
         D = self.parent.D
-        neg_one = -lf.one(D.kr)
         rows = [list(row) for row in self.entries]
         for i, row in enumerate(rows):
             c = row[i].coeffs
-            row[i] = AlgElem(D, (c[0] + neg_one,) + c[1:])
+            row[i] = AlgElem(D, (c[0] + x,) + c[1:])
         return MatA(self.parent, tuple(tuple(row) for row in rows))
 
     def truncate(self, prec: int) -> "MatA":
@@ -631,6 +641,58 @@ def make_phi_zeta(m: int, Dalg: DivAlgebra, zeta: ff.FFElem) -> MatA:
     if phi ** MA.n != central:
         raise AssertionError("block uniformizer power check failed")
     return phi
+
+
+@canonical
+def _corner_powers(MA: MatrixAlgebra, zeta: ff.FFElem) -> tuple:
+    """The units c_t of k_r with (c Pi)^t = c_t Pi^t, 0 <= t < r, for the
+    corner c Pi of make_phi_zeta(MA.m, MA.D, zeta), and zeta in k_r."""
+    corner = make_phi_zeta(MA.m, MA.D, zeta).entries[-1][0]
+    units = tuple((corner ** t).coeffs[t].residue() for t in range(MA.D.r))
+    return units, ff.embed(zeta, MA.D.kr)
+
+
+def phi_power_mul(zeta: ff.FFElem, e: int, g: MatA) -> MatA:
+    """phi^e g for phi = make_phi_zeta(m, D, zeta) and any integer e, as a
+    row map: no matrix product.
+
+    phi has identity blocks above the diagonal and c Pi in the corner, and
+    phi^m is the scalar c Pi.  So for e = a m + b with 0 <= b < m, row i of
+    phi^e g is (c Pi)^{a + [i + b >= m]} times row (i + b) mod m of g.  As
+    (c Pi)^r = zeta w, (c Pi)^{q r + t} = zeta^q c_t w^q Pi^t for any q, so
+    each power of c Pi, a negative one included, twists, scales and shifts
+    the coefficients: it sends x_l Pi^l to zeta^q c_t sigma^{st}(x_l) w^q
+    Pi^{t + l}, with Pi^r = w.  Rows whose power is 0 are reused as they
+    are, and so are exact zeros; every other coefficient equals that of the
+    product route in (val, coeffs, prec).
+    """
+    MA = g.parent
+    D, m = MA.D, MA.m
+    units, zeta_r = _corner_powers(MA, zeta)
+    a, b = divmod(e, m)
+    rows = []
+    for i in range(m):
+        wrap, src = divmod(i + b, m)
+        row = g.entries[src]
+        if a + wrap:
+            q, t = divmod(a + wrap, D.r)
+            c = units[t] * zeta_r ** q
+            row = tuple(_corner_power_times(x, q, t, c) for x in row)
+        rows.append(row)
+    return MatA(MA, tuple(rows))
+
+
+def _corner_power_times(x: AlgElem, q: int, t: int, c: ff.FFElem) -> AlgElem:
+    """c w^q Pi^t x: each live coefficient of x twisted by sigma^{st},
+    scaled by c and shifted; x itself when it is an exact zero."""
+    if not x.live:
+        return x
+    D = x.parent
+    coeffs = [D.zero_series] * D.r
+    for l, a in x.live:
+        carry, rem = divmod(l + t, D.r)
+        coeffs[rem] = D.twist(a, t).scale(c).shift(q + carry)
+    return AlgElem(D, coeffs)
 
 
 @canonical
@@ -864,8 +926,7 @@ def make_g_u(m: int, Dalg: DivAlgebra, zeta: ff.FFElem, u: MatA) -> MatA:
         raise ValidationError("u lives in a different matrix algebra")
     if not u.in_order():
         raise ValidationError("u must lie in the standard order")
-    phi = make_phi_zeta(m, Dalg, zeta)
-    return phi * (MA.identity() + phi * u)
+    return phi_power_mul(zeta, 1, phi_power_mul(zeta, 1, u).plus_identity())
 
 
 def eisenstein_check(f: RedCharPoly, zeta: ff.FFElem) -> dict:
@@ -974,11 +1035,12 @@ def matching_element(f: RedCharPoly, zeta: ff.FFElem,
     zw_inv = zw.inverse()
     alphas = [-(f.coeffs[i] * zw_inv) for i in range(1, n)]
     alphas.append(-((f.coeffs[0] * zw_inv) + lf.one(k)) * zw_inv)
-    phi = make_phi_zeta(n, D1, zeta)
-    u = MA.zero()
-    for i, alpha in enumerate(alphas):
-        corner = [D1.from_base_series(alpha)] + [D1.zero()] * (n - 1)
-        u = u + (phi ** i) * MA.diag(corner)
+    # u_alpha = sum_i phi^i diag(alpha_i, 0, ..., 0) is phi^{n-1} times the
+    # matrix with first column alpha_{n-1}, ..., alpha_0
+    z = D1.zero()
+    column = [[D1.from_base_series(alpha)] + [z] * (n - 1)
+              for alpha in reversed(alphas)]
+    u = phi_power_mul(zeta, n - 1, MA.elem(column))
     if not u.in_order():
         raise DomainError("matching datum fell outside the standard order")
     g = make_g_u(n, D1, zeta, u)

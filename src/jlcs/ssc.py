@@ -16,10 +16,10 @@ CycElem in the parameter's cyclotomic ring and every comparison is exact.
 
 Both direct sums evaluate theta on conjugates x^{-1} g x by Teichmuller
 diagonals, and conjugation by a Teichmuller diagonal is a per-coefficient
-scaling (csa.teich_conjugate).  In theta_eval the one matrix product is
-phi^{-v} g: the unit part is a second scaling, u - 1 is computed once on
-the diagonal, and Trd(phi^{-1}(u - 1)) reads only the diagonal of the
-product.
+scaling (csa.teich_conjugate).  theta_eval makes no matrix product:
+phi^{-v} g is a row map (csa.phi_power_mul), the unit part is a second
+scaling, u - 1 is computed once on the diagonal, and Trd(phi^{-1}(u - 1))
+reads only the diagonal of that product (csa.rtrace_product).
 """
 
 from __future__ import annotations
@@ -185,10 +185,7 @@ def _decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
     v = g.radical_valuation()
     if v is None:
         raise DecompositionError("the element is not invertible")
-    if v >= 0:
-        h = (csa.phi_inverse(alg.m, alg.D, zeta) ** v) * g
-    else:
-        h = (csa.make_phi_zeta(alg.m, alg.D, zeta) ** (-v)) * g
+    h = csa.phi_power_mul(zeta, -v, g)
     if not h.in_order():
         raise DecompositionError(
             "phi^{-v} g does not land in the standard order")
@@ -221,12 +218,11 @@ def theta_eval(eta: SscParam, g: csa.MatA):
 def random_group_element(eta: SscParam, rng, prec: int) -> csa.MatA:
     """A random element of the domain of theta, at finite precision."""
     MA = eta.alg
-    phi = eta.phi()
     v = rng.randrange(3)
     xbar = eta.k.from_dlog(rng.randrange(eta.k.order))
-    y = (phi * MA.random_in_order(rng, prec)).truncate(prec)
-    g = (phi ** v) * MA.scalar_series(lf.teichmuller(xbar))
-    return g * (MA.identity() + y)
+    y = csa.phi_power_mul(eta.zeta, 1, MA.random_in_order(rng, prec))
+    unit = y.truncate(prec).plus_identity().scale_teich(xbar)
+    return csa.phi_power_mul(eta.zeta, v, unit)
 
 
 # ---------------------------------------------------------------------------

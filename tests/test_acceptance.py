@@ -95,6 +95,7 @@ def test_criterion_02_gu_character_matches_restricted_gauss():
         cosets = ssc.gu_cosets(alg)
         ident = alg.identity()
         sign = ring.from_int(-1 if (m - 1) % 2 else 1)
+        units = [sign * ring.zeta(12, w) for w in range(12)]
         rng = stable_rng(0, "acceptance-gu", p, f, m, r, s or 0)
         us = [alg.zero()] + [alg.random_in_order(rng, 4) for _ in range(20)]
         gauss_cache = {}
@@ -117,9 +118,8 @@ def test_criterion_02_gu_character_matches_restricted_gauss():
                     gauss_cache[gkey] = expsum.restricted_gauss(
                         n, MultChar(k, j, ring), eta.psi, tbar)
                 gsum = gauss_cache[gkey]
-                for w in range(12):
-                    c_w = ring.zeta(12, w)
-                    assert_exact(sign * c_w * inner, sign * c_w * gsum,
+                for w, unit in enumerate(units):
+                    assert_exact(unit * inner, unit * gsum,
                                  f"{label} chi={j} c12^{w}")
         # the packaged dual route, end to end, on a spot sample
         eta4 = ssc.make_param(p, f, m, r, s, c=ssc.CUnit(order=4, power=1))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -1324,6 +1326,8 @@ class TestTeichmullerScalings:
             exact_key(g.scale_base_series(lf.teichmuller(c)).entries)
         assert exact_key(g.minus_identity().entries) == \
             exact_key((g - MA.identity()).entries)
+        assert exact_key(g.plus_identity().entries) == \
+            exact_key((MA.identity() + g).entries)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -1359,3 +1363,77 @@ class TestTeichmullerScalings:
         for c in (k.zero(), D.kr.gen()):
             with pytest.raises(ValidationError):
                 g.scale_teich(c)
+
+
+PHI_ALGEBRAS = [(p, f, m, r, s) for p in (2, 3) for f in (1, 2)
+                for r in range(1, 7) for m in range(1, 6 // r + 1)
+                for s in ([None] if r == 1 else
+                          [s for s in range(1, r) if math.gcd(s, r) == 1])]
+
+
+class TestPhiPowerRows:
+    """phi^e g as a row map against the matrix products it replaces, in
+    (val, coeffs, prec)."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_row_map_is_the_product(self, data):
+        p, f, m, r, s = data.draw(st.sampled_from(PHI_ALGEBRAS))
+        k = ff.make_field(p, f)
+        D = csa.div_algebra(k, r, s)
+        MA = csa.matrix_algebra(D, m)
+        zeta = data.draw(st.sampled_from((k.one(), k.gen())))
+        e = data.draw(st.integers(-2 * MA.n, 2 * MA.n))
+        g = MA.elem(data.draw(sparse_square(m, alg_entries(D), D.zero())))
+        got = csa.phi_power_mul(zeta, e, g)
+        if e >= 0:
+            phi = csa.make_phi_zeta(m, D, zeta)
+            assert exact_key(got.entries) == exact_key(((phi ** e) * g).entries)
+        if e <= 0:
+            phi_inv = csa.phi_inverse(m, D, zeta)
+            assert exact_key(got.entries) == \
+                exact_key(((phi_inv ** -e) * g).entries)
+        # rows that no power of the corner reaches are g's own rows
+        a, b = divmod(e, m)
+        for i, row in enumerate(got.entries):
+            wrap, src = divmod(i + b, m)
+            if a + wrap == 0:
+                assert row is g.entries[src]
+
+    def test_g_u_and_matching_are_the_product_route(self):
+        for p, f, m, r, s in [(2, 1, 3, 1, None), (3, 1, 2, 2, 1),
+                              (2, 2, 1, 3, 2), (3, 1, 1, 4, 3)]:
+            k = ff.make_field(p, f)
+            D = csa.div_algebra(k, r, s)
+            MA = csa.matrix_algebra(D, m)
+            rng = stable_rng(5, "phi-rows", p, f, m, r, s or 0)
+            for zeta in (k.one(), k.gen()):
+                phi = csa.make_phi_zeta(m, D, zeta)
+                u = MA.random_in_order(rng, 4)
+                g = csa.make_g_u(m, D, zeta, u)
+                assert exact_key(g.entries) == \
+                    exact_key((phi * (MA.identity() + phi * u)).entries)
+                fpoly = csa.red_charpoly(g)
+                ualpha, _ = csa.matching_element(fpoly, zeta)
+                n = MA.n
+                D1 = csa.div_algebra(k, 1)
+                MA1 = csa.matrix_algebra(D1, n)
+                phi1 = csa.make_phi_zeta(n, D1, zeta)
+                zw_inv = zeta_w(k, zeta).inverse()
+                alphas = [-(fpoly.coeffs[i] * zw_inv) for i in range(1, n)]
+                alphas.append(
+                    -((fpoly.coeffs[0] * zw_inv) + lf.one(k)) * zw_inv)
+                expected = MA1.zero()
+                for i, alpha in enumerate(alphas):
+                    corner = [D1.from_base_series(alpha)] + [D1.zero()] * (n - 1)
+                    expected = expected + (phi1 ** i) * MA1.diag(corner)
+                assert exact_key(ualpha.entries) == exact_key(expected.entries)
+
+    def test_zeta_is_validated(self):
+        k = ff.make_field(3, 1)
+        D = csa.div_algebra(k, 2, 1)
+        g = csa.matrix_algebra(D, 2).identity()
+        with pytest.raises(DomainError):
+            csa.phi_power_mul(k.zero(), 1, g)
+        with pytest.raises(ValidationError):
+            csa.phi_power_mul(D.kr.gen(), 1, g)

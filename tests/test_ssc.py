@@ -98,6 +98,20 @@ class TestDecomposition:
             back = (phi ** v) * eta.alg.scalar_series(lf.teichmuller(xbar)) * u
             assert back == g
 
+    def test_random_group_element_is_the_product_route(self):
+        # phi^v x (1 + phi y) by matrix products, from the same draws
+        for p, f, m, r, s in SMALL_CONFIGS:
+            eta = ssc.make_param(p, f, m, r, s, zeta_dlog=1)
+            MA, phi = eta.alg, eta.phi()
+            for seed in range(4):
+                got = ssc.random_group_element(eta, random.Random(seed), 5)
+                rng = random.Random(seed)
+                v = rng.randrange(3)
+                xbar = eta.k.from_dlog(rng.randrange(eta.k.order))
+                y = (phi * MA.random_in_order(rng, 5)).truncate(5)
+                g = (phi ** v) * MA.scalar_series(lf.teichmuller(xbar))
+                assert key(got) == key(g * (MA.identity() + y))
+
     def test_unit_part_equal_to_one_at_precision_decomposes(self):
         # the 1-unit factor may be indistinguishable from 1 at the working
         # precision; the decomposition is still certified and theta sees 1
