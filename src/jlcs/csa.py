@@ -14,18 +14,19 @@ series never need to be inverted along the way.
 Multiplication by a power of the block uniformizer phi is a row map, not
 a product: phi_power_mul permutes the rows of g and multiplies each by a
 power of the corner c Pi, a twist, a scaling and a shift of every
-coefficient.  The matrix products left (the geometric series of
-one_plus_inverse, the self-test, and the checks that phi^n is zeta w) go
-through _matmul, which skips every term with an exact-zero factor.  An
-AlgElem finds its live coefficients (those not an exact zero) once, when
-it is built: its products run over the live pairs only, its exact-zero
-test reads that list, adding an exact zero returns the other operand,
-and the empty slots of a product share the one exact-zero series of the
-DivAlgebra.  The sums of series products in the Berkowitz steps (each
-mat-vec, the Toeplitz entries and the Toeplitz convolution) go through
-locfield.ProductSums, which skips them too and reads each step's sums
-back from packed integers in one numpy pass.  Every membership test in
-the filtrations of O_D and of the standard order reduces to
+coefficient; phi_inverse is that row map applied to the identity.  The
+matrix product _matmul is the definition, each entry the sum of its m
+products: it serves the checks that phi^n is zeta w, the geometric series
+of one_plus_inverse, the self-test and the test oracles.  An AlgElem finds
+its live coefficients (those not an exact zero) once, when it is built:
+its products run over the live pairs only, its exact-zero test reads that
+list, adding an exact zero returns the other operand, and the empty slots
+of a product share the one exact-zero series of the DivAlgebra.  The sums
+of series products in the Berkowitz steps (each mat-vec, the Toeplitz
+entries and the Toeplitz convolution) go through locfield.ProductSums,
+which skips the exact-zero terms and reads each step's sums back from
+packed integers in one numpy pass.  Every membership test in the
+filtrations of O_D and of the standard order reduces to
 LaurentTrunc.val_at_least at a shifted threshold.
 
 Conjugation by a Teichmuller diagonal diag(d_1, ..., d_m) is a
@@ -401,17 +402,11 @@ class MatA:
             return self.parent.identity()
         return binary_power(self, e, None)
 
-    def scale_elem(self, d: AlgElem) -> "MatA":
-        """Left multiplication by the scalar matrix diag(d, ..., d)."""
-        if d.parent is not self.parent.D:
-            raise ValidationError("scalar from a different algebra")
-        return MatA(self.parent,
-                    tuple(tuple(d * a for a in row) for row in self.entries))
-
     def scale_base_series(self, x: lf.LaurentTrunc) -> "MatA":
         """Multiplication by the central series x over k."""
         d = self.parent.D.from_base_series(x)
-        return self.scale_elem(d)
+        return MatA(self.parent,
+                    tuple(tuple(d * a for a in row) for row in self.entries))
 
     def scale_teich(self, c: ff.FFElem) -> "MatA":
         """Multiplication by the central Teichmuller scalar of a unit c of
@@ -522,25 +517,6 @@ def _all_certain(verdicts):
     return None if undetermined else True
 
 
-def _fold(pairs, zero):
-    """sum x * y over pairs free of exact zeros, added left to right from
-    the first product rather than from a zero; zero, the exact zero of the
-    entry type, when pairs is empty."""
-    acc = None
-    for x, y in pairs:
-        t = x * y
-        acc = t if acc is None else acc + t
-    return zero if acc is None else acc
-
-
-def _exact_zero(x):
-    """The exact zero of x's type: an element of x's algebra, or a series
-    over x's field."""
-    if isinstance(x, AlgElem):
-        return x.parent.zero()
-    return lf.zero(x.field)
-
-
 def _scale_coeffs(e: AlgElem, consts) -> AlgElem:
     """sum_l consts[l] a_l Pi^l for e = sum_l a_l Pi^l, the constants units
     of k_r: each live coefficient is scaled and exact zeros are kept."""
@@ -580,18 +556,11 @@ def teich_conjugate(g: MatA, units) -> MatA:
 
 
 def _matmul(a, b):
-    """The product of two matrices given as sequences of rows; each entry
-    is tested for an exact zero once, _fold sums the surviving terms, and
-    every entry without one shares one exact zero."""
-    live_b = [[not y.is_exact_zero() for y in row] for row in b]
-    zero = _exact_zero(a[0][0])
-    out = []
-    for row in a:
-        live = [(l, x) for l, x in enumerate(row) if not x.is_exact_zero()]
-        out.append(tuple(
-            _fold([(x, b[l][j]) for l, x in live if live_b[l][j]], zero)
-            for j in range(len(live_b[0]))))
-    return tuple(out)
+    """The product of two matrices given as sequences of rows: each entry
+    is the sum of its products, added left to right."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(reduce(operator.add, map(operator.mul, row, col))
+                       for col in cols) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -697,11 +666,9 @@ def _corner_power_times(x: AlgElem, q: int, t: int, c: ff.FFElem) -> AlgElem:
 
 @canonical
 def phi_inverse(m: int, Dalg: DivAlgebra, zeta: ff.FFElem) -> MatA:
-    """Inverse of the block uniformizer make_phi_zeta(m, Dalg, zeta):
-    (zeta w)^{-1} phi^{n-1}."""
-    phi = make_phi_zeta(m, Dalg, zeta)
-    zw_inv = lf.teichmuller(zeta).shift(1).inverse()
-    return (phi ** (phi.parent.n - 1)).scale_base_series(zw_inv)
+    """Inverse of the block uniformizer make_phi_zeta(m, Dalg, zeta), as
+    the row map phi^{-1} of the identity."""
+    return phi_power_mul(zeta, -1, matrix_algebra(Dalg, m).identity())
 
 
 def one_plus_inverse(y: MatA) -> MatA:

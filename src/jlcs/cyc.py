@@ -5,8 +5,8 @@ Sums of character values live here.  A ring instance fixes M once; character
 code asks for a ring large enough for every root-of-unity order it needs via
 ring_for(...), which takes the lcm of the declared orders.  Elements are
 integer coefficient tuples of length deg(Phi_M), so equality of two character
-sums is literal tuple equality, with an independent complex embedding kept
-alongside for floating-point cross-checks.  Products, Galois images and
+sums is literal tuple equality; complex_value computes the complex embedding
+on demand, for floating-point cross-checks.  Products, Galois images and
 root sums all reduce a vector indexed by powers of zeta_M through the one
 CycRing._reduce; only powers past deg read the table of reduced powers,
 which is built on first use, so a ring whose values are only compared in

@@ -569,15 +569,16 @@ def rel_norm(x: FFElem, over: FieldDesc) -> FFElem:
 def norm_fiber_congruence(ext: FieldDesc, over: FieldDesc,
                           lam: FFElem) -> tuple[int, int]:
     """Solve Nr(g**t) = lam for the generator g of ext as t = t0 + j*(q-1),
-    q = |over|; returns (t0, fiber size).  When ext is over, t0 = dlog lam."""
+    q = |over|; returns (t0, fiber size).  When ext is over, t0 = dlog lam.
+
+    The generator h of over embeds as g**e with e = u * fiber, and
+    Nr(g**u) = g**(u*fiber) = h, so t0 = u * dlog lam."""
     if lam.is_zero():
         raise ValidationError("norm fibers over zero are not used")
     qm1 = over.order
     fiber = ext.order // qm1
-    s0 = dlog(rel_norm(ext.gen(), over))
-    # the norm of a generator generates the base units, so s0 is invertible
-    t0 = (pow(s0, -1, qm1) * dlog(lam)) % qm1 if qm1 > 1 else 0
-    return t0, fiber
+    u = 1 if ext is over else ext._subfield_logs(over)[0] // fiber
+    return u * dlog(lam) % qm1, fiber
 
 
 def dlog(x: FFElem) -> int:

@@ -242,12 +242,14 @@ def char_at_gu_closed(eta: SscParam, u: csa.MatA):
 
 @canonical
 def gu_cosets(alg: csa.MatrixAlgebra) -> tuple:
-    """Coset representatives (lambda, x, x^{-1}) for the g_u trace sum.
+    """Coset representatives (lambda, units) for the g_u trace sum.
 
     For each lambda in mu_{n_q}(k) there is a scalar d in mu_{q^r-1}(K_r)
-    with d^{q^s - 1} = lambda^m, and x = d diag(1, lambda, ...,
-    lambda^{m-1}) conjugates phi to lambda phi for every zeta; lambda
-    outside mu_{n_q} admits no such d (checked here once per algebra).
+    with d^{q^s - 1} = lambda^m, and the Teichmuller diagonal x with the
+    units d, d lambda, ..., d lambda^{m-1} of k_r conjugates phi to
+    lambda phi for every zeta; lambda outside mu_{n_q} admits no such d
+    (checked here once per algebra).  csa.teich_conjugate takes the units
+    as they are.
     """
     D = alg.D
     k = D.k
@@ -270,22 +272,10 @@ def gu_cosets(alg: csa.MatrixAlgebra) -> tuple:
             continue
         d = kr.from_dlog(t_d)
         lam_r = ff.embed(lam, kr)
-        diag = [d * lam_r ** i for i in range(alg.m)]
-        x = _teich_diag(alg, diag)
-        x_inv = _teich_diag(alg, [kr.one() / e for e in diag])
-        reps.append((lam, x, x_inv))
+        reps.append((lam, tuple(d * lam_r ** i for i in range(alg.m))))
     if len(reps) != n_q:
         raise AssertionError("coset count is not n_q")
     return tuple(reps)
-
-
-def _teich_diag(alg: csa.MatrixAlgebra, entries) -> csa.MatA:
-    return alg.diag([alg.D.teich(e) for e in entries])
-
-
-def _teich_units(x: csa.MatA) -> list:
-    """The units d_i of k_r with x = diag(teich d_1, ..., teich d_m)."""
-    return [row[i].coeffs[0].residue() for i, row in enumerate(x.entries)]
 
 
 def char_at_gu_direct(eta: SscParam, u: csa.MatA):
@@ -301,8 +291,8 @@ def _gu_coset_sum(eta: SscParam, g: csa.MatA):
     """theta summed over the conjugates x^-1 g x, one per coset of
     mu_{n_q}, for a g = g_u already built."""
     return reduce(operator.add,
-                  (theta_eval(eta, csa.teich_conjugate(g, _teich_units(x)))
-                   for _lam, x, _x_inv in gu_cosets(eta.alg)))
+                  (theta_eval(eta, csa.teich_conjugate(g, units))
+                   for _lam, units in gu_cosets(eta.alg)))
 
 
 # ---------------------------------------------------------------------------

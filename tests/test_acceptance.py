@@ -92,7 +92,9 @@ def test_criterion_02_gu_character_matches_restricted_gauss():
         q = k.size
         alg = eta.alg
         phi_inv = csa.phi_inverse(m, alg.D, eta.zeta)
-        cosets = ssc.gu_cosets(alg)
+        diagonals = [(alg.diag([alg.D.teich(d) for d in units]),
+                      alg.diag([alg.D.teich(d.inverse()) for d in units]))
+                     for _lam, units in ssc.gu_cosets(alg)]
         ident = alg.identity()
         sign = ring.from_int(-1 if (m - 1) % 2 else 1)
         units = [sign * ring.zeta(12, w) for w in range(12)]
@@ -103,7 +105,7 @@ def test_criterion_02_gu_character_matches_restricted_gauss():
         for u in us:
             g = csa.make_g_u(m, alg.D, eta.zeta, u)
             parts = []
-            for lam, x, x_inv in cosets:
+            for x, x_inv in diagonals:
                 v, xbar, u1 = ssc.decompose(alg, eta.zeta, x_inv * g * x)
                 assert v == 1, f"{label}: conjugate left the coset phi U^1"
                 tr = csa.rtrace(phi_inv * (u1 - ident))

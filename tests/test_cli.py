@@ -66,6 +66,10 @@ FROZEN_REPORTS = [
     ("epsilon", "epsilon --p 3 --f 1 --m 1 --r 2 --s 1 --twist-unit 1 "
      "--twist-varpi-order 4 --twist-varpi-power 1", 0,
      "b1cb8fb11d99383e6be767bf67ad2fabd2efaf4614ad7e4bbcdf6543bee33da3"),
+    # n = 6, r = 3: tau = epsilon reads rtrace(phi_inverse) and rnorm(phi)
+    ("epsilon-n6", "epsilon --p 3 --f 1 --m 2 --r 3 --s 1 --twist-unit 1 "
+     "--twist-varpi-order 4 --twist-varpi-power 1", 0,
+     "f3ac590b3fe640f98aababe3be320f555b565f6ccc807b5524931ffa65dac34b"),
     ("csa-selftest", "csa selftest --p 2 --f 1 --m 2 --r 2 --s 1", 0,
      "20ed40392e5dfe19e51377e14950463c39f7d0568eb6eab3fe14b562b083e11a"),
     ("char-order-membership-undetermined",

@@ -276,6 +276,14 @@ class TestEllipticFamily:
             ssc.char_at_gu_closed(eta, bad)
 
 
+def teich_diagonals(alg, units):
+    """The Teichmuller diagonal x with the given units of k_r, and x^{-1},
+    as matrices for the product route."""
+    D = alg.D
+    return (alg.diag([D.teich(d) for d in units]),
+            alg.diag([D.teich(d.inverse()) for d in units]))
+
+
 class TestGuCosets:
     def test_cosets_are_built_once_as_a_tuple(self):
         k = ff.make_field(3, 1)
@@ -291,7 +299,7 @@ class TestGuCosets:
             alg = csa.matrix_algebra(csa.div_algebra(k, r, s), m)
             reps = ssc.gu_cosets(alg)
             n_q = math.gcd(alg.n, k.order)
-            assert [lam for lam, _, _ in reps] == ff.enumerate_mu(k, n_q)
+            assert [lam for lam, _ in reps] == ff.enumerate_mu(k, n_q)
 
     def test_representatives_scale_phi(self):
         for p, f, m, r, s in SMALL_CONFIGS:
@@ -299,7 +307,8 @@ class TestGuCosets:
             alg = csa.matrix_algebra(csa.div_algebra(k, r, s), m)
             for zeta in (k.one(), k.gen()):
                 phi = csa.make_phi_zeta(m, alg.D, zeta)
-                for lam, x, x_inv in ssc.gu_cosets(alg):
+                for lam, units in ssc.gu_cosets(alg):
+                    x, x_inv = teich_diagonals(alg, units)
                     scaled = phi.scale_base_series(lf.teichmuller(lam))
                     assert x_inv * phi * x == scaled
 
@@ -697,10 +706,10 @@ def test_theta_on_conjugates_matches_the_product_route(data):
     u = data.draw(order_elements(eta.alg))
     g = csa.make_g_u(eta.alg.m, eta.alg.D, eta.zeta, u)
     want = []
-    for _lam, x, x_inv in ssc.gu_cosets(eta.alg):
+    for _lam, units in ssc.gu_cosets(eta.alg):
         want_conj, want_dec, want_theta = oracle_theta_on_conjugate(
-            eta, g, x, x_inv)
-        conj = csa.teich_conjugate(g, ssc._teich_units(x))
+            eta, g, *teich_diagonals(eta.alg, units))
+        conj = csa.teich_conjugate(g, units)
         assert key(conj) == key(want_conj)
         got = outcome(ssc.decompose, eta.alg, eta.zeta, conj)
         if isinstance(want_dec, type):
