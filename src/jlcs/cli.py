@@ -7,9 +7,11 @@ relation sweeps), epsilon (local constants), csa (algebra selftest).
 Reports are JSON lines (or CSV with --format csv, flattening exact
 values to their complex embedding); given the same configuration and
 seed, two runs emit identical bytes.  Exit codes: 0 all checks passed,
-1 a mathematical verification failed, 2 usage or validation error
-(including an unwritable --out), 3 budget or precision abort, 4 an
-internal error (an unexpected exception; the traceback goes to stderr).
+1 a mathematical verification failed (a failed report or an
+IdentityFailure), 2 usage or validation error (including an unwritable
+--out), 3 budget or precision abort, 4 an internal error (an
+InvariantError or any unexpected exception; the traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from . import locfield as lf
 from ._util import json_line, stable_rng
 from .chars import AddChar, MultChar
 from .cyc import CycElem, ring_for
-from .errors import (BudgetExceeded, DomainError, PrecisionError,
-                     ValidationError)
+from .errors import (BudgetExceeded, DomainError, IdentityFailure,
+                     PrecisionError, ValidationError)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -442,9 +444,9 @@ def _run(args):
         return EXIT_USAGE, [_error(exc)]
     except (BudgetExceeded, PrecisionError) as exc:
         return EXIT_LIMIT, [_error(exc)]
-    except AssertionError as exc:
+    except IdentityFailure as exc:
         return EXIT_MATH, [_error(exc)]
-    except Exception as exc:
+    except Exception as exc:  # InvariantError and every unexpected one
         traceback.print_exc()
         return EXIT_INTERNAL, [_error(exc, "internal_error")]
     return (EXIT_OK if ok else EXIT_MATH), records

@@ -47,7 +47,8 @@ from functools import cache, reduce
 from . import ff
 from . import locfield as lf
 from ._util import binary_power, canonical
-from .errors import DomainError, PrecisionError, ValidationError
+from .errors import (DomainError, IdentityFailure, PrecisionError,
+                     ValidationError)
 
 
 class DivAlgebra:
@@ -586,7 +587,7 @@ def make_phi_D(Dalg: DivAlgebra, zeta: ff.FFElem) -> AlgElem:
         phi = AlgElem(Dalg, tuple(coeffs))
     check = phi ** Dalg.r
     if check != Dalg.from_base_series(lf.teichmuller(zeta).shift(1)):
-        raise AssertionError("uniformizer power check failed")
+        raise IdentityFailure("uniformizer power check failed")
     return phi
 
 
@@ -608,7 +609,7 @@ def make_phi_zeta(m: int, Dalg: DivAlgebra, zeta: ff.FFElem) -> MatA:
     phi = block_uniformizer(MA, make_phi_D(Dalg, zeta))
     central = MA.scalar_series(lf.teichmuller(zeta).shift(1))
     if phi ** MA.n != central:
-        raise AssertionError("block uniformizer power check failed")
+        raise IdentityFailure("block uniformizer power check failed")
     return phi
 
 
@@ -775,7 +776,7 @@ def _descend(x: lf.LaurentTrunc, k: ff.FieldDesc) -> lf.LaurentTrunc:
     if x.field is k:
         return x
     if lf.galois_series(x, 1, k) != x:
-        raise AssertionError("reduced invariant left the base field")
+        raise IdentityFailure("reduced invariant left the base field")
     return lf.pullback_series(x, k)
 
 
@@ -1012,11 +1013,11 @@ def matching_element(f: RedCharPoly, zeta: ff.FFElem,
         raise DomainError("matching datum fell outside the standard order")
     g = make_g_u(n, D1, zeta, u)
     if red_charpoly(g) != f:
-        raise AssertionError("matching element's charpoly disagrees")
+        raise IdentityFailure("matching element's charpoly disagrees")
     if trd_residue is not None:
         got = rtrace(u).residue()
         if got != trd_residue:
-            raise AssertionError(
+            raise IdentityFailure(
                 "reduced trace residues disagree across the matching")
     return u, g
 

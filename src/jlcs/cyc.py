@@ -21,7 +21,7 @@ import math
 from functools import cache, cached_property
 
 from ._util import binary_power, prime_factors
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 
 
 def _cyclotomic(M: int) -> list[int]:
@@ -57,7 +57,7 @@ def _div_binomial(poly: list[int], e: int) -> list[int]:
         quo[j] += quo[j + e]
     low = quo[:e] + [0] * (e - len(quo))
     if any(c + q for c, q in zip(poly, low)):
-        raise AssertionError("division was not exact")
+        raise InvariantError("division was not exact")
     return quo
 
 
@@ -69,7 +69,8 @@ class CycRing:
             raise ValidationError("root-of-unity order must be positive")
         self.M = M
         phi = _cyclotomic(M)
-        assert phi[-1] == 1
+        if phi[-1] != 1:
+            raise InvariantError(f"Phi_{M} is not monic")
         self.deg = len(phi) - 1
         self._phi_tail = tuple(phi[:-1])
 

@@ -5,19 +5,21 @@ identities relating them.
 Every sum is computed in integer counting coordinates: the kernels only
 ever build counts-per-exponent vectors, and the cyclotomic value is
 materialized once at the end, or never where sums in Z[zeta_p] are only
-compared (separation_witnesses compares count rows directly, every ratio
-against one table).  Restricted Gauss sums and d716's chi-weighted sums
-share the one fold _fold_chi_psi into counts over the powers of
-zeta_lcm(p, q-1).  Every sum over unit l-tuples, l >= 2, is a row of one
-d x p histogram (row: product dlog mod d; column: exponent of the sum),
-built by _tuple_counts as the l-fold convolution of single-unit counts
-on Z/d x Z/p.  d divides q - 1 and p divides q, so the two are coprime
-and the CRT makes that group the cyclic Z/(d*p): the kernel convolves
-one flat vector, one contiguous shifted add per nonzero single-unit cell
-and step, and reads the d x p layout back with one gather.  A sum over
-one norm fiber (l = 1) reads its own coset of the unit group: a strided
-slice of the field's trace_exp array, counted with no histogram over the
-other units.
+compared (separation_witnesses compares count rows directly: one ratio
+reads only the rows it compares, a sweep over several reads one table).
+Restricted Gauss sums and d716's chi-weighted sums share the one fold
+_fold_chi_psi into counts over the powers of zeta_lcm(p, q-1).  Every sum
+over unit l-tuples, l >= 2, is a row of one d x p histogram (row: product
+dlog mod d; column: exponent of the sum), the l-fold convolution of
+single-unit counts on Z/d x Z/p.  d divides q - 1 and p divides q, so the
+two are coprime and the CRT makes that group the cyclic Z/(d*p).
+_TupleCounts convolves one flat vector up to the (l-1)-fold table, one
+contiguous shifted add per nonzero single-unit cell and step; one row of
+the l-fold table is then one gather over the single-unit cells, and the
+whole table one more step and a gather back to the d x p layout.  A sum
+over one norm fiber (l = 1) reads its own coset of the unit group: a
+strided slice of the field's trace_exp array, counted with no histogram
+over the other units.
 """
 
 from __future__ import annotations
@@ -131,8 +133,8 @@ def _fold_chi_psi(chi: MultChar, T, e, count) -> CycElem:
 # Kloosterman sums
 
 
-def _tuple_counts(fld, tau, l, d) -> np.ndarray:
-    """Counts of unit l-tuples of fld as a d x p array: row T, column e
+class _TupleCounts:
+    """Counts of unit l-tuples of fld as a d x p table: row T, column e
     counts the tuples whose dlogs sum to T mod d and whose sum has
     exponent e under the additive character with dlog table tau.
 
@@ -141,30 +143,68 @@ def _tuple_counts(fld, tau, l, d) -> np.ndarray:
     single-unit table on Z/d x Z/p.  d must divide the unit group order,
     so gcd(d, p) = 1, and the CRT index i = T*u + e*v mod N, N = d*p
     (u = 1 mod d, 0 mod p; v = 0 mod d, 1 mod p), makes that group the
-    cyclic Z/N.  Each of the l - 1 steps adds, per nonzero cell c of
-    weight w of the single-unit table, w times the contiguous slice
-    dbl[N - c:2N - c] of the table written out twice; the d x p layout is
-    read back with one gather.
+    cyclic Z/N.  The object holds the (l-1)-fold table flat on Z/N,
+    written out twice as dbl (for l = 1 the 0-fold table, one count at
+    0).  A convolution step adds, per nonzero cell c of weight w of the
+    single-unit table, w times the contiguous slice dbl[N - c:2N - c].
+    row(T) reads one row of the l-fold table with no step, by one gather:
+    column e is the sum over the cells of w * dbl[(T*u - c) mod N + e*v
+    mod N].  table() takes the last step (none for l = 1, whose table is
+    the single-unit one) and reads the d x p layout back with one gather.
     """
-    p = fld.p
-    N = d * p
-    u = p * pow(p, -1, d)
-    v = d * pow(d, -1, p)
-    # every count is at most order**l; past int64, hold Python integers
-    dtype = np.int64 if fld.order ** l < 2 ** 63 else object
-    single = np.bincount((np.arange(fld.order) * u
-                          + tau.astype(np.int64) * v) % N,
-                         minlength=N).astype(dtype)
-    cells = [(N - int(c), single[c]) for c in np.flatnonzero(single)]
-    counts = single
-    for _ in range(l - 1):
-        dbl = np.concatenate((counts, counts))
-        counts = np.zeros_like(single)
-        for start, w in cells:
+
+    def __init__(self, fld, tau, l, d):
+        p = fld.p
+        N = self.N = d * p
+        self.d, self.l = d, l
+        self.u = p * pow(p, -1, d)
+        v = d * pow(d, -1, p)
+        # every count is at most order**l; past int64, hold Python integers
+        dtype = np.int64 if fld.order ** l < 2 ** 63 else object
+        single = np.bincount((np.arange(fld.order) * self.u
+                              + tau.astype(np.int64) * v) % N,
+                             minlength=N).astype(dtype)
+        self.single = single
+        self.cells = np.flatnonzero(single)
+        self.weights = single[self.cells]
+        self.slices = list(zip((N - self.cells).tolist(),
+                               self.weights.tolist()))
+        self.columns = np.arange(p) * v % N
+        if l == 1:
+            prev = np.zeros_like(single)
+            prev[0] = 1
+        else:
+            prev = single
+            for _ in range(l - 2):
+                prev = self._step(np.concatenate((prev, prev)))
+        self.dbl = np.concatenate((prev, prev))
+
+    def _step(self, dbl) -> np.ndarray:
+        """The next convolution power of the table dbl holds twice."""
+        N = self.N
+        out = np.zeros(N, dtype=dbl.dtype)
+        for start, w in self.slices:
             # when d = q - 1 every unit has its own cell, of weight 1
             shifted = dbl[start:start + N]
-            counts += shifted if w == 1 else w * shifted
-    return counts[(np.arange(d)[:, None] * u + np.arange(p) * v) % N]
+            out += shifted if w == 1 else w * shifted
+        return out
+
+    def row(self, T: int) -> np.ndarray:
+        """Row T of the l-fold table."""
+        starts = (T * self.u - self.cells) % self.N
+        return self.weights @ self.dbl[starts[:, None] + self.columns]
+
+    def table(self) -> np.ndarray:
+        """The whole d x p table."""
+        layout = (np.arange(self.d)[:, None] * self.u
+                  + self.columns) % self.N
+        flat = self.single if self.l == 1 else self._step(self.dbl)
+        return flat[layout]
+
+
+def _tuple_counts(fld, tau, l, d) -> np.ndarray:
+    """The d x p table of _TupleCounts(fld, tau, l, d)."""
+    return _TupleCounts(fld, tau, l, d).table()
 
 
 def _coset_counts(psi: AddChar, d: int, t0: int) -> np.ndarray:
@@ -205,21 +245,22 @@ def kloosterman(ext: ff.FieldDesc, l: int, lam: ff.FFElem, psi: AddChar,
         row = _coset_counts(psi_ext, k.order, t0)
     else:
         tau = psi_ext.dlog_exponent_table()
-        row = _tuple_counts(ext, tau, l, k.order)[t0]
+        row = _TupleCounts(ext, tau, l, k.order).row(t0)
     return psi.ring.weighted_root_sum(k.p, row.tolist())
 
 
-def _kloosterman_counts(fld: ff.FieldDesc, l: int, psi: AddChar,
-                        budget: int | None) -> np.ndarray:
-    """The (q-1) x p count table of every K_{l,a}: row dlog a, column e
-    counts the unit l-tuples with product a whose sum has exponent e."""
+def _kloosterman_rows(fld: ff.FieldDesc, l: int, psi: AddChar,
+                      budget: int | None) -> _TupleCounts:
+    """The (q-1) x p count table of every K_{l,a}, as _TupleCounts: row
+    dlog a, column e counts the unit l-tuples with product a whose sum has
+    exponent e."""
     if l < 1:
         raise ValidationError("l must be positive")
     if psi.field is not fld:
         raise ValidationError("character must live on the field")
     L = fld.order
     check_budget(max(l - 1, 1) * L * L, budget)
-    return _tuple_counts(fld, psi.dlog_exponent_table(), l, L)
+    return _TupleCounts(fld, psi.dlog_exponent_table(), l, L)
 
 
 def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
@@ -229,7 +270,7 @@ def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
     Computed by repeated convolution over (product dlog, exponent) pairs,
     which costs about l*(q-1)^2 instead of (q-1)^l.
     """
-    counts = _kloosterman_counts(fld, l, psi, budget)
+    counts = _kloosterman_rows(fld, l, psi, budget).table()
     return [psi.ring.weighted_root_sum(fld.p, row) for row in counts.tolist()]
 
 
@@ -391,7 +432,8 @@ def separation_witness(n: int, psi: AddChar, aprime: ff.FFElem,
 def separation_witnesses(n: int, psi: AddChar, aprimes,
                          budget: int | None = None) -> list:
     """separation_witness for each ratio in aprimes, in order, all read
-    from one count table of the K_{n,a}."""
+    from one count table of the K_{n,a}: one ratio reads only the rows it
+    compares, several finish the table."""
     k = psi.field
     aprimes = list(aprimes)
     for aprime in aprimes:
@@ -399,12 +441,26 @@ def separation_witnesses(n: int, psi: AddChar, aprimes,
             raise ValidationError("the ratio must live on the field")
         if aprime.is_zero() or aprime == k.one():
             raise ValidationError("the ratio must differ from zero and one")
-    counts = _kloosterman_counts(k, n, psi, budget)
+    rows = _kloosterman_rows(k, n, psi, budget)
+    # K_{n,a} lies in Z[zeta_p], where the only relation among the powers
+    # zeta_p**e is that they sum to zero: two count rows give the same
+    # value iff their difference is constant
+    if len(aprimes) == 1:
+        # scan the pairs (T, T + dlog a') from T = 0, reading only their
+        # rows: a witness usually turns up within the first few
+        shift, L = ff.dlog(aprimes[0]), k.order
+        read = {}
+        for T in range(L):
+            for t in (T, (T + shift) % L):
+                if t not in read:
+                    read[t] = rows.row(t)
+            diff = read[T] - read[(T + shift) % L]
+            if (diff != diff[0]).any():
+                return [k.from_dlog(T)]
+        return [None]
+    counts = rows.table()
     witnesses = []
     for aprime in aprimes:
-        # K_{n,a} lies in Z[zeta_p], where the only relation among the
-        # powers zeta_p**e is that they sum to zero: two count rows give
-        # the same value iff their difference is constant
         diff = counts - np.roll(counts, -ff.dlog(aprime), axis=0)
         unequal = np.flatnonzero((diff != diff[:, :1]).any(axis=1))
         witnesses.append(k.from_dlog(int(unequal[0])) if unequal.size

@@ -40,7 +40,7 @@ from array import array
 import numpy as np
 
 from ._util import canonical, prime_factors
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, InvariantError, ValidationError
 
 DEFAULT_FIELD_CAP = 1 << 20
 
@@ -129,7 +129,7 @@ def _least_irreducible(p: int, d: int) -> tuple[int, ...]:
             continue
         if _is_irreducible(h, p):
             return tuple(h)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InvariantError("no irreducible polynomial found")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ class FieldDesc:
             if not any(np.array_equal(_matpow_mod(K, order // ell, p), one)
                        for ell in primes):
                 return self._pack(tail)
-        raise AssertionError("no generator found")  # unreachable
+        raise InvariantError("no generator found")  # unreachable
 
     def _build_tables(self):
         p, d, size, order = self.p, self.degree, self.size, self.order
@@ -250,7 +250,7 @@ class FieldDesc:
         log_arr = np.full(size, -1, dtype=np.int64)
         log_arr[packed] = np.arange(order)
         if int((log_arr >= 0).sum()) != order:
-            raise AssertionError("generator powers repeat")
+            raise InvariantError("generator powers repeat")
         self.exp = packed.tolist()
         self.log = log_arr.tolist()
         # the absolute trace of x^j is the trace of its matrix C^j
@@ -282,7 +282,7 @@ class FieldDesc:
         alpha = next((c for c in candidates
                       if self._eval_poly(sub.modulus, c) == 0), None)
         if alpha is None:
-            raise AssertionError("no root of subfield polynomial found")
+            raise InvariantError("no root of subfield polynomial found")
         t = self.log[self._eval_poly(sub._digits(sub.gen_packed), alpha)]
         self._emb[(sub.p, sub.f, sub.l)] = (t, pow(t // step, -1, sub.order))
 
@@ -550,20 +550,6 @@ def rel_trace(x: FFElem, over: FieldDesc) -> FFElem:
     if not x.field.has_subfield(over):
         raise ValidationError("trace over a field outside the tower")
     return FFElem(over, x.field.trace_packed(over, x.packed))
-
-
-def rel_norm(x: FFElem, over: FieldDesc) -> FFElem:
-    """Norm of x down to a declared subfield."""
-    fld = x.field
-    if not fld.has_subfield(over):
-        raise ValidationError("norm over a field outside the tower")
-    d = fld.degree // over.degree
-    acc = fld.one()
-    y = x
-    for _ in range(d):
-        acc = acc * y
-        y = y ** over.size
-    return pullback(acc, over)
 
 
 def norm_fiber_congruence(ext: FieldDesc, over: FieldDesc,

@@ -35,7 +35,8 @@ from . import locfield as lf
 from ._util import canonical, solve_congruence
 from .chars import AddChar, MultChar
 from .cyc import CycElem
-from .errors import DecompositionError, DomainError, ValidationError
+from .errors import (DecompositionError, DomainError, IdentityFailure,
+                     ValidationError)
 
 
 @dataclass(frozen=True)
@@ -267,14 +268,14 @@ def gu_cosets(alg: csa.MatrixAlgebra) -> tuple:
             solvable = sol is not None
             t_d = sol[0] if sol else 0
         if solvable != ((ff.dlog(lam) * n_q) % k.order == 0):
-            raise AssertionError("solvable scalars do not cut out mu_{n_q}")
+            raise IdentityFailure("solvable scalars do not cut out mu_{n_q}")
         if not solvable:
             continue
         d = kr.from_dlog(t_d)
         lam_r = ff.embed(lam, kr)
         reps.append((lam, tuple(d * lam_r ** i for i in range(alg.m))))
     if len(reps) != n_q:
-        raise AssertionError("coset count is not n_q")
+        raise IdentityFailure("coset count is not n_q")
     return tuple(reps)
 
 
@@ -345,7 +346,7 @@ def char_at_unipotent_deep(eta: SscParam, lam: ff.FFElem,
         phi_lam = csa.block_uniformizer(
             eta.alg, D.teich(c0) * csa.make_phi_D(D, eta.zeta))
         if phi_lam ** eta.n != expected:
-            raise AssertionError(
+            raise IdentityFailure(
                 "the scaled uniformizer does not have the right power")
         target = eta.alg.identity() + phi_lam
         total = None
@@ -358,7 +359,7 @@ def char_at_unipotent_deep(eta: SscParam, lam: ff.FFElem,
         results.append(total)
     first = results[0]
     if any(other != first for other in results[1:]):
-        raise AssertionError(
+        raise IdentityFailure(
             "the deep sum depends on the choice of the norm preimage")
     return first
 
@@ -490,7 +491,7 @@ def normalized_tau(eta: SscParam, xi: TameChar):
     tau = theta_phi * tame * psi_factor
     scaled = -tau if (eta.n - eta.alg.m) % 2 else tau
     if scaled != epsilon_twisted(eta, xi):
-        raise AssertionError(
+        raise IdentityFailure(
             "normalized tau disagrees with the twisted epsilon factor")
     return tau
 

@@ -7,6 +7,7 @@ import pytest
 from jlcs import cli, expsum, ff
 from jlcs.chars import AddChar
 from jlcs.cyc import CycRing, ring_for
+from jlcs.errors import IdentityFailure, InvariantError
 from jlcs.expsum import SumReport
 
 
@@ -112,6 +113,20 @@ FROZEN_REPORTS = [
      "c3a1c92acefbbc06684a37512ba36f8b9e738df8e225f46c46851ebaccc1c6a8"),
     ("d716-q7-n4", "verify d716 --p 7 --f 1 --n 4", 0,
      "2cc53c106ac671564f53b9c258def62f4654e4cadb4b4a2b8caab0146aedca21"),
+    # one ratio each: the rows are read without finishing the table
+    ("separation-q61-n3-one-ratio",
+     "verify separation --p 61 --f 1 --n 3 --aprime-dlog 4", 0,
+     "632cd34d10bb4669d61bf2f2acc06171edbbad45931db1c028490e7cd4dfa57a"),
+    ("separation-q47-n3-one-ratio",
+     "verify separation --p 47 --f 1 --n 3 --aprime-dlog 7", 0,
+     "8a48279f6f974871e0516ae07e8809d9e5f462b58c0a622e590d0dc313c30449"),
+    ("separation-q81-n3-one-ratio",
+     "verify separation --p 3 --f 4 --n 3 --aprime-dlog 10", 0,
+     "97d30094b8a1ffd4fd48ef3b4462e5365ae2907182b24f2d5b09223239c9e856"),
+    # 6**25 > 2**63: the rows hold Python integers
+    ("separation-q7-n25-one-ratio",
+     "verify separation --p 7 --f 1 --n 25 --aprime-dlog 2", 0,
+     "e8ddf80ba86b8a9d8721b2025847326297003b7904703604b17e7eec7f5859fb"),
 ]
 
 
@@ -281,6 +296,25 @@ class TestExitCodes:
         assert record == {"kind": "internal_error", "error": "KeyError",
                           "message": "'lost'"}
         assert "Traceback" in captured.err and "KeyError" in captured.err
+
+    @pytest.mark.parametrize("error,code,kind", [
+        (IdentityFailure, 1, "error"),
+        (InvariantError, 4, "internal_error"),
+        # a bare assert is a bug in the code, not a failed identity
+        (AssertionError, 4, "internal_error")])
+    def test_identity_failure_and_invariant_error(self, capsys, monkeypatch,
+                                                  error, code, kind):
+        def broken(*args, **kwargs):
+            raise error("broke")
+        monkeypatch.setattr(expsum, "separation_witnesses", broken)
+        got = cli.main(["verify", "separation", "--p", "5", "--f", "1",
+                        "--n", "2"])
+        captured = capsys.readouterr()
+        assert got == code
+        (record,) = lines(captured.out)
+        assert record == {"kind": kind, "error": error.__name__,
+                          "message": "broke"}
+        assert ("Traceback" in captured.err) == (code == 4)
 
     def test_interrupt_still_propagates(self, monkeypatch):
         def interrupted(*args, **kwargs):

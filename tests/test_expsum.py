@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from jlcs import chars, cyc, expsum, ff, ssc
 from jlcs.errors import BudgetExceeded, ValidationError
 
+from oracles import rel_norm
+
 
 def setup_k(p, f):
     k = ff.make_field(p, f)
@@ -42,7 +44,7 @@ def literal_norm_sum(psi, kr, m, lam):
     k = psi.field
     total = psi.ring.zero()
     for prod, tot in unit_tuples(kr, m):
-        if ff.rel_norm(prod, k) == lam:
+        if rel_norm(prod, k) == lam:
             total = total + psi.eval(ff.rel_trace(tot, k))
     return total
 
@@ -338,6 +340,54 @@ def test_dtype_switch_matches_the_tile_loop(l, dtype, d):
     assert sum(got.ravel().tolist()) == k.order ** l
 
 
+def assert_rows_match(fld, tau, l, d):
+    """Every row the reader returns against the finished table and the
+    tile-loop oracle, dtype included."""
+    reader = expsum._TupleCounts(fld, tau, l, d)
+    table = expsum._tuple_counts(fld, tau, l, d)
+    oracle = oracle_tuple_counts(fld, tau, l, d)
+    assert_same_counts(table, oracle)
+    for T in range(d):
+        got = reader.row(T)
+        assert got.dtype == oracle.dtype, T
+        assert got.tolist() == oracle[T].tolist(), T
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(BIGRING_FIELDS + SUMS_FIELDS), st.integers(1, 4),
+       st.data())
+def test_rows_match_the_table(pf, l, data):
+    # every divisor d of the unit order, so cells of weight > 1 too
+    k, R, _ = setup_k(*pf)
+    psi = chars.AddChar(k, k.from_dlog(data.draw(
+        st.integers(0, k.order - 1), label="twist dlog")), R)
+    d = data.draw(st.sampled_from(divisors(k.order)), label="d")
+    assert_rows_match(k, psi.dlog_exponent_table(), l, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(p, f, r) for p, f in SUMS_FIELDS
+                        for r in range(2, 7)]), st.integers(1, 4),
+       st.data())
+def test_extension_rows_match_the_table(pfr, l, data):
+    # units of k_r by psi o Tr, rows mod |k^x|: cells of weight > 1
+    p, f, r = pfr
+    k, R, _ = setup_k(p, f)
+    psi = chars.AddChar(k, k.from_dlog(data.draw(
+        st.integers(0, k.order - 1), label="twist dlog")), R)
+    kr = ff.make_extension(k, r)
+    tau = chars.inflate_add(psi, kr).dlog_exponent_table()
+    assert_rows_match(kr, tau, l, k.order)
+
+
+@pytest.mark.parametrize("l", [25, 27])
+def test_object_dtype_rows_match_the_table(l):
+    # 6**25 > 2**63: the rows hold Python integers
+    k, R, psi = setup_k(7, 1)
+    for d in divisors(k.order):
+        assert_rows_match(k, psi.dlog_exponent_table(), l, d)
+
+
 # every field of the perfbench `sums` set-up, k_l over k with q <= 9 and
 # l <= 6, and the odd prime fields up to 61
 SUMS_EXTENSIONS = [(p, f, l) for p, f in SUMS_FIELDS for l in range(1, 7)]
@@ -387,7 +437,7 @@ class TestNormFiberSum:
                 brute = R.zero()
                 count = 0
                 for y in ext.elements():
-                    if y.is_zero() or ff.rel_norm(y, k) != lam:
+                    if y.is_zero() or rel_norm(y, k) != lam:
                         continue
                     count += 1
                     brute = brute + psi.eval(ff.rel_trace(y, k))
@@ -679,11 +729,13 @@ class TestWitnesses:
                 assert expsum.separation_witness(n, psi, ap) is not None
 
 
-def table_separation(n, psi, aprime):
+def table_separation(n, psi, aprime, table=None):
     """The oracle for separation_witness: the least a (by dlog) whose
-    values K_{n,a} and K_{n,a*aprime} differ in kloosterman_table."""
+    values K_{n,a} and K_{n,a*aprime} differ in kloosterman_table (or in
+    table, that list computed once)."""
     k = psi.field
-    table = expsum.kloosterman_table(k, n, psi)
+    if table is None:
+        table = expsum.kloosterman_table(k, n, psi)
     shift, L = ff.dlog(aprime), k.order
     for t in range(L):
         if table[t] != table[(t + shift) % L]:
@@ -713,18 +765,20 @@ class TestSeparationCounts:
         for n in (1, 2, 3):
             want = [table_separation(n, psi, ap) for ap in ratios]
             built = []
-            counts = expsum._kloosterman_counts
+            rows = expsum._kloosterman_rows
 
             def counted(*args):
                 built.append(args)
-                return counts(*args)
+                return rows(*args)
 
-            monkeypatch.setattr(expsum, "_kloosterman_counts", counted)
+            monkeypatch.setattr(expsum, "_kloosterman_rows", counted)
             assert expsum.separation_witnesses(n, psi, ratios) == want
             assert expsum.separation_witnesses(n, psi, ratios[::-1]) == \
                 want[::-1]
+            for ap, w in zip(ratios, want):
+                assert expsum.separation_witnesses(n, psi, [ap]) == [w]
             monkeypatch.undo()
-            assert len(built) == 2
+            assert len(built) == 2 + len(ratios)
 
     def test_every_ratio_is_checked_before_the_table(self, monkeypatch):
         k, R, psi = setup_k(5, 1)
@@ -732,15 +786,35 @@ class TestSeparationCounts:
         def refuse(*args):
             raise AssertionError("the table was built")
 
-        monkeypatch.setattr(expsum, "_kloosterman_counts", refuse)
-        for bad in (k.one(), k.zero(), ff.make_field(7, 1).gen()):
-            with pytest.raises(ValidationError):
-                expsum.separation_witnesses(2, psi, [k.gen(), bad])
+        monkeypatch.setattr(expsum, "_kloosterman_rows", refuse)
+        # the refusal is reached once every ratio is valid
+        with pytest.raises(AssertionError, match="the table was built"):
+            expsum.separation_witnesses(2, psi, [k.gen(), k.gen() ** 2])
+        for ratios in ([k.gen()], [k.gen(), k.gen() ** 2]):
+            for bad in (k.one(), k.zero(), ff.make_field(7, 1).gen()):
+                with pytest.raises(ValidationError):
+                    expsum.separation_witnesses(2, psi, ratios + [bad])
+                with pytest.raises(ValidationError):
+                    expsum.separation_witnesses(2, psi, [bad] + ratios)
+
+    @pytest.mark.parametrize("twist", [0, 1])
+    @pytest.mark.parametrize("p,f", BIGRING_FIELDS + [(3, 1), (5, 1)])
+    def test_one_ratio_matches_the_table(self, p, f, twist):
+        # one ratio reads only its rows; the oracle compares ring values
+        k, R, _ = setup_k(p, f)
+        psi = chars.AddChar(k, k.from_dlog(twist), R)
+        for n in (2, 3):
+            table = expsum.kloosterman_table(k, n, psi)
+            ratios = [k.from_dlog(t) for t in range(1, k.order)]
+            want = [table_separation(n, psi, ap, table) for ap in ratios]
+            assert expsum.separation_witnesses(n, psi, ratios) == want
+            for ap, w in zip(ratios, want):
+                assert expsum.separation_witnesses(n, psi, [ap]) == [w]
 
     def test_object_dtype_table(self):
         # 6**25 > 2**63, so the counts are Python integers
         k, R, psi = setup_k(7, 1)
-        assert expsum._kloosterman_counts(k, 25, psi, None).dtype == object
+        assert expsum._kloosterman_rows(k, 25, psi, None).dbl.dtype == object
         for t in range(1, k.order):
             ap = k.from_dlog(t)
             assert expsum.separation_witness(25, psi, ap) == \

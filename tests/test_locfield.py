@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 from jlcs import chars, cyc, ff, locfield as lf
 from jlcs.errors import DomainError, PrecisionError, ValidationError
 
+from oracles import rel_norm
+
 
 def series_strategy(field, max_len=4):
     return st.builds(
@@ -330,7 +332,7 @@ class TestTowerMaps:
         for t in range(0, k2.order, 7):
             c = k2.from_dlog(t)
             got = lf.series_norm(lf.teichmuller(c), k)
-            assert got == lf.teichmuller(ff.rel_norm(c, k))
+            assert got == lf.teichmuller(rel_norm(c, k))
 
     def test_trace_of_uniformizer_scales_by_degree(self):
         k = ff.make_field(2, 1)
