@@ -6,11 +6,12 @@ code asks for a ring large enough for every root-of-unity order it needs via
 ring_for(...), which takes the lcm of the declared orders.  Elements are
 integer coefficient tuples of length deg(Phi_M), so equality of two character
 sums is literal tuple equality; complex_value computes the complex embedding
-on demand, for floating-point cross-checks.  Products, Galois images and
-root sums all reduce a vector indexed by powers of zeta_M through the one
-CycRing._reduce; only powers past deg read the table of reduced powers,
-which is built on first use, so a ring whose values are only compared in
-count coordinates never builds it.
+on demand, for floating-point cross-checks.  Roots of unity, products, Galois
+images and root sums all reduce a vector indexed by powers of zeta_M through
+the one CycRing._reduce: fold the exponents by x^M = 1 (by x^(M/2) = -1
+when M is even, which halves the vector), then divide by the monic Phi_M
+from the top, reading only its nonzero coefficients below deg.  The ring
+keeps no table that grows with M beyond those coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from functools import cache, cached_property
+from functools import cache
 
 from ._util import binary_power, prime_factors
 from .errors import InvariantError, ValidationError
@@ -72,22 +73,8 @@ class CycRing:
         if phi[-1] != 1:
             raise InvariantError(f"Phi_{M} is not monic")
         self.deg = len(phi) - 1
-        self._phi_tail = tuple(phi[:-1])
-
-    @cached_property
-    def zpow(self) -> list[tuple[int, ...]]:
-        """x^t mod Phi_M for every t < M; x^M is 1, so this closes
-        reduction.  Built on first use."""
-        zpow = []
-        cur = [1] + [0] * (self.deg - 1)
-        for _ in range(self.M):
-            zpow.append(tuple(cur))
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                nxt = [a - top * b for a, b in zip(nxt, self._phi_tail)]
-            cur = nxt
-        return zpow
+        # x^deg = -sum phi[i] x^i: the nonzero terms of that sum
+        self._phi_low = tuple((i, a) for i, a in enumerate(phi[:-1]) if a)
 
     # -- constructors ------------------------------------------------------
 
@@ -112,8 +99,9 @@ class CycRing:
         if order < 1 or self.M % order:
             raise ValidationError(
                 f"order {order} does not divide the ring order {self.M}")
-        step = self.M // order
-        return CycElem(self, self.zpow[(power % order) * step % self.M])
+        vec = [0] * ((power % order) * (self.M // order) + 1)
+        vec[-1] = 1
+        return self._reduce(vec)
 
     def weighted_root_sum(self, order: int, counts) -> "CycElem":
         """sum_j counts[j] * zeta_order**j, for a counts vector of length order.
@@ -132,17 +120,23 @@ class CycRing:
         return self._reduce(vec)
 
     def _reduce(self, vec) -> "CycElem":
-        """sum_e vec[e] * zeta_M**e, for a coefficient vector vec of length
-        at least deg indexed by exponent e (read mod M past M)."""
+        """sum_e vec[e] * zeta_M**e, for a coefficient vector vec indexed
+        by exponent e: fold e by x^M = 1, and by x^(M/2) = -1 when M is
+        even, then divide by Phi_M from the top."""
         deg, M = self.deg, self.M
-        acc = list(vec[:deg])
-        for e in range(deg, len(vec)):
-            c = vec[e]
+        half, sign = (M // 2, -1) if M % 2 == 0 else (M, 1)
+        acc = list(vec[:half]) + [0] * (deg - min(len(vec), half))
+        for start in range(half, len(vec), half):
+            s = sign ** (start // half)
+            for e, c in enumerate(vec[start:start + half]):
+                acc[e] += s * c
+        for e in range(len(acc) - 1, deg - 1, -1):
+            c = acc[e]
             if c:
-                for i, z in enumerate(self.zpow[e % M]):
-                    if z:
-                        acc[i] += c * z
-        return CycElem(self, tuple(acc))
+                base = e - deg
+                for i, a in self._phi_low:
+                    acc[base + i] -= c * a
+        return CycElem(self, tuple(acc[:deg]))
 
     def __eq__(self, other):
         return isinstance(other, CycRing) and other.M == self.M

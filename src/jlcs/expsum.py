@@ -5,8 +5,9 @@ identities relating them.
 Every sum is computed in integer counting coordinates: the kernels only
 ever build counts-per-exponent vectors, and the cyclotomic value is
 materialized once at the end, or never where sums in Z[zeta_p] are only
-compared (separation_witnesses compares count rows directly: one ratio
-reads only the rows it compares, a sweep over several reads one table).
+compared (separation_witnesses compares count rows directly: every ratio
+scans row pairs until two differ, and each row is read at most once per
+call, whatever the number of ratios).
 Restricted Gauss sums and d716's chi-weighted sums share the one fold
 _fold_chi_psi into counts over the powers of zeta_lcm(p, q-1).  Every sum
 over unit l-tuples, l >= 2, is a row of one d x p histogram (row: product
@@ -432,8 +433,8 @@ def separation_witness(n: int, psi: AddChar, aprime: ff.FFElem,
 def separation_witnesses(n: int, psi: AddChar, aprimes,
                          budget: int | None = None) -> list:
     """separation_witness for each ratio in aprimes, in order, all read
-    from one count table of the K_{n,a}: one ratio reads only the rows it
-    compares, several finish the table."""
+    from the rows of one count table of the K_{n,a}, each row read at most
+    once and only when a ratio compares it."""
     k = psi.field
     aprimes = list(aprimes)
     for aprime in aprimes:
@@ -442,27 +443,27 @@ def separation_witnesses(n: int, psi: AddChar, aprimes,
         if aprime.is_zero() or aprime == k.one():
             raise ValidationError("the ratio must differ from zero and one")
     rows = _kloosterman_rows(k, n, psi, budget)
+    L = k.order
+    read = {}
+
+    def row(t):
+        if t not in read:
+            read[t] = rows.row(t)
+        return read[t]
+
     # K_{n,a} lies in Z[zeta_p], where the only relation among the powers
     # zeta_p**e is that they sum to zero: two count rows give the same
-    # value iff their difference is constant
-    if len(aprimes) == 1:
-        # scan the pairs (T, T + dlog a') from T = 0, reading only their
-        # rows: a witness usually turns up within the first few
-        shift, L = ff.dlog(aprimes[0]), k.order
-        read = {}
-        for T in range(L):
-            for t in (T, (T + shift) % L):
-                if t not in read:
-                    read[t] = rows.row(t)
-            diff = read[T] - read[(T + shift) % L]
-            if (diff != diff[0]).any():
-                return [k.from_dlog(T)]
-        return [None]
-    counts = rows.table()
+    # value iff their difference is constant.  Each ratio scans the pairs
+    # (T, T + dlog a') from T = 0: a witness usually turns up within the
+    # first few, and a row read for one ratio serves the others
     witnesses = []
     for aprime in aprimes:
-        diff = counts - np.roll(counts, -ff.dlog(aprime), axis=0)
-        unequal = np.flatnonzero((diff != diff[:, :1]).any(axis=1))
-        witnesses.append(k.from_dlog(int(unequal[0])) if unequal.size
-                         else None)
+        shift = ff.dlog(aprime)
+        witness = None
+        for T in range(L):
+            diff = row(T) - row((T + shift) % L)
+            if (diff != diff[0]).any():
+                witness = k.from_dlog(T)
+                break
+        witnesses.append(witness)
     return witnesses

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jlcs import cli, expsum, ff
 from jlcs.chars import AddChar
@@ -127,7 +131,91 @@ FROZEN_REPORTS = [
     ("separation-q7-n25-one-ratio",
      "verify separation --p 7 --f 1 --n 25 --aprime-dlog 2", 0,
      "e8ddf80ba86b8a9d8721b2025847326297003b7904703604b17e7eec7f5859fb"),
+    # products and reductions in Z[zeta_3660] (degree 960) and
+    # Z[zeta_2162] (degree 1012)
+    ("d716-q61-n2-chi7", "verify d716 --p 61 --f 1 --n 2 --chi 7", 0,
+     "9e44d48c51b8a5bb9f8ada079aa3bacb44e6fa5ee8d89da3fcff2c7f45643564"),
+    ("d716-q47-n3-chi5", "verify d716 --p 47 --f 1 --n 3 --chi 5", 0,
+     "6fee287f155f2542cc983163d8eaa997daa1ecc34cad2c97d11477626583aa5e"),
 ]
+
+
+def mostly(valid, edge):
+    """One of valid three draws in four, else a boundary or negative
+    value from edge."""
+    valid, edge = list(valid), list(edge)
+    return st.sampled_from(valid * 3 * len(edge) + edge * len(valid))
+
+
+# Flags of each verb beyond --p, --f, --m, --r and --s, as (flag, values,
+# required); values None marks a switch.  Orders stay small, so no draw
+# can ask for a huge ring or field.
+SMALL = mostly([1, 2, 3], [-1, 0, 4])
+DLOG = st.integers(-2, 9)
+ORDER = mostly([1, 2, 4], [-1, 0])
+TWIST = ("--psi-twist", DLOG, False)
+ETA = [("--zeta", DLOG, False), ("--chi", DLOG, False),
+       ("--c-order", ORDER, False), ("--c-power", DLOG, False), TWIST]
+SAMPLES = ("--samples", st.integers(-1, 2), False)
+LAMBDA = ("--lambda-dlog", DLOG, False)
+VERB_FLAGS = {
+    ("sums", "gauss"): [("--chi", DLOG, False), TWIST],
+    ("sums", "restricted-gauss"): [
+        ("--n", SMALL, True), ("--chi", DLOG, False), TWIST,
+        ("--a-dlog", DLOG, False), ("--a-zero", None, False)],
+    ("sums", "kloosterman"): [("--l", SMALL, True), ("--a-dlog", DLOG, False),
+                              TWIST],
+    ("sums", "norm-fiber"): [("--l", SMALL, True), LAMBDA, TWIST],
+    ("verify", "d716"): [("--n", SMALL, True), ("--chi", DLOG, False), TWIST],
+    ("verify", "d725"): [LAMBDA, TWIST],
+    ("verify", "fourier"): [("--n", SMALL, True), ("--chi", DLOG, False),
+                            TWIST],
+    ("verify", "separation"): [("--n", SMALL, True),
+                               ("--aprime-dlog", DLOG, False), TWIST],
+    ("char",): ETA + [LAMBDA, SAMPLES, ("--all-lambda", None, False),
+                      ("--deep", None, False)],
+    ("jl", "verify"): ETA + [LAMBDA, SAMPLES, ("--all-lambda", None, False)],
+    ("epsilon",): ETA + [("--twist-unit", DLOG, False),
+                         ("--twist-varpi-order", ORDER, False),
+                         ("--twist-varpi-power", DLOG, False)],
+    ("csa", "selftest"): [],
+}
+# the verbs that take --m and --r, and those of them that take --s; n = m*r
+# stays at most 3, which keeps the algebra small
+M_R_VERBS = {("verify", "d725"), ("char",), ("jl", "verify"), ("epsilon",),
+             ("csa", "selftest")}
+S_VERBS = M_R_VERBS - {("verify", "d725")}
+M_R = mostly([(1, 1), (1, 2), (1, 3), (2, 1), (3, 1)],
+             [(0, 2), (1, 0), (-1, 2), (2, -1), (-1, -1)])
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one verb over a small field (or a boundary p or f), with
+    small, boundary and negative flag values: every draw parses, so
+    argparse itself never writes to stderr."""
+    verb = draw(st.sampled_from(sorted(VERB_FLAGS)))
+    argv = list(verb)
+    argv += ["--p", str(draw(mostly([2, 3], [-1, 0, 1, 4])))]
+    argv += ["--f", str(draw(mostly([1, 2], [-1, 0])))]
+    if verb in M_R_VERBS:
+        m, r = draw(M_R)
+        argv += ["--m", str(m), "--r", str(r)]
+        if verb in S_VERBS:
+            # the twists prime to r in [1, r-1], or none
+            valid = [s for s in range(1, r) if math.gcd(s, r) == 1]
+            s = draw(mostly(valid or [None], [None, -1, 0, max(r, 1)]))
+            if s is not None:
+                argv += ["--s", str(s)]
+    for flag, values, required in VERB_FLAGS[verb]:
+        if required or draw(st.booleans()):
+            argv += [flag] if values is None else [flag, str(draw(values))]
+    for flag, values in (("--budget", [0, 5, -1]),
+                         ("--precision", [-1, 0, 1, 2]),
+                         ("--format", ["csv"]), ("--seed", [1])):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.sampled_from(values)))]
+    return argv
 
 
 class TestWorkedExamples:
@@ -315,6 +403,16 @@ class TestExitCodes:
         assert record == {"kind": kind, "error": error.__name__,
                           "message": "broke"}
         assert ("Traceback" in captured.err) == (code == 4)
+
+    @given(cli_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_every_verb_keeps_the_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "internal_error" not in out.getvalue(), argv
+        assert err.getvalue() == "", argv
 
     def test_interrupt_still_propagates(self, monkeypatch):
         def interrupted(*args, **kwargs):

@@ -34,16 +34,34 @@ def exact_div(num, den):
     return out
 
 
+@cache
+def dense_powers(M):
+    """x^t mod Phi_M for every t < M, as deg-tuples, by the recurrence
+    x^(t+1) = x * x^t mod Phi_M: the dense table of reduced powers."""
+    phi = recursive_cyclotomic(M)
+    deg = len(phi) - 1
+    rows = []
+    cur = [1] + [0] * (deg - 1)
+    for _ in range(M):
+        rows.append(tuple(cur))
+        nxt = [0] + cur[:-1]
+        top = cur[-1]
+        if top:
+            nxt = [a - top * b for a, b in zip(nxt, phi)]
+        cur = nxt
+    return rows
+
+
 # The oracles for CycRing._reduce: the three reduction loops that
-# weighted_root_sum, CycElem.__mul__ and CycElem.galois each ran before
-# they shared the one reducer.
+# weighted_root_sum, CycElem.__mul__ and CycElem.galois each ran over the
+# dense table before they shared the one reducer.
 
 def oracle_weighted_root_sum(R, order, counts):
     step = R.M // order
     acc = [0] * R.deg
     for j, c in enumerate(counts):
         if c:
-            zp = R.zpow[j * step % R.M]
+            zp = dense_powers(R.M)[j * step % R.M]
             for i, z in enumerate(zp):
                 if z:
                     acc[i] += c * z
@@ -63,7 +81,7 @@ def oracle_mul(a, b):
     for e in range(deg, len(conv)):
         c = conv[e]
         if c:
-            zp = R.zpow[e % M]
+            zp = dense_powers(M)[e % M]
             for i, z in enumerate(zp):
                 if z:
                     head[i] += c * z
@@ -75,10 +93,21 @@ def oracle_galois(a, t):
     acc = [0] * R.deg
     for i, c in enumerate(a.coeffs):
         if c:
-            zp = R.zpow[(i * t) % R.M]
+            zp = dense_powers(R.M)[(i * t) % R.M]
             for j, z in enumerate(zp):
                 if z:
                     acc[j] += c * z
+    return tuple(acc)
+
+
+def oracle_reduce(R, vec):
+    """sum_e vec[e] * zeta_M**e over the dense table, for any length."""
+    acc = [0] * R.deg
+    for e, c in enumerate(vec):
+        if c:
+            for i, z in enumerate(dense_powers(R.M)[e % R.M]):
+                if z:
+                    acc[i] += c * z
     return tuple(acc)
 
 
@@ -164,13 +193,16 @@ class TestRingStructure:
         with pytest.raises(ValidationError):
             R.weighted_root_sum(3, [1, 2])
 
-    def test_power_table_is_built_on_first_use(self):
+    def test_ring_holds_no_power_table(self):
         R = cyc.CycRing(3660)
         assert R.deg == 960
-        assert "zpow" not in R.__dict__
         assert R.zeta(3660).coeffs == (0, 1) + (0,) * 958
-        assert "zpow" in R.__dict__
-        assert len(R.zpow) == 3660
+        assert R.zeta(3660, 3659).coeffs == dense_powers(3660)[3659]
+        # the only per-ring data past M and deg: Phi_M's nonzero
+        # coefficients below deg
+        low = [(i, c) for i, c in enumerate(recursive_cyclotomic(3660)[:-1])
+               if c]
+        assert vars(R) == {"M": 3660, "deg": 960, "_phi_low": tuple(low)}
 
     def test_mixed_ring_arithmetic_rejected(self):
         a = cyc.ring_for(3).one()
@@ -233,6 +265,43 @@ class TestOneReducer:
                                         max_size=d), label=f"counts{d}")
             assert R.weighted_root_sum(d, counts).coeffs == \
                 oracle_weighted_root_sum(R, d, counts)
+
+
+def sparse_vector(size, coeffs, max_terms=8):
+    """A list of length size with at most max_terms nonzero entries."""
+    return st.dictionaries(st.integers(0, size - 1), coeffs,
+                           max_size=max_terms).map(
+        lambda d: [d.get(i, 0) for i in range(size)])
+
+
+class TestReducerAgainstTheDenseTable:
+    # coefficients past 2**63, so no fixed-width shortcut can pass
+    coeffs = st.integers(-2 ** 70, 2 ** 70)
+
+    @pytest.mark.parametrize("M", [1, 2, 12, 60, 2162, 2520, 3660])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_zeta_products_galois_and_root_sums(self, M, data):
+        R = cyc.CycRing(M)
+        a = R.from_coeffs(data.draw(sparse_vector(R.deg, self.coeffs),
+                                    label="a"))
+        b = R.from_coeffs(data.draw(sparse_vector(R.deg, self.coeffs),
+                                    label="b"))
+        assert (a * b).coeffs == oracle_mul(a, b)
+        t = data.draw(st.integers(1, M).filter(lambda t: math.gcd(t, M) == 1),
+                      label="t")
+        assert a.galois(t).coeffs == oracle_galois(a, t)
+        order = data.draw(st.sampled_from(
+            [d for d in range(1, M + 1) if M % d == 0]), label="order")
+        power = data.draw(st.integers(-2 * M, 2 * M), label="power")
+        assert R.zeta(order, power).coeffs == \
+            dense_powers(M)[power % order * (M // order)]
+        counts = data.draw(sparse_vector(order, self.coeffs), label="counts")
+        assert R.weighted_root_sum(order, counts).coeffs == \
+            oracle_weighted_root_sum(R, order, counts)
+        # past M, whatever its parity: the reducer folds any length
+        vec = data.draw(sparse_vector(3 * M, self.coeffs), label="vec")
+        assert R._reduce(vec).coeffs == oracle_reduce(R, vec)
 
 
 class TestGalois:

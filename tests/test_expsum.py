@@ -822,19 +822,36 @@ class TestSeparationCounts:
 
     def test_builds_no_ring_value(self, monkeypatch):
         k, R, psi = setup_k(5, 1)
-        expect = [table_separation(3, psi, k.from_dlog(t))
-                  for t in range(1, k.order)]
-        fresh = cyc.CycRing(R.M)
-        psi = chars.AddChar(k, k.one(), fresh)
+        ratios = [k.from_dlog(t) for t in range(1, k.order)]
+        expect = [table_separation(3, psi, ap) for ap in ratios]
 
         def refuse(*args):
             raise AssertionError("separation built a ring value")
 
         monkeypatch.setattr(cyc.CycRing, "weighted_root_sum", refuse)
-        got = [expsum.separation_witness(3, psi, k.from_dlog(t))
-               for t in range(1, k.order)]
+        monkeypatch.setattr(cyc.CycRing, "_reduce", refuse)
+        got = [expsum.separation_witness(3, psi, ap) for ap in ratios]
         assert got == expect
-        assert "zpow" not in fresh.__dict__
+        assert expsum.separation_witnesses(3, psi, ratios) == expect
+
+    def test_every_ratio_reads_each_row_at_most_once(self, monkeypatch):
+        k, R, psi = setup_k(61, 1)
+        ratios = [k.from_dlog(t) for t in range(1, k.order)]
+        expect = [expsum.separation_witness(3, psi, ap) for ap in ratios]
+        reads = []
+        row = expsum._TupleCounts.row
+
+        def counted(self, T):
+            reads.append(T)
+            return row(self, T)
+
+        def refuse(self):
+            raise AssertionError("the sweep finished the table")
+
+        monkeypatch.setattr(expsum._TupleCounts, "row", counted)
+        monkeypatch.setattr(expsum._TupleCounts, "table", refuse)
+        assert expsum.separation_witnesses(3, psi, ratios) == expect
+        assert len(reads) == len(set(reads)) <= k.order
 
 
 @settings(max_examples=20, deadline=None)
