@@ -12,6 +12,10 @@ IdentityFailure), 2 usage or validation error (including an unwritable
 --out), 3 budget or precision abort, 4 an internal error (an
 InvariantError or any unexpected exception; the traceback goes to
 stderr).
+
+Each command is parsed by its own subcommand parser, reached by a walk
+by exact names; the full-tree parse is the tests' oracle for the walk,
+and reports any tokens that parser leaves over.
 """
 
 from __future__ import annotations
@@ -79,10 +83,18 @@ def _eta_flags(sub):
                      help="dlog of the additive twist")
 
 
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process: parse_args leaves it
-    unchanged, so every main call can share it."""
+    """The top of the argument tree.  Each command is parsed by its own
+    subcommand parser after a walk by exact names (_parse); the full-tree
+    parse_args here is the tests' oracle for that walk."""
+    return _tree()[0]
+
+
+@functools.cache
+def _tree():
+    """The argument tree, built once per process, and each parser's
+    (dest, name -> subparser) map: parsing leaves both unchanged, so every
+    main call can share them."""
     common = _common_flags()
     top = argparse.ArgumentParser(prog="jlcs")
     verbs = top.add_subparsers(dest="verb", required=True)
@@ -167,7 +179,27 @@ def _parser() -> argparse.ArgumentParser:
     st = csa_sub.add_parser("selftest", parents=[common])
     _field_flags(st, m_r=True)
 
-    return top
+    subs = [(top, verbs), (sums, kinds), (verify, checks), (jl, jl_sub),
+            (csa_verb, csa_sub)]
+    return top, {p: (sub.dest, sub.choices) for p, sub in subs}
+
+
+def _parse(argv) -> argparse.Namespace:
+    """_parser().parse_args(argv) in one parse: step into the subparser
+    while the next token is exactly one of its names, then parse the rest
+    with the parser reached.  Leftover tokens go to the full-tree parse,
+    which prints its error."""
+    top, commands = _tree()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, namespace, i = top, argparse.Namespace(), 0
+    for token in argv:
+        dest, names = commands.get(parser, (None, {}))
+        if token not in names:
+            break
+        setattr(namespace, dest, token)
+        parser, i = names[token], i + 1
+    namespace, extra = parser.parse_known_args(argv[i:], namespace)
+    return top.parse_args(argv) if extra else namespace
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +486,7 @@ def _run(args):
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -6,11 +6,12 @@ code asks for a ring large enough for every root-of-unity order it needs via
 ring_for(...), which takes the lcm of the declared orders.  Elements are
 integer coefficient tuples of length deg(Phi_M), so equality of two character
 sums is literal tuple equality; complex_value computes the complex embedding
-on demand, for floating-point cross-checks.  Roots of unity, products, Galois
-images and root sums all reduce a vector indexed by powers of zeta_M through
-the one CycRing._reduce: fold the exponents by x^M = 1 (by x^(M/2) = -1
-when M is even, which halves the vector), then divide by the monic Phi_M
-from the top, reading only its nonzero coefficients below deg.  The ring
+on demand, for floating-point cross-checks.  Products, Galois images, root
+sums and the roots of unity past deg all reduce a vector indexed by powers
+of zeta_M through the one CycRing._reduce: fold the exponents by x^M = 1
+(by x^(M/2) = -1 when M is even, which halves the vector), then divide by
+the monic Phi_M from the top, reading only its nonzero coefficients below
+deg.  The ring
 keeps no table that grows with M beyond those coefficients.
 """
 
@@ -99,9 +100,13 @@ class CycRing:
         if order < 1 or self.M % order:
             raise ValidationError(
                 f"order {order} does not divide the ring order {self.M}")
-        vec = [0] * ((power % order) * (self.M // order) + 1)
-        vec[-1] = 1
-        return self._reduce(vec)
+        # zeta_M^(M/2) = -1 for even M; below deg, zeta is a basis vector
+        e, sign = (power % order) * (self.M // order), 1
+        if self.M % 2 == 0 and e >= self.M // 2:
+            e, sign = e - self.M // 2, -1
+        vec = [0] * max(e + 1, self.deg)
+        vec[e] = sign
+        return CycElem(self, tuple(vec)) if e < self.deg else self._reduce(vec)
 
     def weighted_root_sum(self, order: int, counts) -> "CycElem":
         """sum_j counts[j] * zeta_order**j, for a counts vector of length order.

@@ -1,9 +1,11 @@
 import contextlib
+import csv as csv_mod
 import hashlib
 import io
 import itertools
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,24 @@ def run(capsys, *argv):
 
 def lines(out):
     return [json.loads(line) for line in out.splitlines()]
+
+
+def captured(main, argv):
+    """(exit code, stdout, stderr) of main(argv), SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def record_kinds(out, csv=False):
+    """The kind of each record of a JSON-lines or CSV report, in order."""
+    if csv:
+        return [row["kind"] for row in csv_mod.DictReader(io.StringIO(out))]
+    return [record["kind"] for record in lines(out)]
 
 
 def without_approx(obj):
@@ -407,12 +427,18 @@ class TestExitCodes:
     @given(cli_argv())
     @settings(max_examples=300, deadline=None)
     def test_every_verb_keeps_the_exit_code_contract(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        assert code in (0, 1, 2, 3), (argv, err.getvalue())
-        assert "internal_error" not in out.getvalue(), argv
-        assert err.getvalue() == "", argv
+        code, out, err = captured(cli.main, argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+        assert "internal_error" not in out, argv
+        assert err == "", argv
+        kinds = record_kinds(out, csv="--format" in argv)
+        if code in (2, 3):
+            # an abort prints its one error record and nothing else
+            assert kinds == ["error"], argv
+        elif argv[0] in ("verify", "char", "jl"):
+            # a sweep ends with its one summary
+            assert kinds.count("summary") == 1 and kinds[-1] == "summary", \
+                argv
 
     def test_interrupt_still_propagates(self, monkeypatch):
         def interrupted(*args, **kwargs):
@@ -553,6 +579,127 @@ class TestReportShape:
         code, out = run(capsys, *command.split(), "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == header
+
+
+def full_tree_parse(argv):
+    """The oracle for cli._parse: one parse_args over the whole tree."""
+    return cli._parser().parse_args(argv)
+
+
+SEP = ["verify", "separation", "--p", "3", "--f", "2", "--n", "3"]
+GAUSS = ["sums", "gauss", "--p", "3", "--f", "1"]
+# argv whose exit code, stdout and stderr through cli.main must be those
+# of the full-tree parse: help and usage errors at every level, and runs
+ORACLE_ARGV = {
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "help-abbreviated": ["--he"],
+    "help-before-verb": ["-h", "verify"],
+    "help-sums": ["sums", "-h"],
+    "help-sums-gauss": GAUSS[:2] + ["--help"],
+    "help-sums-restricted-gauss": ["sums", "restricted-gauss", "-h"],
+    "help-sums-kloosterman": ["sums", "kloosterman", "-h"],
+    "help-sums-norm-fiber": ["sums", "norm-fiber", "-h"],
+    "help-verify": ["verify", "-h"],
+    "help-before-check": ["verify", "-h", "separation"],
+    "help-verify-d716": ["verify", "d716", "-h"],
+    "help-verify-d725": ["verify", "d725", "-h"],
+    "help-verify-fourier": ["verify", "fourier", "-h"],
+    "help-verify-separation": SEP[:2] + ["-h"],
+    "help-abbreviated-leaf": SEP[:2] + ["--h"],
+    "help-char": ["char", "-h"],
+    "help-jl": ["jl", "-h"],
+    "help-jl-verify": ["jl", "verify", "-h"],
+    "help-epsilon": ["epsilon", "-h"],
+    "help-csa": ["csa", "-h"],
+    "help-csa-selftest": ["csa", "selftest", "-h"],
+    "help-after-flags": SEP + ["-h"],
+    "empty": [],
+    "unknown-verb": ["frobnicate"],
+    "verb-case": ["Verify", "separation"],
+    "unknown-check": ["verify", "bogus"],
+    "missing-check": ["verify"],
+    "missing-jl-command": ["jl"],
+    "missing-flags": GAUSS[:2],
+    "missing-n": SEP[:-2],
+    "missing-value": GAUSS + ["--chi"],
+    "non-integer": ["sums", "gauss", "--p", "x", "--f", "1"],
+    "bad-format": GAUSS + ["--format", "xml"],
+    "unknown-flag-before-check": ["verify", "--zzz"] + SEP[1:],
+    "unknown-flag-after-check": SEP + ["--zzz"],
+    "unknown-short-flag": GAUSS + ["-x"],
+    "stray-positional": SEP + ["stray"],
+    "flag-before-check": ["verify", "--p", "3", "separation"],
+    "equals-value": ["sums", "gauss", "--p=3", "--f", "1"],
+    "abbreviated-flag": SEP + ["--apr", "1"],
+    "ambiguous-abbreviation": ["char", "--p", "3", "--f", "1", "--m", "1",
+                               "--r", "1", "--c", "1"],
+    "repeated-flag": ["sums", "gauss", "--p", "5", "--p", "3", "--f", "1"],
+    "double-dash-last": GAUSS + ["--"],
+    "double-dash-before-flags": GAUSS[:2] + ["--"] + GAUSS[2:],
+    "double-dash-before-verb": ["--"] + GAUSS,
+    "negative-value": ["verify", "d725", "--p", "2", "--f", "1", "--m", "1",
+                       "--r", "1", "--psi-twist", "-1"],
+    "run-separation": SEP,
+    "run-gauss-csv": GAUSS + ["--format", "csv"],
+    "run-budget-abort": ["sums", "kloosterman", "--p", "3", "--f", "1",
+                         "--l", "3", "--budget", "0"],
+    "run-validation": ["verify", "separation", "--p", "2", "--f", "1",
+                       "--n", "2"],
+    "run-char": ["char", "--p", "3", "--f", "1", "--m", "1", "--r", "1",
+                 "--samples", "0"],
+    "run-jl": ["jl", "verify", "--p", "3", "--f", "1", "--m", "1", "--r", "2",
+               "--s", "1", "--samples", "0"],
+    "run-epsilon": ["epsilon", "--p", "3", "--f", "1", "--m", "1", "--r", "2",
+                    "--s", "1"],
+    "run-csa": ["csa", "selftest", "--p", "2", "--f", "1", "--m", "1",
+                "--r", "1"],
+}
+# tokens to splice into a valid argv: help, stray and unknown tokens,
+# subcommand names out of place, and flags cut short or left without value
+SPLICE = ["-h", "--help", "--he", "--", "-", "--zzz", "-x", "stray", "-1",
+          "--p", "--p=2", "--apr", "--format", "xml", "--seed", "verify",
+          "separation", "sums", "jl", "csa", "selftest", "char", "="]
+
+
+class TestParseWalk:
+    """cli._parse walks to the command's own parser; the full-tree parse
+    is its oracle, in namespace, exit code, stdout and stderr."""
+
+    @given(cli_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_walk_gives_the_full_tree_namespace(self, argv):
+        assert vars(cli._parse(argv)) == vars(full_tree_parse(argv))
+
+    @given(cli_argv(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_spliced_argv_parses_as_the_full_tree(self, argv, data):
+        at = data.draw(st.integers(0, len(argv)), label="at")
+        tokens = data.draw(st.lists(st.sampled_from(SPLICE), min_size=1,
+                                    max_size=2), label="tokens")
+        argv = argv[:at] + tokens + argv[at:]
+        assert captured(cli._parse, argv) == captured(full_tree_parse, argv)
+
+    @pytest.mark.parametrize("argv", list(ORACLE_ARGV.values()),
+                             ids=list(ORACLE_ARGV))
+    def test_main_prints_what_the_full_tree_prints(self, argv, monkeypatch):
+        walked = captured(cli.main, argv)
+        # argv=None reads sys.argv, as the jlcs console script does
+        monkeypatch.setattr(sys, "argv", ["jlcs", *argv])
+        assert captured(lambda _: cli.main(), None) == walked
+        monkeypatch.setattr(cli, "_parse", full_tree_parse)
+        assert captured(cli.main, argv) == walked
+
+    def test_the_table_asks_every_parser_for_help(self):
+        top, commands = cli._tree()
+        helped = {tuple(argv[:-1]) for argv in ORACLE_ARGV.values()
+                  if argv[-1:] in (["-h"], ["--help"])}
+        stack = [((), top)]
+        while stack:
+            path, parser = stack.pop()
+            assert path in helped, path
+            _, names = commands.get(parser, (None, {}))
+            stack += [(path + (name,), sub) for name, sub in names.items()]
 
 
 class TestDeterminism:

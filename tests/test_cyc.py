@@ -303,6 +303,17 @@ class TestReducerAgainstTheDenseTable:
         vec = data.draw(sparse_vector(3 * M, self.coeffs), label="vec")
         assert R._reduce(vec).coeffs == oracle_reduce(R, vec)
 
+    @pytest.mark.parametrize("M", [1, 2, 12, 60, 84, 3660])
+    def test_every_root_of_unity(self, M):
+        # every exponent class of every order dividing M, on both sides of
+        # M/2 and of deg, and once more as a negative power
+        R, table = cyc.CycRing(M), dense_powers(M)
+        for order in (d for d in range(1, M + 1) if M % d == 0):
+            for power in range(order):
+                want = table[power * (M // order)]
+                assert R.zeta(order, power).coeffs == want
+                assert R.zeta(order, power - order).coeffs == want
+
 
 class TestGalois:
     @given(coeff_vectors, coeff_vectors,
