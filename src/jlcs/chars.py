@@ -60,9 +60,6 @@ class AddChar:
         # concatenating the two slices is several times faster than np.roll
         return np.concatenate((te[s:], te[:s]))
 
-    def is_trivial(self) -> bool:
-        return False  # a nonzero twist always gives a nontrivial character
-
     def to_json(self) -> dict:
         return {"kind": "additive", "p": self.p,
                 "twist_dlog": self._shift, "field": self.field.to_json()}
@@ -89,9 +86,6 @@ class MultChar:
         n = self.field.order
         return n // math.gcd(self.j, n) if self.j else 1
 
-    def is_trivial(self) -> bool:
-        return self.j == 0
-
     def exponent(self, x: ff.FFElem) -> int:
         """Exponent against zeta_(q-1), an integer in [0, q-1)."""
         if x.field is not self.field:
@@ -102,16 +96,6 @@ class MultChar:
 
     def eval(self, x: ff.FFElem) -> CycElem:
         return self.ring.zeta(self.field.order, self.exponent(x))
-
-    def __mul__(self, other: "MultChar") -> "MultChar":
-        if not isinstance(other, MultChar):
-            return NotImplemented
-        if other.field is not self.field or other.ring.M != self.ring.M:
-            raise ValidationError("characters on different groups")
-        return MultChar(self.field, self.j + other.j, self.ring)
-
-    def inverse(self) -> "MultChar":
-        return MultChar(self.field, -self.j, self.ring)
 
     def __eq__(self, other):
         if not isinstance(other, MultChar):
@@ -138,8 +122,3 @@ def inflate_add(psi: AddChar, ext: ff.FieldDesc) -> AddChar:
     if not ext.has_subfield(psi.field):
         raise ValidationError("inflation requires a declared subfield")
     return AddChar(ext, ff.embed(psi.twist, ext), psi.ring)
-
-
-def all_mult_chars(field: ff.FieldDesc, ring: CycRing) -> list[MultChar]:
-    """Every character of the unit group, indexed by exponent."""
-    return [MultChar(field, j, ring) for j in range(field.order)]

@@ -187,8 +187,8 @@ def _tree():
 def _parse(argv) -> argparse.Namespace:
     """_parser().parse_args(argv) in one parse: step into the subparser
     while the next token is exactly one of its names, then parse the rest
-    with the parser reached.  Leftover tokens go to the full-tree parse,
-    which prints its error."""
+    with the parser reached.  Only the error on leftover tokens differs:
+    the parser reached reports them, with its own usage line."""
     top, commands = _tree()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, namespace, i = top, argparse.Namespace(), 0
@@ -198,8 +198,7 @@ def _parse(argv) -> argparse.Namespace:
             break
         setattr(namespace, dest, token)
         parser, i = names[token], i + 1
-    namespace, extra = parser.parse_known_args(argv[i:], namespace)
-    return top.parse_args(argv) if extra else namespace
+    return parser.parse_args(argv[i:], namespace)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ power of the corner c Pi, a twist, a scaling and a shift of every
 coefficient; phi_inverse is that row map applied to the identity.  The
 matrix product _matmul is the definition, each entry the sum of its m
 products: it serves the checks that phi^n is zeta w, the geometric series
-of one_plus_inverse, the self-test and the test oracles.  An AlgElem finds
-its live coefficients (those not an exact zero) once, when it is built:
-its products run over the live pairs only, its exact-zero test reads that
-list, adding an exact zero returns the other operand, and the empty slots
-of a product share the one exact-zero series of the DivAlgebra.  The sums
+of one_plus_inverse and the self-test.  An AlgElem finds its live
+coefficients (those not an exact zero) once, when it is built: its
+products run over the live pairs only, adding an exact zero (no live
+coefficient) returns the other operand, and the empty slots of a product
+share the one exact-zero series of the DivAlgebra.  The sums
 of series products in the Berkowitz steps (each mat-vec, the Toeplitz
 entries and the Toeplitz convolution) go through locfield.ProductSums,
 which skips the exact-zero terms and reads each step's sums back from
@@ -85,14 +85,6 @@ class DivAlgebra:
 
     def one(self) -> "AlgElem":
         return self.from_series(lf.one(self.kr))
-
-    def pi(self) -> "AlgElem":
-        """The uniformizing element Pi (equals w when r = 1)."""
-        if self.r == 1:
-            return self.from_series(lf.uniformizer(self.kr))
-        coeffs = [self.zero_series] * self.r
-        coeffs[1] = lf.one(self.kr)
-        return AlgElem(self, tuple(coeffs))
 
     def from_series(self, x: lf.LaurentTrunc) -> "AlgElem":
         """The element x * Pi^0 for a series x over k_r."""
@@ -190,14 +182,6 @@ class AlgElem:
                 bounds.append(r * a.prec + i)
         return known, bounds
 
-    def w(self) -> int | None:
-        """Valuation in the value group of D (w(Pi) = 1, w(w) = r).
-
-        None only for the exact zero; raises when truncation leaves the
-        minimum undetermined, a truncated zero included.
-        """
-        return _least_valuation(*self._w_terms(), "valuation")
-
     def _w_cmp(self, v: int):
         """True / False / None for 'w(self) >= v', None when undetermined.
 
@@ -208,20 +192,8 @@ class AlgElem:
         return _all_certain(a.val_at_least(-((i - v) // r))
                             for i, a in enumerate(self.coeffs))
 
-    def w_at_least(self, v: int) -> bool:
-        return lf.certify(self._w_cmp(v), "membership")
-
-    def in_order(self) -> bool:
-        return self.w_at_least(0)
-
-    def in_radical(self) -> bool:
-        return self.w_at_least(1)
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.coeffs)
-
-    def is_exact_zero(self) -> bool:
-        return not self.live
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -403,16 +375,11 @@ class MatA:
             return self.parent.identity()
         return binary_power(self, e, None)
 
-    def scale_base_series(self, x: lf.LaurentTrunc) -> "MatA":
-        """Multiplication by the central series x over k."""
-        d = self.parent.D.from_base_series(x)
-        return MatA(self.parent,
-                    tuple(tuple(d * a for a in row) for row in self.entries))
-
     def scale_teich(self, c: ff.FFElem) -> "MatA":
         """Multiplication by the central Teichmuller scalar of a unit c of
         k: every coefficient of every entry is scaled by c, exact zeros
-        kept, as scale_base_series(teichmuller(c)) would give it."""
+        kept, as the entrywise product by from_base_series(teichmuller(c))
+        would give it."""
         D = self.parent.D
         if c.field is not D.k or c.packed == 0:
             raise ValidationError("the scalar must be a unit of k")
@@ -468,7 +435,11 @@ class MatA:
                 kt, bt = e._w_terms()
                 known.extend(m * t + j - i for t in kt)
                 bounds.extend(m * t + j - i for t in bt)
-        return _least_valuation(known, bounds, "radical valuation")
+        # a bound below every known term hides the minimum
+        if bounds and (not known or min(bounds) < min(known)):
+            raise PrecisionError(
+                "radical valuation not determined at this precision")
+        return min(known) if known else None
 
     def _in_power(self, v: int):
         """True / False / None for membership in P^v.
@@ -495,16 +466,6 @@ class MatA:
 
     def __repr__(self):
         return f"MatA({self.parent!r})"
-
-
-def _least_valuation(known, bounds, what: str) -> int | None:
-    """The least known term valuation, given lower bounds for the terms
-    that truncation hides.  None only for the exact zero (neither list has
-    an entry); PrecisionError when a bound falls below every known
-    valuation, a truncated zero (bounds but nothing known) included."""
-    if bounds and (not known or min(bounds) < min(known)):
-        raise PrecisionError(f"{what} not determined at this precision")
-    return min(known) if known else None
 
 
 def _all_certain(verdicts):
@@ -832,12 +793,6 @@ class RedCharPoly:
     field: ff.FieldDesc
     n: int
     coeffs: tuple
-
-    def eval_at(self, x: lf.LaurentTrunc) -> lf.LaurentTrunc:
-        acc = lf.one(self.field)
-        for i in range(self.n - 1, -1, -1):
-            acc = acc * x + self.coeffs[i]
-        return acc
 
     def derivative(self) -> list:
         k = self.field

@@ -6,13 +6,12 @@ code asks for a ring large enough for every root-of-unity order it needs via
 ring_for(...), which takes the lcm of the declared orders.  Elements are
 integer coefficient tuples of length deg(Phi_M), so equality of two character
 sums is literal tuple equality; complex_value computes the complex embedding
-on demand, for floating-point cross-checks.  Products, Galois images, root
-sums and the roots of unity past deg all reduce a vector indexed by powers
-of zeta_M through the one CycRing._reduce: fold the exponents by x^M = 1
-(by x^(M/2) = -1 when M is even, which halves the vector), then divide by
-the monic Phi_M from the top, reading only its nonzero coefficients below
-deg.  The ring
-keeps no table that grows with M beyond those coefficients.
+on demand, for floating-point cross-checks.  Products, root sums and the
+roots of unity past deg all reduce a vector indexed by powers of zeta_M
+through the one CycRing._reduce: fold the exponents by x^M = 1 (by
+x^(M/2) = -1 when M is even, which halves the vector), then divide by the
+monic Phi_M from the top, reading only its nonzero coefficients below deg.
+The ring keeps no table that grows with M beyond those coefficients.
 """
 
 from __future__ import annotations
@@ -229,20 +228,6 @@ class CycElem:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def galois(self, t: int) -> "CycElem":
-        """Apply zeta_M -> zeta_M**t; t must be prime to M."""
-        ring = self.ring
-        if math.gcd(t, ring.M) != 1:
-            raise ValidationError("galois exponent must be prime to M")
-        vec = [0] * ring.M
-        for i, c in enumerate(self.coeffs):
-            vec[i * t % ring.M] = c
-        return ring._reduce(vec)
-
-    def conjugate(self) -> "CycElem":
-        """Complex conjugation, zeta_M -> zeta_M**(-1)."""
-        return self.galois(self.ring.M - 1) if self.ring.M > 1 else self
 
     def complex_value(self) -> complex:
         """Embedding zeta_M -> exp(2*pi*i/M), for floating cross-checks."""

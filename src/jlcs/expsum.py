@@ -32,7 +32,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import ff
-from ._util import json_line
 from .chars import AddChar, MultChar, inflate_add
 from .cyc import CycElem
 from .errors import BudgetExceeded, ValidationError
@@ -52,12 +51,6 @@ class SumReport:
     witness: ff.FFElem | None = None
     elapsed: float = dc_field(default=0.0, compare=False)
 
-    @classmethod
-    def make(cls, kind, parameters, lhs, rhs, witness=None, elapsed=0.0):
-        return cls(kind=kind, parameters=parameters, lhs=lhs, rhs=rhs,
-                   equal=(lhs - rhs).is_zero(), witness=witness,
-                   elapsed=elapsed)
-
     def to_json(self) -> dict:
         # elapsed is deliberately left out: reports must be byte-stable
         out = {
@@ -71,9 +64,6 @@ class SumReport:
             out["witness_dlog"] = (None if self.witness.is_zero()
                                    else ff.dlog(self.witness))
         return out
-
-    def json_line(self) -> str:
-        return json_line(self.to_json())
 
 
 def check_budget(work: int, budget: int | None):
@@ -293,12 +283,12 @@ def check_identity_716(n: int, chi: MultChar, psi: AddChar,
     # row T, column e counts chi(g**T) psi(e) terms
     lhs = _fold_chi_psi(chi, *np.indices(counts.shape), counts)
     rhs = gauss_sum(chi, psi) ** n
-    report = SumReport.make(
+    return SumReport(
         kind="d716",
         parameters={"q": k.size, "n": n, "chi_exponent": chi.j,
                     "psi_twist_dlog": ff.dlog(psi.twist)},
-        lhs=lhs, rhs=rhs, elapsed=time.perf_counter() - t_start)
-    return report
+        lhs=lhs, rhs=rhs, equal=(lhs - rhs).is_zero(),
+        elapsed=time.perf_counter() - t_start)
 
 
 def check_identity_725(m: int, r: int, lam: ff.FFElem, psi: AddChar,
@@ -424,17 +414,12 @@ def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar,
         elapsed=time.perf_counter() - t_start)
 
 
-def separation_witness(n: int, psi: AddChar, aprime: ff.FFElem,
-                       budget: int | None = None) -> ff.FFElem | None:
-    """Least a (by dlog) with K_{n,a} != K_{n,a*aprime}; None if none exists."""
-    return separation_witnesses(n, psi, [aprime], budget)[0]
-
-
 def separation_witnesses(n: int, psi: AddChar, aprimes,
                          budget: int | None = None) -> list:
-    """separation_witness for each ratio in aprimes, in order, all read
-    from the rows of one count table of the K_{n,a}, each row read at most
-    once and only when a ratio compares it."""
+    """For each ratio a' in aprimes, in order, the least a (by dlog) with
+    K_{n,a} != K_{n,a*a'}, or None if none exists: all read from the rows
+    of one count table of the K_{n,a}, each row read at most once and only
+    when a ratio compares it."""
     k = psi.field
     aprimes = list(aprimes)
     for aprime in aprimes:

@@ -503,9 +503,6 @@ class FFElem:
     def is_zero(self) -> bool:
         return self.packed == 0
 
-    def coeffs(self) -> list[int]:
-        return self.field._digits(self.packed)
-
     def __repr__(self):
         return f"FF({self.packed}@{self.field!r})"
 
@@ -543,13 +540,6 @@ def frobenius(x: FFElem, j: int, over: FieldDesc) -> FFElem:
     if not x.field.has_subfield(over):
         raise ValidationError("frobenius over a field outside the tower")
     return x ** (over.size ** (j % max(x.field.degree // over.degree, 1)))
-
-
-def rel_trace(x: FFElem, over: FieldDesc) -> FFElem:
-    """Trace of x down to a declared subfield."""
-    if not x.field.has_subfield(over):
-        raise ValidationError("trace over a field outside the tower")
-    return FFElem(over, x.field.trace_packed(over, x.packed))
 
 
 def norm_fiber_congruence(ext: FieldDesc, over: FieldDesc,

@@ -30,9 +30,6 @@ p and weighted into packed field codes.
 
 from __future__ import annotations
 
-import operator
-from functools import reduce
-
 import numpy as np
 
 from . import ff
@@ -340,10 +337,6 @@ def one(field: ff.FieldDesc, prec=INF) -> LaurentTrunc:
     return LaurentTrunc(field, 0, (1,), prec)
 
 
-def uniformizer(field: ff.FieldDesc, prec=INF) -> LaurentTrunc:
-    return LaurentTrunc(field, 1, (1,), prec)
-
-
 def teichmuller(c: ff.FFElem, prec=INF) -> LaurentTrunc:
     """The constant-series lift of c (exact in equal characteristic)."""
     return LaurentTrunc(c.field, 0, (c.packed,), prec)
@@ -392,16 +385,6 @@ def series_trace(x: LaurentTrunc, over: ff.FieldDesc) -> LaurentTrunc:
         raise ValidationError("series field does not extend the base")
     coeffs = [x.field.trace_packed(over, c) for c in x.coeffs]
     return LaurentTrunc(over, x.val, coeffs, x.prec)
-
-
-def series_norm(x: LaurentTrunc, over: ff.FieldDesc) -> LaurentTrunc:
-    """Norm of the unramified extension: product of Galois conjugates."""
-    if not x.field.has_subfield(over):
-        raise ValidationError("series field does not extend the base")
-    d = x.field.degree // over.degree
-    return pullback_series(
-        reduce(operator.mul, (galois_series(x, j, over) for j in range(d))),
-        over)
 
 
 # ---------------------------------------------------------------------------

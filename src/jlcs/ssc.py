@@ -166,20 +166,13 @@ def make_param(p: int, f: int, m: int, r: int, s: int | None,
 
 def decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
     """Write g = phi^v * x * u with x a Teichmuller scalar from k and
-    u in U^1 of the standard order; returns (v, residue of x, u).
+    u in U^1 of the standard order; returns (v, residue of x, u, u - 1).
 
     The valuation v is read off the order's radical filtration and the
     factorization is then verified piece by piece, so failure at any step
-    means g lies outside the group where theta is defined.
-    """
-    return _decompose(alg, zeta, g)[:3]
-
-
-def _decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
-    """decompose's (v, residue of x, u) and u - 1, computed once.
-
-    The unit part x^{-1} is central and Teichmuller, so u is phi^{-v} g
-    with every coefficient scaled by the residue of x^{-1}.
+    means g lies outside the group where theta is defined.  The unit part
+    x^{-1} is central and Teichmuller, so u is phi^{-v} g with every
+    coefficient scaled by the residue of x^{-1}.
     """
     if g.parent is not alg:
         raise ValidationError("element from a different algebra")
@@ -209,21 +202,11 @@ def _decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
 
 def theta_eval(eta: SscParam, g: csa.MatA):
     """theta(phi^v x u) = ((-1)^{m-1} c)^v chi(x) psi_K(Trd(phi^{-1}(u-1)))."""
-    v, xbar, _u, du = _decompose(eta.alg, eta.zeta, g)
+    v, xbar, _u, du = decompose(eta.alg, eta.zeta, g)
     phi_inv = csa.phi_inverse(eta.alg.m, eta.alg.D, eta.zeta)
     t = csa.rtrace_product(phi_inv, du)
     root = eta.chi.eval(xbar) * lf.psi_K(eta.psi, t)
     return eta._finish(root, v, (eta.alg.m - 1) * v)
-
-
-def random_group_element(eta: SscParam, rng, prec: int) -> csa.MatA:
-    """A random element of the domain of theta, at finite precision."""
-    MA = eta.alg
-    v = rng.randrange(3)
-    xbar = eta.k.from_dlog(rng.randrange(eta.k.order))
-    y = csa.phi_power_mul(eta.zeta, 1, MA.random_in_order(rng, prec))
-    unit = y.truncate(prec).plus_identity().scale_teich(xbar)
-    return csa.phi_power_mul(eta.zeta, v, unit)
 
 
 # ---------------------------------------------------------------------------

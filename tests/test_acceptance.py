@@ -106,7 +106,7 @@ def test_criterion_02_gu_character_matches_restricted_gauss():
             g = csa.make_g_u(m, alg.D, eta.zeta, u)
             parts = []
             for x, x_inv in diagonals:
-                v, xbar, u1 = ssc.decompose(alg, eta.zeta, x_inv * g * x)
+                v, xbar, u1, _ = ssc.decompose(alg, eta.zeta, x_inv * g * x)
                 assert v == 1, f"{label}: conjugate left the coset phi U^1"
                 tr = csa.rtrace(phi_inv * (u1 - ident))
                 parts.append((ff.dlog(xbar), lf.psi_K(eta.psi, tr)))
@@ -168,7 +168,7 @@ def test_criterion_04_chi_weighted_kloosterman_is_gauss_power():
                 for j in range(k.order):
                     rep = expsum.check_identity_716(
                         n, MultChar(k, j, ring), psi)
-                    assert rep.equal, rep.json_line()
+                    assert rep.equal, rep.to_json()
                     assert_exact(rep.lhs, rep.rhs,
                                  f"d716 q={k.size} n={n} chi={j} tw={tw}")
                     reports += 1
@@ -183,7 +183,7 @@ def test_criterion_05_norm_fiber_three_way():
         for (m, r) in MR_PAIRS:
             for t in range(k.order):
                 rep = expsum.check_identity_725(m, r, k.from_dlog(t), psi)
-                assert rep.equal, rep.json_line()
+                assert rep.equal, rep.to_json()
                 assert_exact(rep.lhs, rep.rhs,
                              f"d725 q={k.size} m={m} r={r} lam={t}")
     print("criterion 5: PASS")
@@ -201,7 +201,7 @@ def test_criterion_06_restricted_gauss_nonvanishing_and_inversion():
                     label = f"fourier q={k.size} n={n} chi={j} tw={tw}"
                     assert expsum.gn_nonzero_witness(n, chi, psi) is not None, label
                     rep = expsum.fourier_inversion_check(n, chi, psi)
-                    assert rep.equal, rep.json_line()
+                    assert rep.equal, rep.to_json()
                     assert_exact(rep.lhs, rep.rhs, label)
     print("criterion 6: PASS")
 
@@ -212,7 +212,8 @@ def test_criterion_07_kloosterman_ratio_separation():
         psi = AddChar(k, k.one(), ring_for(p, k.order))
         for n in range(1, 5):
             for t in range(1, k.order):
-                witness = expsum.separation_witness(n, psi, k.from_dlog(t))
+                (witness,) = expsum.separation_witnesses(
+                    n, psi, [k.from_dlog(t)])
                 assert witness is not None, \
                     f"separation q={k.size} n={n} aprime={t}"
     print("criterion 7: PASS")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv as csv_mod
 import hashlib
@@ -581,9 +582,27 @@ class TestReportShape:
         assert out.splitlines()[0] == header
 
 
+def walked_parser(argv):
+    """The parser reached by stepping into a subparser while the next token
+    is exactly one of its names, read off the argparse actions."""
+    parser = cli._parser()
+    for token in argv:
+        names = next((action.choices for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)), {})
+        if token not in names:
+            break
+        parser = names[token]
+    return parser
+
+
 def full_tree_parse(argv):
-    """The oracle for cli._parse: one parse_args over the whole tree."""
-    return cli._parser().parse_args(argv)
+    """The oracle for cli._parse: parse_args over the whole tree, with the
+    error on leftover tokens made by the parser the walk reached."""
+    namespace, extra = cli._parser().parse_known_args(argv)
+    if extra:
+        walked_parser(argv).error(
+            "unrecognized arguments: " + " ".join(extra))
+    return namespace
 
 
 SEP = ["verify", "separation", "--p", "3", "--f", "2", "--n", "3"]
@@ -664,7 +683,8 @@ SPLICE = ["-h", "--help", "--he", "--", "-", "--zzz", "-x", "stray", "-1",
 
 class TestParseWalk:
     """cli._parse walks to the command's own parser; the full-tree parse
-    is its oracle, in namespace, exit code, stdout and stderr."""
+    is its oracle, in namespace, exit code, stdout and stderr, with
+    leftover tokens reported by the parser the walk reached."""
 
     @given(cli_argv())
     @settings(max_examples=300, deadline=None)
@@ -689,6 +709,13 @@ class TestParseWalk:
         assert captured(lambda _: cli.main(), None) == walked
         monkeypatch.setattr(cli, "_parse", full_tree_parse)
         assert captured(cli.main, argv) == walked
+
+    def test_leftover_tokens_are_reported_by_the_command(self):
+        code, out, err = captured(cli.main, SEP + ["--zzz"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: jlcs verify separation [-h] ")
+        assert err.endswith("\njlcs verify separation: error: "
+                            "unrecognized arguments: --zzz\n")
 
     def test_the_table_asks_every_parser_for_help(self):
         top, commands = cli._tree()

