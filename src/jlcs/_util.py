@@ -87,6 +87,10 @@ def solve_congruence(a: int, b: int, n: int):
     return t0, n2
 
 
+# one encoder for every line: json.dumps builds a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_line(obj) -> str:
     """Canonical single-line JSON for byte-stable reports."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)

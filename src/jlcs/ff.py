@@ -11,10 +11,16 @@ time, by locating the least root of the subfield's defining polynomial.
 Every build step works on one representation of F_p[x]/(h): the companion
 matrix C of h, the matrix of multiplication by x, so that the element
 sum c_i x^i multiplies as sum c_i C^i.  Rabin's irreducibility test, the
-generator search, the walk over generator powers and the traces of the
-basis elements are all matrix powers, ranks and traces over F_p.  An
-embedding of a subfield is a single discrete log: the subfield's generator
-goes to g^t, so embedding and pullback are arithmetic on logs.
+generator search and the traces of the basis elements are matrix powers,
+ranks and traces over F_p.  The walk over generator powers holds one block
+of 1024 digit columns at a time: the first is built by doubling, columns
+[B, 2B) = M^B columns [0, B) with M the generator's matrix, and each later
+block is M^1024 times the one before.  Each block product is one float64
+matrix product, exact because every sum of products, at most d (p - 1)^2
+for a digit and below p^d for a packed code, stays below 2^40 for fields
+under the cap, far from 2^53 (checked once per build).  An embedding of a
+subfield is a single discrete log: the subfield's generator goes to g^t,
+so embedding and pullback are arithmetic on logs.
 
 Elements are stored packed: an element with coefficients (c_0, ..., c_{d-1})
 over F_p is the integer sum(c_i * p**i).  Every field carries full exp/log
@@ -68,6 +74,16 @@ def _companion(h, p) -> np.ndarray:
     C = np.eye(d, k=-1, dtype=np.int64)
     C[:, -1] = [-c % p for c in h[:-1]]
     return C
+
+
+# width of one block of the walk over generator powers
+_BLOCK = 1024
+
+
+def _exact_matmul(A, X) -> np.ndarray:
+    """A @ X for nonnegative integer matrices as one float64 (BLAS) product,
+    returned as int64; exact while every sum of products is below 2^53."""
+    return (A.astype(np.float64) @ X.astype(np.float64)).astype(np.int64)
 
 
 def _matpow_mod(M, e, p):
@@ -153,7 +169,9 @@ class FieldDesc:
                  read-only numpy array of the least unsigned dtype that
                  holds p - 1 (one byte per unit for p < 256).
 
-    The tables are built from the companion matrix C of the modulus.  A
+    The tables are built from the companion matrix C of the modulus, by a
+    walk over the generator powers in blocks of 1024 digit columns (see
+    _build_tables), so no d x order digit matrix is ever held.  A
     declared subfield is held as (t, u_inv): its generator g_s maps to g^t,
     t = step*u with step = order/|sub^x|, so g_s^j embeds as g^(t*j) and
     pullback reads j = (s/step)*u_inv mod |sub^x| off a log s in step*Z.
@@ -220,6 +238,17 @@ class FieldDesc:
         raise InvariantError("no generator found")  # unreachable
 
     def _build_tables(self):
+        """exp, log, trace_exp and Zech tables from a walk over the digit
+        columns of the generator powers, one d x _BLOCK block at a time.
+
+        Multiplication by the generator is the F_p-linear map M, so column t
+        holds the digits of g^t.  The first block is built by doubling,
+        columns [B, 2B) = M^B columns [0, B) for B = 1, 2, 4, ..., and each
+        later block is M^_BLOCK times the one before.  One float64 product
+        by the rows [M^_BLOCK; p^i; Tr x^i] gives the next block and the
+        current block's packed codes and traces.  Every float64 sum of
+        products here is at most d (p - 1)^2 for a digit or a trace and
+        below p^d for a packed code, so it is exact below 2^53."""
         p, d, size, order = self.p, self.degree, self.size, self.order
         # powers[i] = C^i multiplies by x^i, so sum c_i C^i multiplies by
         # the element with coefficients c
@@ -229,36 +258,40 @@ class FieldDesc:
             powers.append(powers[-1] @ C % p)
         powers = np.array(powers)
         self.gen_packed = self._find_generator(powers)
-        # multiplication by the generator is F_p-linear; walk all powers with
-        # numpy block matrix powers so even 5*10^5-element fields build fast.
         M = np.tensordot(self._digits(self.gen_packed), powers, 1) % p
-        digits = np.zeros((d, order), dtype=np.int64)
-        digits[0, 0] = 1
-        block = 1024
-        first = min(block, order)
-        for t in range(1, first):
-            digits[:, t] = (M @ digits[:, t - 1]) % p
-        if order > block:
-            MB = _matpow_mod(M, block, p)
-            t = block
-            while t < order:
-                hi = min(t + block, order)
-                digits[:, t:hi] = (MB @ digits[:, t - block:hi - block]) % p
-                t = hi
+        # the absolute trace of x^i is the trace of its matrix C^i
+        traces = np.trace(powers, axis1=1, axis2=2) % p
         weights = np.array(self._pp[:d], dtype=np.int64)
-        packed = weights @ digits
+        if max(d * (p - 1) ** 2, size) >= 1 << 53:
+            raise InvariantError("float64 block products would not be exact")
+        width = min(_BLOCK, order)
+        block = np.zeros((d, width), dtype=np.int64)
+        block[0, 0] = 1
+        MB, filled = M, 1
+        while filled < width:
+            n = min(filled, width - filled)
+            block[:, filled:filled + n] = _exact_matmul(MB, block[:, :n]) % p
+            MB = _exact_matmul(MB, MB) % p
+            filled += n
+        # MB is M^_BLOCK once the walk has more than one block; a one-block
+        # field only discards the next block it gives
+        rows = np.vstack([MB, weights, traces])
+        packed = np.empty(order, dtype=np.int64)
+        trace_exp = np.empty(order, dtype=np.min_scalar_type(p - 1))
+        for start in range(0, order, width):
+            out = _exact_matmul(rows, block)
+            stop = min(start + width, order)
+            packed[start:stop] = out[d, :stop - start]
+            trace_exp[start:stop] = out[d + 1, :stop - start] % p
+            block = out[:d] % p
         log_arr = np.full(size, -1, dtype=np.int64)
         log_arr[packed] = np.arange(order)
         if int((log_arr >= 0).sum()) != order:
             raise InvariantError("generator powers repeat")
         self.exp = packed.tolist()
         self.log = log_arr.tolist()
-        # the absolute trace of x^j is the trace of its matrix C^j
-        w = np.trace(powers, axis1=1, axis2=2) % p
-        trace_exp = ((w @ digits) % p).astype(np.min_scalar_type(p - 1))
         trace_exp.setflags(write=False)
         self.trace_exp = trace_exp
-        del digits  # freed before the Zech table's temporaries
         self.zech = None if p == 2 else self._zech_table(packed, log_arr)
 
     def _zech_table(self, packed, log_arr) -> array:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -606,7 +607,10 @@ def test_frobenius_is_additive_and_multiplicative(pf, data):
 # ---------------------------------------------------------------------------
 # every table a field build produces, pinned by SHA-256: the sums/algebra
 # towers k_l (q <= 9, l <= 6), the five bigring fields, GF(2^20) as F_2 <
-# F_16 < F_16^5 and F_257
+# F_16 < F_16^5, F_257, and the edges of the 1024-column walk blocks:
+# GF(2^10) (below one block), F_1031 (one block and a 6-column tail),
+# GF(2^11) (one block and a 1023-column tail) and F_65537 (sums of products
+# up to 2^32, past float32 but exact in float64)
 
 
 def _tower(p, f, l):
@@ -617,7 +621,8 @@ PINNED_FIELDS = ([(p, f, l) for (p, f) in [(2, 1), (3, 1), (2, 2), (5, 1),
                                            (7, 1), (2, 3), (3, 2)]
                   for l in range(1, 7)]
                  + [(47, 1, 1), (7, 2, 1), (61, 1, 1), (2, 6, 1), (3, 4, 1),
-                    (2, 4, 5), (257, 1, 1)])
+                    (2, 4, 5), (257, 1, 1), (2, 10, 1), (1031, 1, 1),
+                    (2, 11, 1), (65537, 1, 1)])
 
 
 def field_table_digest(k):
@@ -652,7 +657,8 @@ def field_table_digest(k):
     return h.hexdigest()
 
 
-# digests of the tables as the polynomial-arithmetic build produced them
+# digests of the tables as the polynomial-arithmetic build produced them;
+# the four block-edge fields' as the whole-matrix walk produced them
 PINNED_DIGESTS = {
     (2, 1, 1): "eb9dbb45b0e36c42d99ae4b15b19624da28ccb9bbe2d92af718537e13e279641",
     (2, 1, 2): "ad3c178734d8afd4c0aa038f0df71a8b7bc013fabe9e3000841f0377ca510026",
@@ -703,6 +709,10 @@ PINNED_DIGESTS = {
     (3, 4, 1): "1aaeb98c1ae0cd5bb09f06c312e191372c048a990b980fae05222041699f308f",
     (2, 4, 5): "e4d7d42d5d68d3aaff7c557ae2ebf7faa098f250e44d90e95747fe839bb131f2",
     (257, 1, 1): "649dacfbeb8ae2464d1bb65f7ab099f72b0966587a1f55d1307058778031f70c",
+    (2, 10, 1): "d16952d57cc7cc8b2b38d78835b25b0586b82dd0237a1e38dec469bf2189d558",
+    (1031, 1, 1): "5935dfde94e9d1567c7869895bf4632ad8d0ab900bdf5503061db3d425a532ee",
+    (2, 11, 1): "7647c0a6adb2fdd27561f4d56dada89d3ea7ad90c1c6db15132fe983e1f21c73",
+    (65537, 1, 1): "3b4b05e6a52492f3ff7b54960319811bac339f9678bbd6e818614e0e3be2950e",
 }
 
 
@@ -710,6 +720,19 @@ PINNED_DIGESTS = {
                          ids=[f"{p}^{f}-l{l}" for p, f, l in PINNED_FIELDS])
 def test_field_tables_are_pinned(p, f, l):
     assert field_table_digest(_tower(p, f, l)) == PINNED_DIGESTS[(p, f, l)]
+
+
+def test_table_build_holds_no_digit_matrix():
+    """Building GF(2^18) allocates, beyond the tables it keeps, less than a
+    quarter of the d x order int64 digit matrix of the whole walk."""
+    base = ff.make_field(2, 1)
+    tracemalloc.start()
+    try:
+        k = ff.FieldDesc(2, 18, 1, base)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < k.degree * k.order * 8 // 4
 
 
 # ---------------------------------------------------------------------------

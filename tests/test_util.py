@@ -1,9 +1,10 @@
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
-from jlcs._util import binary_power
+from jlcs._util import binary_power, json_line
 
 
 class Counted:
@@ -29,6 +30,17 @@ def test_binary_power_makes_no_wasted_product(e):
     want = 0 if e == 0 else e.bit_length() - 1 + bin(e).count("1") - 1
     assert Counted.products == want
     assert (result is one) == (e == 0)
+
+
+@pytest.mark.parametrize("obj", [
+    {"b": [1, -2.5, None], "a": {"z": True, "y": "\u00e9\u03b6"}},
+    [float("nan"), float("inf"), 10 ** 30, ""],
+    {"kind": "d725", "lhs": {"coeffs": [37, 0], "ring": 24}},
+])
+def test_json_line_is_sorted_compact_dumps(obj):
+    # the shared encoder writes what a fresh json.dumps call would
+    assert json_line(obj) == json.dumps(obj, sort_keys=True,
+                                        separators=(",", ":"))
 
 
 ROOT = Path(__file__).resolve().parent.parent
