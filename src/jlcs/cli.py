@@ -2,7 +2,8 @@
 
 Verbs: sums (single exponential-sum values), verify (identity sweeps),
 char (theta value tables, closed form versus direct sums), jl (transfer
-relation sweeps), epsilon (local constants), csa (algebra selftest).
+relation sweeps, and the invariants the transfer keeps), epsilon (local
+constants), csa (algebra selftest).
 
 Reports are JSON lines (or CSV with --format csv, flattening exact
 values to their complex embedding); given the same configuration and
@@ -164,6 +165,11 @@ def _tree():
     jlv.add_argument("--all-lambda", action="store_true")
     jlv.add_argument("--lambda-dlog", type=int, default=None)
     jlv.add_argument("--samples", type=int, default=3)
+    jli = jl_sub.add_parser(
+        "invariants", parents=[common],
+        help="central character and endo-class label across the transfer")
+    _field_flags(jli, m_r=True)
+    _eta_flags(jli)
 
     eps = verbs.add_parser("epsilon", parents=[common],
                            help="local constants of the parameter")
@@ -409,8 +415,35 @@ def _run_char(args):
     return records, records[-1]["ok"]
 
 
+def _invariant_rows(eta, split):
+    """One row per comparison of the inner form's invariants with the
+    split form's: the central character at the uniformizer and at every
+    Teichmuller unit times w^v, v = -1..2, then the endo-class label."""
+    omega_d, omega_s = ssc.central_char(eta), ssc.central_char(split)
+    pairs = [({"at": "varpi"}, omega_d.varpi_value(), omega_s.varpi_value())]
+    for t in range(eta.k.order):
+        for v in (-1, 0, 1, 2):
+            x = lf.teichmuller(eta.k.from_dlog(t)).shift(v)
+            pairs.append(({"teichmuller_dlog": t, "w_power": v},
+                          omega_d.at(x), omega_s.at(x)))
+    rows = [{"kind": "central_character", "params": params,
+             "inner_form": a.to_json(), "split_form": b.to_json(),
+             "match": a == b} for params, a, b in pairs]
+    label_d, label_s = ssc.endoclass_label(eta), ssc.endoclass_label(split)
+    rows.append({"kind": "endoclass_label", "inner_form": label_d,
+                 "split_form": label_s, "match": label_d == label_s})
+    return rows
+
+
 def _run_jl(args):
     eta = _build_param(args)
+    if args.jl_cmd == "invariants":
+        transfer = ssc.jl_transfer(eta)
+        records = [_header(args, "jl invariants", {
+            "eta": eta.to_json(), "transfer": transfer.to_json()})]
+        records += _invariant_rows(eta, transfer.param)
+        records.append(_summary(records))
+        return records, records[-1]["ok"]
     lambdas = _pick_lambdas(args, eta.k)
     us = _sample_us(eta, args)
     rows = ssc.character_relation_check(eta, us=us, lambdas=lambdas,

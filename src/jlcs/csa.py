@@ -697,27 +697,39 @@ def _berkowitz(mat, field):
     Returns [1, c_1, ..., c_n] with the polynomial x^n + c_1 x^{n-1} + ... + c_n.
     Round k multiplies the vector by the lower-triangular Toeplitz matrix of
     [1, -a_kk, -R C, -R A C, ..., -R A^{k-2} C], with A the leading
-    (k-1) x (k-1) block, R and C the row and column beside it.  Every step
-    of a round is one call of one ProductSums: each mat-vec A^i C, then all
-    Toeplitz entries, then the Toeplitz product.
+    (k-1) x (k-1) block, R and C the row and column beside it.  The chains
+    A^i C depend only on the matrix, so every round advances them together:
+    one ProductSums call per chain step, one for the Toeplitz entries of
+    every round, then one per round for the Toeplitz product, the only
+    steps that wait on the vector.
     """
     n = len(mat)
     one_ = lf.one(field)
     if n == 0:
         return [one_]
-    sums = lf.ProductSums(field)
     # round 1 needs no sum: the vector is [1 * 1, -a_11 * 1]
     vec = [one_, -mat[0][0]]
+    if n == 1:
+        return vec
+    sums = lf.ProductSums(field)
+    # chains[k] = [C, A C, ..., A^(k-2) C] for round k
+    chains = {k: [[row[k - 1] for row in mat[:k - 1]]] for k in range(2, n + 1)}
+    for i in range(1, n - 1):
+        # the rounds k >= i + 2 take a step; each of their k - 1 sums is
+        # a row of A against the round's last vector
+        live = range(i + 2, n + 1)
+        flat = sums([zip(row[:k - 1], chains[k][-1])
+                     for k in live for row in mat[:k - 1]])
+        at = 0
+        for k in live:
+            chains[k].append(flat[at:at + k - 1])
+            at += k - 1
+    negs = {k: [-x for x in mat[k - 1][:k - 1]] for k in range(2, n + 1)}
+    flat = sums([zip(negs[k], c) for k in range(2, n + 1) for c in chains[k]])
+    at = 0
     for k in range(2, n + 1):
-        block = [row[:k - 1] for row in mat[:k - 1]]
-        cur = [row[k - 1] for row in mat[:k - 1]]
-        curs = [cur]
-        for _ in range(k - 2):
-            cur = sums([zip(r, cur) for r in block])
-            curs.append(cur)
-        neg_row = [-x for x in mat[k - 1][:k - 1]]
-        toep = [one_, -mat[k - 1][k - 1]]
-        toep += sums([zip(neg_row, c) for c in curs])
+        toep = [one_, -mat[k - 1][k - 1]] + flat[at:at + k - 1]
+        at += k - 1
         # vec[0] stays 1 * 1; entry i sums toep[i - j] * vec[j]
         vec = [one_] + sums([[(toep[i - j], vec[j])
                               for j in range(min(i, k - 1) + 1)]

@@ -28,10 +28,13 @@ tables, so products, inverses and discrete logarithms are O(1) lookups and
 the absolute-trace exponent of every generator power is precomputed, held
 as a compact read-only numpy array that summation kernels slice directly.  Sums
 and negatives are lookups too: p = 2 adds by XOR, and every odd-p field
-holds a Zech table of order = size - 1 machine integers,
+holds a Zech table of order = size - 1 entries,
 zech[t] = log(1 + g^t), so that g^a + g^b = g^(a + zech[b - a]) and
--g^a = g^(a + order/2); prime fields add as (a + b) % p.  Field sizes are
-capped at DEFAULT_FIELD_CAP elements to keep this honest.
+-g^a = g^(a + order/2); prime fields add as (a + b) % p.  The exp, log and
+Zech tables are int32 machine arrays (array('i'), 4 bytes an entry, filled
+straight from the numpy buffers of the build), and each lookup reads back a
+Python int.  Field sizes are capped at DEFAULT_FIELD_CAP elements to keep
+this honest; the build also checks that codes fit int32.
 
 make_field and make_extension return one shared FieldDesc per field, so
 fields compare by identity.
@@ -84,6 +87,14 @@ def _exact_matmul(A, X) -> np.ndarray:
     """A @ X for nonnegative integer matrices as one float64 (BLAS) product,
     returned as int64; exact while every sum of products is below 2^53."""
     return (A.astype(np.float64) @ X.astype(np.float64)).astype(np.int64)
+
+
+def _int_array(values: np.ndarray) -> array:
+    """The np.intc buffer values copied into an array('i'), whose items
+    read back as Python ints."""
+    out = array("i")
+    out.frombytes(memoryview(values).cast("B"))
+    return out
 
 
 def _matpow_mod(M, e, p):
@@ -162,9 +173,11 @@ class FieldDesc:
         modulus: defining polynomial coefficients (c_0, ..., c_degree), monic.
         base:    the declared subfield (k for an extension, F_p for k itself,
                  None for the prime field).
-        exp/log: generator power tables over packed element codes.
+        exp/log: generator power tables over packed element codes, as
+                 int32 arrays (array('i')): exp[t] is the code of g^t,
+                 log[c] the dlog of code c, and log[0] = -1.
         zech:    for odd p, zech[t] = log(1 + g^t), and -1 at t = order/2
-                 where 1 + g^t = 0; None for p = 2.
+                 where 1 + g^t = 0, as an int32 array; None for p = 2.
         trace_exp: absolute-trace exponent of each generator power, as a
                  read-only numpy array of the least unsigned dtype that
                  holds p - 1 (one byte per unit for p < 256).
@@ -248,7 +261,10 @@ class FieldDesc:
         by the rows [M^_BLOCK; p^i; Tr x^i] gives the next block and the
         current block's packed codes and traces.  Every float64 sum of
         products here is at most d (p - 1)^2 for a digit or a trace and
-        below p^d for a packed code, so it is exact below 2^53."""
+        below p^d for a packed code, so it is exact below 2^53.  The codes
+        and logs are written into np.intc buffers (every code is below
+        2^31, checked once) and copied byte for byte into the int32 exp,
+        log and Zech arrays; no Python int is kept per element."""
         p, d, size, order = self.p, self.degree, self.size, self.order
         # powers[i] = C^i multiplies by x^i, so sum c_i C^i multiplies by
         # the element with coefficients c
@@ -264,6 +280,8 @@ class FieldDesc:
         weights = np.array(self._pp[:d], dtype=np.int64)
         if max(d * (p - 1) ** 2, size) >= 1 << 53:
             raise InvariantError("float64 block products would not be exact")
+        if size >= 1 << 31:
+            raise InvariantError("packed codes would not fit int32 tables")
         width = min(_BLOCK, order)
         block = np.zeros((d, width), dtype=np.int64)
         block[0, 0] = 1
@@ -276,7 +294,7 @@ class FieldDesc:
         # MB is M^_BLOCK once the walk has more than one block; a one-block
         # field only discards the next block it gives
         rows = np.vstack([MB, weights, traces])
-        packed = np.empty(order, dtype=np.int64)
+        packed = np.empty(order, dtype=np.intc)
         trace_exp = np.empty(order, dtype=np.min_scalar_type(p - 1))
         for start in range(0, order, width):
             out = _exact_matmul(rows, block)
@@ -284,23 +302,27 @@ class FieldDesc:
             packed[start:stop] = out[d, :stop - start]
             trace_exp[start:stop] = out[d + 1, :stop - start] % p
             block = out[:d] % p
-        log_arr = np.full(size, -1, dtype=np.int64)
-        log_arr[packed] = np.arange(order)
+        log_arr = np.full(size, -1, dtype=np.intc)
+        log_arr[packed] = np.arange(order, dtype=np.intc)
         if int((log_arr >= 0).sum()) != order:
             raise InvariantError("generator powers repeat")
-        self.exp = packed.tolist()
-        self.log = log_arr.tolist()
+        self.exp = _int_array(packed)
+        self.log = _int_array(log_arr)
         trace_exp.setflags(write=False)
         self.trace_exp = trace_exp
         self.zech = None if p == 2 else self._zech_table(packed, log_arr)
 
     def _zech_table(self, packed, log_arr) -> array:
-        """zech[t] = log(1 + g^t) as machine integers; 1 + g^t only moves
-        the constant digit.  The one t with 1 + g^t = 0 gets log[0] = -1."""
-        p = self.p
-        low = packed % p
-        one_plus = packed - low + (low + 1) % p
-        return array("l", log_arr[one_plus].astype(np.dtype("l")).tobytes())
+        """zech[t] = log(1 + g^t), computed in place on the packed buffer;
+        1 + g^t only moves the constant digit.  The one t with 1 + g^t = 0
+        gets log[0] = -1."""
+        # adding 1 wraps a constant digit of p - 1 to 0, with no carry
+        packed += 1
+        packed[packed % self.p == 0] -= self.p
+        # out is the index buffer itself: element t is written only after
+        # index t is read, and clip leaves every (in-range) index as it is
+        log_arr.take(packed, out=packed, mode="clip")
+        return _int_array(packed)
 
     def _declare_embedding(self, sub: "FieldDesc"):
         """Send the class of x in sub to the least root alpha of sub.modulus

@@ -8,6 +8,7 @@ with the library code it checks:
 - scale_base_series: MatA.scale_teich and the scalings of ssc.gu_cosets
 - galois, conjugate: CycRing._reduce, and |G|^2 = q for the Gauss sums
 - random_group_element: inputs to ssc.decompose and ssc.theta_eval
+- round_berkowitz: csa._berkowitz, whose rounds advance in lockstep
 """
 
 import math
@@ -118,3 +119,29 @@ def random_group_element(eta, rng, prec: int) -> csa.MatA:
     y = csa.phi_power_mul(eta.zeta, 1, MA.random_in_order(rng, prec))
     unit = y.truncate(prec).plus_identity().scale_teich(xbar)
     return csa.phi_power_mul(eta.zeta, v, unit)
+
+
+def round_berkowitz(mat, field):
+    """csa._berkowitz one round at a time: round k makes its own A^i C
+    chain, one ProductSums call per step, then its Toeplitz entries and
+    its Toeplitz product, each a call; n(n + 1)/2 - 1 calls in all."""
+    n = len(mat)
+    one_ = lf.one(field)
+    if n == 0:
+        return [one_]
+    sums = lf.ProductSums(field)
+    vec = [one_, -mat[0][0]]
+    for k in range(2, n + 1):
+        block = [row[:k - 1] for row in mat[:k - 1]]
+        cur = [row[k - 1] for row in mat[:k - 1]]
+        curs = [cur]
+        for _ in range(k - 2):
+            cur = sums([zip(r, cur) for r in block])
+            curs.append(cur)
+        neg_row = [-x for x in mat[k - 1][:k - 1]]
+        toep = [one_, -mat[k - 1][k - 1]]
+        toep += sums([zip(neg_row, c) for c in curs])
+        vec = [one_] + sums([[(toep[i - j], vec[j])
+                              for j in range(min(i, k - 1) + 1)]
+                             for i in range(1, k + 1)])
+    return vec

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jlcs import cli, expsum, ff
+from jlcs import cli, expsum, ff, ssc
 from jlcs.chars import AddChar
 from jlcs.cyc import CycRing, ring_for
 from jlcs.errors import IdentityFailure, InvariantError
@@ -115,6 +115,12 @@ FROZEN_REPORTS = [
     ("jl-verify-p3-m3-r2-prec12",
      "jl verify --p 3 --f 1 --m 3 --r 2 --s 1 --samples 2 --precision 12", 0,
      "df40d483577ba75af1201031a0459fb14bdd4d06c4fd4463e348ae1981f29a0c"),
+    # the central character and endo-class label of M_2(D_3) over F_9
+    # against those of M_6(K)
+    ("jl-invariants-q9-m2-r3",
+     "jl invariants --p 3 --f 2 --m 2 --r 3 --s 1 --zeta 3 --chi 2 "
+     "--c-order 4 --c-power 1", 0,
+     "07d87d7c77d686a7e5b6a849e22e14c51e9e7c724cd5d4011696b43fefe0af2e"),
     ("gauss-q61", "sums gauss --p 61 --f 1", 0,
      "f596ac46ab0e4352391a77d217093eaf421a7cc97d200760cc5e08968c5dbd11"),
     ("restricted-gauss-p2", "sums restricted-gauss --p 2 --f 3 --n 7 "
@@ -196,6 +202,7 @@ VERB_FLAGS = {
     ("char",): ETA + [LAMBDA, SAMPLES, ("--all-lambda", None, False),
                       ("--deep", None, False)],
     ("jl", "verify"): ETA + [LAMBDA, SAMPLES, ("--all-lambda", None, False)],
+    ("jl", "invariants"): ETA,
     ("epsilon",): ETA + [("--twist-unit", DLOG, False),
                          ("--twist-varpi-order", ORDER, False),
                          ("--twist-varpi-power", DLOG, False)],
@@ -203,8 +210,8 @@ VERB_FLAGS = {
 }
 # the verbs that take --m and --r, and those of them that take --s; n = m*r
 # stays at most 3, which keeps the algebra small
-M_R_VERBS = {("verify", "d725"), ("char",), ("jl", "verify"), ("epsilon",),
-             ("csa", "selftest")}
+M_R_VERBS = {("verify", "d725"), ("char",), ("jl", "verify"),
+             ("jl", "invariants"), ("epsilon",), ("csa", "selftest")}
 S_VERBS = M_R_VERBS - {("verify", "d725")}
 M_R = mostly([(1, 1), (1, 2), (1, 3), (2, 1), (3, 1)],
              [(0, 2), (1, 0), (-1, 2), (2, -1), (-1, -1)])
@@ -268,6 +275,36 @@ class TestWorkedExamples:
         assert records[-1]["ok"] is True
         kinds = {r["kind"] for r in records[1:-1]}
         assert kinds == {"one_plus_phi", "g_u"}
+
+
+    def test_jl_invariants_counts_every_comparison(self, capsys):
+        code, out = run(capsys, "jl", "invariants", "--p", "3", "--f", "2",
+                        "--m", "1", "--r", "2", "--s", "1", "--zeta", "3",
+                        "--chi", "2", "--c-order", "4", "--c-power", "1")
+        assert code == 0
+        records = lines(out)
+        assert records[0]["subcommand"] == "jl invariants"
+        assert records[0]["parameters"]["transfer"]["sign"] == -1
+        # varpi, every Teichmuller unit of F_9 at four powers of w, the label
+        kinds = [r["kind"] for r in records[1:-1]]
+        assert kinds == (["central_character"] * (1 + 8 * 4)
+                         + ["endoclass_label"])
+        assert records[-1] == {"kind": "summary", "checks": 34,
+                               "failures": 0, "ok": True}
+
+    def test_jl_invariants_mismatch_is_math_failure(self, capsys,
+                                                    monkeypatch):
+        label = ssc.endoclass_label
+        monkeypatch.setattr(ssc, "endoclass_label",
+                            lambda eta: {**label(eta), "n": eta.alg.m})
+        code, out = run(capsys, "jl", "invariants", "--p", "3", "--f", "1",
+                        "--m", "1", "--r", "2", "--s", "1")
+        assert code == 1
+        records = lines(out)
+        assert records[-2]["kind"] == "endoclass_label"
+        assert records[-2]["match"] is False
+        assert records[-1] == {"kind": "summary", "checks": 10,
+                               "failures": 1, "ok": False}
 
 
 class TestExitCodes:
@@ -629,6 +666,7 @@ ORACLE_ARGV = {
     "help-char": ["char", "-h"],
     "help-jl": ["jl", "-h"],
     "help-jl-verify": ["jl", "verify", "-h"],
+    "help-jl-invariants": ["jl", "invariants", "-h"],
     "help-epsilon": ["epsilon", "-h"],
     "help-csa": ["csa", "-h"],
     "help-csa-selftest": ["csa", "selftest", "-h"],
@@ -669,6 +707,8 @@ ORACLE_ARGV = {
                  "--samples", "0"],
     "run-jl": ["jl", "verify", "--p", "3", "--f", "1", "--m", "1", "--r", "2",
                "--s", "1", "--samples", "0"],
+    "run-jl-invariants": ["jl", "invariants", "--p", "3", "--f", "1",
+                          "--m", "1", "--r", "2", "--s", "1"],
     "run-epsilon": ["epsilon", "--p", "3", "--f", "1", "--m", "1", "--r", "2",
                     "--s", "1"],
     "run-csa": ["csa", "selftest", "--p", "2", "--f", "1", "--m", "1",

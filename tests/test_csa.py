@@ -8,8 +8,8 @@ from jlcs._util import stable_rng
 from jlcs.errors import (DomainError, IdentityFailure, PrecisionError,
                          ValidationError)
 
-from oracles import (div_pi, rel_norm, scale_base_series, uniformizer,
-                     w_terms, w_valuation)
+from oracles import (div_pi, rel_norm, round_berkowitz, scale_base_series,
+                     uniformizer, w_terms, w_valuation)
 
 
 def zeta_w(k, zeta):
@@ -526,6 +526,37 @@ class TestExactZeroSkipping:
         emb = csa.embed_A(g)
         assert (exact_key(csa._berkowitz(emb, D.kr))
                 == exact_key(oracle_berkowitz(emb, D.kr)))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lockstep_rounds_match_round_by_round(self, data):
+        # every sum keeps its pairs in the same order, so each coefficient
+        # of the charpoly is the same series, precision included
+        k = ff.make_field(*data.draw(st.sampled_from(KERNEL_FIELDS)))
+        n = data.draw(st.integers(1, 7))
+        a = data.draw(sparse_square(n, series_entries(k), lf.zero(k)))
+        assert (exact_key(csa._berkowitz(a, k))
+                == exact_key(round_berkowitz(a, k)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lockstep_makes_2n_minus_2_calls(self, monkeypatch, n):
+        k = ff.make_field(3, 1)
+        rng = stable_rng(5, "lockstep-calls", n)
+        a = [[lf.LaurentTrunc(k, rng.randrange(-1, 2), (1, rng.randrange(3)),
+                              4) for _ in range(n)] for _ in range(n)]
+        calls = []
+        call = lf.ProductSums.__call__
+
+        def counted(self, sums):
+            calls.append(1)
+            return call(self, sums)
+
+        monkeypatch.setattr(lf.ProductSums, "__call__", counted)
+        got = csa._berkowitz(a, k)
+        assert len(calls) == 2 * n - 2
+        calls.clear()
+        assert exact_key(got) == exact_key(round_berkowitz(a, k))
+        assert len(calls) == n * (n + 1) // 2 - 1
 
     def test_all_zero_products_are_exact_zeros(self):
         k = ff.make_field(3, 1)

@@ -459,8 +459,10 @@ class TestZechAddition:
     def test_zech_table_layout(self, p, f, r):
         k = odd_field(p, f, r)
         zech = k.zech
-        assert isinstance(zech, array) and zech.typecode == "l"
-        assert len(zech) == k.order
+        # all three tables are int32 machine arrays
+        for table in (k.exp, k.log, zech):
+            assert isinstance(table, array) and table.typecode == "i"
+        assert len(zech) == len(k.exp) == k.order and len(k.log) == k.size
         assert zech[k.order // 2] == -1
         for t in range(0, k.order, max(1, k.order // 50)):
             if t != k.order // 2:
@@ -733,6 +735,25 @@ def test_table_build_holds_no_digit_matrix():
     finally:
         tracemalloc.stop()
     assert peak - kept < k.degree * k.order * 8 // 4
+
+
+def test_field_tables_hold_no_python_ints():
+    """A fresh GF(3^12) keeps less than 16 B per element (the exp, log and
+    Zech tables at 4 B each, trace_exp at 1 B), and its tables read back
+    Python ints, so no numpy scalar can reach a JSON report."""
+    base = ff.make_field(3, 1)
+    tracemalloc.start()
+    try:
+        k = ff.FieldDesc(3, 12, 1, base)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * k.size
+    rng = random.Random("int32-tables")
+    for _ in range(100):
+        t, c = rng.randrange(k.order), rng.randrange(1, k.size)
+        assert type(k.exp[t]) is int and type(k.log[c]) is int
+        assert type(k.zech[t]) is int
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,6 @@ def test_json_line_is_sorted_compact_dumps(obj):
 ROOT = Path(__file__).resolve().parent.parent
 # library names that only the tests call, kept on purpose
 KEPT_UNCALLED = {
-    "central_char": "criterion 10 checks the central character's invariance",
-    "endoclass_label": "the paper's endo-class label, checked by criterion 10",
     "_parser": "the full-tree parse, the oracle of cli._parse's walk",
 }
 
