@@ -84,13 +84,6 @@ def _eta_flags(sub):
                      help="dlog of the additive twist")
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The top of the argument tree.  Each command is parsed by its own
-    subcommand parser after a walk by exact names (_parse); the full-tree
-    parse_args here is the tests' oracle for that walk."""
-    return _tree()[0]
-
-
 @functools.cache
 def _tree():
     """The argument tree, built once per process, and each parser's
@@ -191,7 +184,7 @@ def _tree():
 
 
 def _parse(argv) -> argparse.Namespace:
-    """_parser().parse_args(argv) in one parse: step into the subparser
+    """_tree()[0].parse_args(argv) in one parse: step into the subparser
     while the next token is exactly one of its names, then parse the rest
     with the parser reached.  Only the error on leftover tokens differs:
     the parser reached reports them, with its own usage line."""

@@ -25,9 +25,11 @@ share the one exact-zero series of the DivAlgebra.  The sums
 of series products in the Berkowitz steps (each mat-vec, the Toeplitz
 entries and the Toeplitz convolution) go through locfield.ProductSums,
 which skips the exact-zero terms and reads each step's sums back from
-packed integers in one numpy pass.  Every membership test in the
-filtrations of O_D and of the standard order reduces to
-LaurentTrunc.val_at_least at a shifted threshold.
+packed integers in one numpy pass.  The filtration of the standard order
+is read in one pass over the coefficients (MatA._radical_terms): the least
+radical valuation of a known term and the least bound left by a truncated
+zero give both the radical valuation and membership in every P^v, the
+order P^0 included.
 
 Conjugation by a Teichmuller diagonal diag(d_1, ..., d_m) is a
 per-coefficient scaling, not a product: Pi^l d = sigma^{sl}(d) Pi^l, so
@@ -109,9 +111,10 @@ class DivAlgebra:
             return x
         return lf.galois_series(x, self.s * i, self.k)
 
-    def _random(self, rng, prec: int, lead_val: int) -> "AlgElem":
+    def random(self, rng, prec: int, lead_val: int) -> "AlgElem":
         """Random coefficients at precision prec, the Pi^0 one starting at
-        w^lead_val and the others at w^0."""
+        w^lead_val and the others at w^0: an element of the maximal order
+        O_D for lead_val = 0, of its maximal ideal p_D for lead_val = 1."""
         vals = [lead_val] + [0] * (self.r - 1)
         return AlgElem(self, tuple(
             lf.LaurentTrunc(self.kr, v,
@@ -119,14 +122,6 @@ class DivAlgebra:
                              for _ in range(prec - v)],
                             prec)
             for v in vals))
-
-    def random_integral(self, rng, prec: int) -> "AlgElem":
-        """A random element of the maximal order O_D at precision prec."""
-        return self._random(rng, prec, 0)
-
-    def random_radical(self, rng, prec: int) -> "AlgElem":
-        """A random element of the maximal ideal p_D at precision prec."""
-        return self._random(rng, prec, 1)
 
     def to_json(self) -> dict:
         return {"q": self.k.size, "r": self.r, "s": self.s}
@@ -167,30 +162,6 @@ class AlgElem:
         self.coeffs = coeffs = tuple(coeffs)
         self.live = [(i, a) for i, a in enumerate(coeffs)
                      if not a.is_exact_zero()]
-
-    # -- valuation ------------------------------------------------------------
-
-    def _w_terms(self):
-        """Known term valuations and lower bounds from truncated zeros."""
-        r = self.parent.r
-        known, bounds = [], []
-        for i, a in enumerate(self.coeffs):
-            v = a.valuation()
-            if v is not None:
-                known.append(r * v + i)
-            elif a.prec != lf.INF:
-                bounds.append(r * a.prec + i)
-        return known, bounds
-
-    def _w_cmp(self, v: int):
-        """True / False / None for 'w(self) >= v', None when undetermined.
-
-        The term a_i Pi^i has w = r val(a_i) + i, so it needs
-        val(a_i) >= ceil((v - i) / r); any False beats any None.
-        """
-        r = self.parent.r
-        return _all_certain(a.val_at_least(-((i - v) // r))
-                            for i, a in enumerate(self.coeffs))
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.coeffs)
@@ -311,10 +282,8 @@ class MatrixAlgebra:
         """A random element of the standard hereditary order."""
         rows = []
         for i in range(self.m):
-            rows.append(tuple(
-                self.D.random_radical(rng, prec) if i > j
-                else self.D.random_integral(rng, prec)
-                for j in range(self.m)))
+            rows.append(tuple(self.D.random(rng, prec, 1 if i > j else 0)
+                              for j in range(self.m)))
         return MatA(self, tuple(rows))
 
     def to_json(self) -> dict:
@@ -336,8 +305,10 @@ class MatA:
     """A matrix over a division algebra, with order/radical bookkeeping.
 
     The standard hereditary order has integral entries above and on the
-    diagonal and radical entries strictly below it; its radical valuation
-    on an entry at (i, j) contributes m * w(entry) + j - i.
+    diagonal and radical entries strictly below it.  Its filtration is
+    read term by term: the Pi^l term a_l of the entry at (i, j) lies in
+    P^v when m (r val(a_l) + l) + j - i >= v, and _radical_terms takes
+    the two minima that radical_valuation and every membership test use.
     """
 
     __slots__ = ("parent", "entries")
@@ -422,35 +393,48 @@ class MatA:
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.entries for a in row)
 
+    def _radical_terms(self):
+        """The least radical valuation of a known term and the least bound
+        from a truncated zero, in one pass over the live coefficients.
+
+        The Pi^l term a_l of the entry at (i, j) has radical valuation
+        m (r val(a_l) + l) + j - i when a_l is nonzero, and at least
+        m (r prec(a_l) + l) + j - i when it is a truncated zero.  Each
+        minimum is None when there is no such term.
+        """
+        m, r = self.parent.m, self.parent.D.r
+        known, bounds = [], []
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                for l, a in e.live:
+                    v = a.valuation()
+                    t = a.prec if v is None else v
+                    (bounds if v is None else known).append(
+                        m * (r * t + l) + j - i)
+        return min(known, default=None), min(bounds, default=None)
+
     def radical_valuation(self) -> int | None:
         """Largest v with g in P^v for the standard order's radical P.
 
         None only for the exact zero matrix; raises when truncation leaves
         the minimum undetermined, a truncated zero included.
         """
-        m = self.parent.m
-        known, bounds = [], []
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                kt, bt = e._w_terms()
-                known.extend(m * t + j - i for t in kt)
-                bounds.extend(m * t + j - i for t in bt)
+        known, bound = self._radical_terms()
         # a bound below every known term hides the minimum
-        if bounds and (not known or min(bounds) < min(known)):
+        if bound is not None and (known is None or bound < known):
             raise PrecisionError(
                 "radical valuation not determined at this precision")
-        return min(known) if known else None
+        return known
 
     def _in_power(self, v: int):
-        """True / False / None for membership in P^v.
-
-        The entry at (i, j) contributes m w(entry) + j - i, so it needs
-        w(entry) >= ceil((v + i - j) / m); any False beats any None.
-        """
-        m = self.parent.m
-        return _all_certain(e._w_cmp(-((j - i - v) // m))
-                            for i, row in enumerate(self.entries)
-                            for j, e in enumerate(row))
+        """True / False / None for membership in P^v: False when a known
+        term lies below v, else None when a truncation bound does."""
+        known, bound = self._radical_terms()
+        if known is not None and known < v:
+            return False
+        if bound is not None and bound < v:
+            return None
+        return True
 
     def in_order(self) -> bool:
         return lf.certify(self._in_power(0), "order membership")
@@ -466,17 +450,6 @@ class MatA:
 
     def __repr__(self):
         return f"MatA({self.parent!r})"
-
-
-def _all_certain(verdicts):
-    """False if any verdict is False, else None if any is None, else True."""
-    undetermined = False
-    for st in verdicts:
-        if st is False:
-            return False
-        if st is None:
-            undetermined = True
-    return None if undetermined else True
 
 
 def _scale_coeffs(e: AlgElem, consts) -> AlgElem:

@@ -622,7 +622,7 @@ class TestReportShape:
 def walked_parser(argv):
     """The parser reached by stepping into a subparser while the next token
     is exactly one of its names, read off the argparse actions."""
-    parser = cli._parser()
+    parser = cli._tree()[0]
     for token in argv:
         names = next((action.choices for action in parser._actions
                       if isinstance(action, argparse._SubParsersAction)), {})
@@ -635,7 +635,7 @@ def walked_parser(argv):
 def full_tree_parse(argv):
     """The oracle for cli._parse: parse_args over the whole tree, with the
     error on leftover tokens made by the parser the walk reached."""
-    namespace, extra = cli._parser().parse_known_args(argv)
+    namespace, extra = cli._tree()[0].parse_known_args(argv)
     if extra:
         walked_parser(argv).error(
             "unrecognized arguments: " + " ".join(extra))
@@ -772,7 +772,7 @@ class TestParseWalk:
 class TestDeterminism:
 
     def test_parser_is_built_once(self):
-        assert cli._parser() is cli._parser()
+        assert cli._tree() is cli._tree()
 
     def test_shared_parser_keeps_runs_apart(self, capsys):
         argv = ["sums", "gauss", "--p", "3", "--f", "1", "--chi", "1"]

@@ -134,9 +134,9 @@ class TestDivisionAlgebraArithmetic:
         D = csa.div_algebra(k, 3, 2)
         rng = stable_rng(11, "assoc")
         for _ in range(20):
-            x = D.random_integral(rng, 5)
-            y = D.random_integral(rng, 5)
-            z = D.random_integral(rng, 5)
+            x = D.random(rng, 5, 0)
+            y = D.random(rng, 5, 0)
+            z = D.random(rng, 5, 0)
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
 
@@ -261,6 +261,40 @@ def oracle_in_radical_power(g, v):
     return True
 
 
+def oracle_radical_valuation(g):
+    """The least term m w + j - i over every entry; raises when a
+    truncation bound falls below it, or when only bounds are known."""
+    m = g.parent.m
+    known, bounds = [], []
+    for i, row in enumerate(g.entries):
+        for j, e in enumerate(row):
+            kt, bt = w_terms(e)
+            known += [m * t + j - i for t in kt]
+            bounds += [m * t + j - i for t in bt]
+    if bounds and (not known or min(bounds) < min(known)):
+        raise PrecisionError(
+            "radical valuation not determined at this precision")
+    return min(known) if known else None
+
+
+def with_tied_bound(g, low):
+    """g with its first zero coefficient that can carry the bound low made
+    a truncated zero with bound m (r prec + l) + j - i = low exactly; g
+    itself when no zero coefficient can."""
+    m, D = g.parent.m, g.parent.D
+    rows = [list(row) for row in g.entries]
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            for l, a in enumerate(e.coeffs):
+                prec, rest = divmod(low - m * l - j + i, m * D.r)
+                if a.is_zero() and not rest:
+                    coeffs = list(e.coeffs)
+                    coeffs[l] = lf.zero(D.kr, prec)
+                    row[j] = D.elem(coeffs)
+                    return g.parent.elem(rows)
+    return g
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -311,12 +345,15 @@ class TestMembershipAgainstTermLists:
         v = data.draw(st.integers(-2 * n, 2 * n + 1))
         assert (outcome(g.in_radical_power, v)
                 == outcome(oracle_in_radical_power, g, v))
-        e = g.entries[0][-1]
-        known, bounds = w_terms(e)
-        # w(e) >= v: False, undetermined (None) or True
-        verdict = (False if known and min(known) < v else
-                   None if bounds and min(bounds) < v else True)
-        assert e._w_cmp(v) is verdict
+        low = outcome(oracle_radical_valuation, g)
+        assert outcome(g.radical_valuation) == low
+        if isinstance(low, int):
+            # a truncation bound equal to the least known term leaves that
+            # term the minimum: P^low holds and P^(low + 1) fails
+            tied = with_tied_bound(g, low)
+            assert tied.radical_valuation() == low
+            assert tied.in_radical_power(low)
+            assert not tied.in_radical_power(low + 1)
 
 
 def oracle_series_mul(x, y):
@@ -1040,8 +1077,8 @@ class TestRegularRepresentation:
         D = csa.div_algebra(k, 3, 2)
         rng = stable_rng(5, "rep")
         for _ in range(10):
-            x = D.random_integral(rng, 5)
-            y = D.random_integral(rng, 5)
+            x = D.random(rng, 5, 0)
+            y = D.random(rng, 5, 0)
             lhs = csa.regular_rep(x * y)
             rhs = mat_mul(csa.regular_rep(x), csa.regular_rep(y), D.kr)
             assert all(lhs[i][j] == rhs[i][j] for i in range(3) for j in range(3))

@@ -44,10 +44,6 @@ def test_json_line_is_sorted_compact_dumps(obj):
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# library names that only the tests call, kept on purpose
-KEPT_UNCALLED = {
-    "_parser": "the full-tree parse, the oracle of cli._parse's walk",
-}
 
 
 def test_every_library_function_has_a_non_test_caller():
@@ -73,7 +69,7 @@ def test_every_library_function_has_a_non_test_caller():
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name != "to_json" and node.name not in KEPT_UNCALLED
+        and node.name != "to_json"
         and all(p == path and node.lineno <= line <= node.end_lineno
                 for p, line in named.get(node.name, ()))]
     assert not uncalled, "only the tests call " + ", ".join(sorted(uncalled))
