@@ -75,8 +75,6 @@ def prime_factors(n: int) -> list[int]:
 def solve_congruence(a: int, b: int, n: int):
     """Solve a*t = b (mod n).  Returns (t0, step) with all solutions
     t0 + k*step mod n, or None if unsolvable."""
-    if n == 1:
-        return 0, 1
     import math
 
     g = math.gcd(a, n)

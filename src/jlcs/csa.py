@@ -72,16 +72,6 @@ class DivAlgebra:
 
     # -- element constructors ------------------------------------------------
 
-    def elem(self, coeffs) -> "AlgElem":
-        coeffs = list(coeffs)
-        if len(coeffs) != self.r:
-            raise ValidationError(
-                f"expected {self.r} left coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if not isinstance(c, lf.LaurentTrunc) or c.field is not self.kr:
-                raise ValidationError("coefficients must be series over k_r")
-        return AlgElem(self, tuple(coeffs))
-
     def zero(self) -> "AlgElem":
         return AlgElem(self, (self.zero_series,) * self.r)
 
@@ -665,7 +655,8 @@ def embed_A(g: MatA):
 
 
 def _berkowitz(mat, field):
-    """Characteristic polynomial of det(x I - mat), division-free.
+    """Characteristic polynomial of det(x I - mat), division-free, for an
+    n x n matrix with n >= 1.
 
     Returns [1, c_1, ..., c_n] with the polynomial x^n + c_1 x^{n-1} + ... + c_n.
     Round k multiplies the vector by the lower-triangular Toeplitz matrix of
@@ -678,8 +669,6 @@ def _berkowitz(mat, field):
     """
     n = len(mat)
     one_ = lf.one(field)
-    if n == 0:
-        return [one_]
     # round 1 needs no sum: the vector is [1 * 1, -a_11 * 1]
     vec = [one_, -mat[0][0]]
     if n == 1:
@@ -712,8 +701,6 @@ def _berkowitz(mat, field):
 
 def _det(mat, field) -> lf.LaurentTrunc:
     n = len(mat)
-    if n == 0:
-        return lf.one(field)
     vec = _berkowitz(mat, field)
     return vec[n] if n % 2 == 0 else -vec[n]
 

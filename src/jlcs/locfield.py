@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ff
-from ._util import binary_power, canonical
+from ._util import canonical
 from .chars import AddChar
 from .cyc import CycElem
 from .errors import DomainError, PrecisionError, ValidationError
@@ -66,8 +66,6 @@ class LaurentTrunc:
             coeffs.pop()
         if not coeffs:
             val = prec if prec != INF else 0
-        if prec != INF and val > prec:
-            val = prec
         self.field = field
         self.val = val
         self.coeffs = tuple(coeffs)
@@ -228,48 +226,21 @@ class LaurentTrunc:
             return LaurentTrunc(self.field, self.val + j, (), prec)
         return _normalized(self.field, self.val + j, self.coeffs, prec)
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return binary_power(self, e, LaurentTrunc(self.field, 0, (1,)))
+    def inverse(self) -> "LaurentTrunc":
+        """Inverse of a monomial c w^v: c^-1 w^-v, exact when the monomial
+        is, and otherwise known to precision prec - 2v.
 
-    def inverse(self, rel_prec: int | None = None) -> "LaurentTrunc":
-        """Multiplicative inverse.
-
-        Exact when the element is an exact monomial; otherwise computed to
-        the precision the input supports, or to rel_prec terms if given and
-        the input supports that many.
+        Monomials only: the one element the library inverts is zeta w.
+        Any other series raises DomainError, as zero does.
         """
         if not self.coeffs:
             raise DomainError("inverse of zero (within known precision)")
-        f = self.field
-        c0 = self.coeffs[0]
+        if len(self.coeffs) > 1:
+            raise DomainError("inverse of a series that is not a monomial")
         v = self.val
-        inv0 = f.inv_packed(c0)
-        if len(self.coeffs) == 1:
-            prec = INF if self.prec == INF else self.prec - 2 * v
-            return LaurentTrunc(f, -v, (inv0,), prec)
-        if rel_prec is None:
-            if self.prec == INF:
-                raise PrecisionError(
-                    "inverting an exact non-monomial needs a target precision")
-            rel_prec = self.prec - v
-        # terms past the input's own precision are unknown, not zero
-        rel_prec = min(rel_prec, self.prec - v)
-        # write the element as c0 * w^v * (1 + y) and sum the geometric series
-        unit = LaurentTrunc(f, 0, [f.mul_packed(inv0, c) for c in self.coeffs],
-                            rel_prec)
-        y = unit - unit.field_one()
-        acc = unit.field_one()
-        term = unit.field_one()
-        yv = y.valuation()
-        if yv is not None:
-            for _ in range(0, rel_prec, yv):
-                term = term * (-y)
-                acc = acc + term
-        # acc inverts the unit part to absolute precision rel_prec; shifting
-        # by -v and scaling by a constant then yield precision rel_prec - v
-        return acc.shift(-v).scale(f.elem(inv0))
+        prec = INF if self.prec == INF else self.prec - 2 * v
+        return LaurentTrunc(self.field, -v,
+                            (self.field.inv_packed(self.coeffs[0]),), prec)
 
     def truncate(self, new_prec: int) -> "LaurentTrunc":
         """Forget coefficients at exponents >= new_prec."""

@@ -301,50 +301,36 @@ def char_at_unipotent_direct(eta: SscParam, lam: ff.FFElem,
 
 
 def char_at_unipotent_deep(eta: SscParam, lam: ff.FFElem,
-                           all_c0: bool = False,
                            budget: int | None = None):
     """The same trace as the tuple sum, but evaluated on honest matrix
     conjugates: diagonal Teichmuller representatives act on
-    1 + phi_{zeta lambda} and theta is evaluated each time.
-
-    all_c0 recomputes with every scalar of norm lambda and insists on one
-    answer.
-    """
+    1 + phi_{zeta lambda} and theta is evaluated each time.  The scalar
+    c0 in the corner of phi_D is the norm preimage g^t0 of lambda."""
     if lam.field is not eta.k or lam.packed == 0:
         raise ValidationError("lambda must be a unit of the residue field")
     D = eta.alg.D
     kr, k, m = D.kr, eta.k, eta.alg.m
     Q = kr.order
-    q1 = k.order
-    t0, fiber = ff.norm_fiber_congruence(kr, k, lam)
-    head = Q // q1
-    expsum.check_budget(head * Q ** (m - 1) * (fiber if all_c0 else 1),
-                        budget)
-    choices = range(fiber) if all_c0 else range(1)
+    t0, _ = ff.norm_fiber_congruence(kr, k, lam)
+    head = Q // k.order
+    expsum.check_budget(head * Q ** (m - 1), budget)
     expected = eta.alg.scalar_series(lf.teichmuller(lam * eta.zeta).shift(1))
-    results = []
-    for j in choices:
-        # the block uniformizer for zeta * Nr(c0), with c0 phi_D in the corner
-        c0 = kr.from_dlog((t0 + j * q1) % Q)
-        phi_lam = csa.block_uniformizer(
-            eta.alg, D.teich(c0) * csa.make_phi_D(D, eta.zeta))
-        if phi_lam ** eta.n != expected:
-            raise IdentityFailure(
-                "the scaled uniformizer does not have the right power")
-        target = eta.alg.identity() + phi_lam
-        total = None
-        for t1 in range(head):
-            for rest in itertools.product(range(Q), repeat=m - 1):
-                diag = [kr.from_dlog(t1)]
-                diag.extend(kr.from_dlog(t) for t in rest)
-                val = theta_eval(eta, csa.teich_conjugate(target, diag))
-                total = val if total is None else total + val
-        results.append(total)
-    first = results[0]
-    if any(other != first for other in results[1:]):
+    # the block uniformizer for zeta * Nr(c0), with c0 phi_D in the corner
+    c0 = kr.from_dlog(t0)
+    phi_lam = csa.block_uniformizer(
+        eta.alg, D.teich(c0) * csa.make_phi_D(D, eta.zeta))
+    if phi_lam ** eta.n != expected:
         raise IdentityFailure(
-            "the deep sum depends on the choice of the norm preimage")
-    return first
+            "the scaled uniformizer does not have the right power")
+    target = eta.alg.identity() + phi_lam
+    total = None
+    for t1 in range(head):
+        for rest in itertools.product(range(Q), repeat=m - 1):
+            diag = [kr.from_dlog(t1)]
+            diag.extend(kr.from_dlog(t) for t in rest)
+            val = theta_eval(eta, csa.teich_conjugate(target, diag))
+            total = val if total is None else total + val
+    return total
 
 
 # ---------------------------------------------------------------------------

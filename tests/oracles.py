@@ -58,7 +58,7 @@ def div_pi(D: csa.DivAlgebra) -> csa.AlgElem:
         return D.from_series(uniformizer(D.kr))
     coeffs = [D.zero_series] * D.r
     coeffs[1] = lf.one(D.kr)
-    return D.elem(coeffs)
+    return csa.AlgElem(D, coeffs)
 
 
 def w_terms(e: csa.AlgElem):

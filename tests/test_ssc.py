@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -357,12 +358,35 @@ class TestUnipotentFamily:
                 assert closed == direct, (p, f, m, r, s, ff.dlog(lam))
 
     def test_deep_route_agrees_for_every_norm_preimage(self):
+        # the deep route puts the norm preimage c0 = g^t0 of lambda in the
+        # corner of phi_D; every other preimage g^(t0 + j(q - 1)) gives a
+        # uniformizer with the same n-th power and the same sum of theta
+        # over the conjugates of 1 + phi_{zeta lambda}
         for pf, m, r, s in [((3, 1), 2, 1, None), ((3, 1), 1, 2, 1)]:
             eta = ssc.make_param(*pf, m, r, s, zeta_dlog=1, chi_j=1)
-            for lam in ff.enumerate_mu(eta.k, eta.k.order):
-                closed = ssc.char_at_unipotent_closed(eta, lam)
-                deep = ssc.char_at_unipotent_deep(eta, lam, all_c0=True)
-                assert closed == deep
+            alg, k = eta.alg, eta.k
+            D, kr = alg.D, alg.D.kr
+            Q = kr.order
+            for lam in ff.enumerate_mu(k, k.order):
+                deep = ssc.char_at_unipotent_deep(eta, lam)
+                assert deep == ssc.char_at_unipotent_closed(eta, lam)
+                expected = alg.scalar_series(
+                    lf.teichmuller(lam * eta.zeta).shift(1))
+                t0, fiber = ff.norm_fiber_congruence(kr, k, lam)
+                for j in range(fiber):
+                    c0 = kr.from_dlog((t0 + j * k.order) % Q)
+                    phi_lam = csa.block_uniformizer(
+                        alg, D.teich(c0) * csa.make_phi_D(D, eta.zeta))
+                    assert phi_lam ** eta.n == expected
+                    target = alg.identity() + phi_lam
+                    total = eta.chi.ring.zero()
+                    for t1 in range(Q // k.order):
+                        for rest in itertools.product(range(Q),
+                                                      repeat=m - 1):
+                            diag = [kr.from_dlog(t) for t in (t1, *rest)]
+                            total = total + ssc.theta_eval(
+                                eta, csa.teich_conjugate(target, diag))
+                    assert total == deep, (pf, m, r, ff.dlog(lam), j)
 
     def test_deep_route_medium_config(self):
         eta = ssc.make_param(3, 1, 2, 2, 1, zeta_dlog=1, chi_j=2,
@@ -676,8 +700,9 @@ def order_elements(draw, alg):
     if draw(st.integers(0, 5)) == 0:
         return alg.zero()
     D = alg.D
-    return alg.elem([[D.elem([draw(order_coeffs(D.kr, int(i > j and l == 0)))
-                              for l in range(D.r)])
+    return alg.elem([[csa.AlgElem(D, [draw(order_coeffs(D.kr,
+                                                        int(i > j and l == 0)))
+                                      for l in range(D.r)])
                       for j in range(alg.m)] for i in range(alg.m)])
 
 
@@ -742,8 +767,8 @@ def lift(x):
 
 def exact_matrix(g):
     D = g.parent.D
-    return g.parent.elem([[D.elem([lift(a) for a in e.coeffs]) for e in row]
-                          for row in g.entries])
+    return g.parent.elem([[csa.AlgElem(D, [lift(a) for a in e.coeffs])
+                           for e in row] for row in g.entries])
 
 
 def min_plus_prec(a, b, i, j, t):
