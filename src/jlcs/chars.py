@@ -60,10 +60,6 @@ class AddChar:
         # concatenating the two slices is several times faster than np.roll
         return np.concatenate((te[s:], te[:s]))
 
-    def to_json(self) -> dict:
-        return {"kind": "additive", "p": self.p,
-                "twist_dlog": self._shift, "field": self.field.to_json()}
-
     def __repr__(self):
         return f"AddChar(twist dlog {self._shift} on {self.field!r})"
 
@@ -96,18 +92,6 @@ class MultChar:
 
     def eval(self, x: ff.FFElem) -> CycElem:
         return self.ring.zeta(self.field.order, self.exponent(x))
-
-    def __eq__(self, other):
-        if not isinstance(other, MultChar):
-            return NotImplemented
-        return self.field is other.field and self.j == other.j
-
-    def __hash__(self):
-        return hash((id(self.field), self.j))
-
-    def to_json(self) -> dict:
-        return {"kind": "multiplicative", "exponent": self.j,
-                "field": self.field.to_json()}
 
     def __repr__(self):
         return f"MultChar(j={self.j} on {self.field!r})"

@@ -247,7 +247,7 @@ def _flatten(record: dict, prefix: str = "") -> dict:
             else:
                 flat.update(_flatten(value, name + "."))
         elif isinstance(value, list):
-            flat[name] = ";".join(str(v) for v in value)
+            flat[name] = json_line(value)
         else:
             flat[name] = value
     return flat
@@ -412,7 +412,7 @@ def _invariant_rows(eta, split):
     """One row per comparison of the inner form's invariants with the
     split form's: the central character at the uniformizer and at every
     Teichmuller unit times w^v, v = -1..2, then the endo-class label."""
-    omega_d, omega_s = ssc.central_char(eta), ssc.central_char(split)
+    omega_d, omega_s = ssc.CentralChar(eta), ssc.CentralChar(split)
     pairs = [({"at": "varpi"}, omega_d.varpi_value(), omega_s.varpi_value())]
     for t in range(eta.k.order):
         for v in (-1, 0, 1, 2):

@@ -113,9 +113,6 @@ class DivAlgebra:
                             prec)
             for v in vals))
 
-    def to_json(self) -> dict:
-        return {"q": self.k.size, "r": self.r, "s": self.s}
-
     def __repr__(self):
         if self.r == 1:
             return f"K(q={self.k.size})"
@@ -175,9 +172,6 @@ class AlgElem:
 
     def __neg__(self):
         return AlgElem(self.parent, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
 
     def __mul__(self, other):
         o = self._check(other)
@@ -275,9 +269,6 @@ class MatrixAlgebra:
             rows.append(tuple(self.D.random(rng, prec, 1 if i > j else 0)
                               for j in range(self.m)))
         return MatA(self, tuple(rows))
-
-    def to_json(self) -> dict:
-        return {"algebra": self.D.to_json(), "m": self.m, "n": self.n}
 
     def __repr__(self):
         return f"M_{self.m}({self.D!r})"
@@ -783,9 +774,6 @@ class RedCharPoly:
     def residue_coeffs(self) -> list:
         """Residues of a_0..a_{n-1}; requires integral coefficients."""
         return [c.residue() for c in self.coeffs]
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "coeffs": [c.to_json() for c in self.coeffs]}
 
 
 def _taylor_shift(coeffs, t):

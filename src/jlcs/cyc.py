@@ -142,12 +142,6 @@ class CycRing:
                     acc[base + i] -= c * a
         return CycElem(self, tuple(acc[:deg]))
 
-    def __eq__(self, other):
-        return isinstance(other, CycRing) and other.M == self.M
-
-    def __hash__(self):
-        return hash(("CycRing", self.M))
-
     def __repr__(self):
         return f"Z[zeta_{self.M}]"
 
@@ -189,12 +183,6 @@ class CycElem:
         return CycElem(self.ring,
                        tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -220,11 +208,7 @@ class CycElem:
             return NotImplemented
         return self.coeffs == o.coeffs
 
-    def __hash__(self):
-        return hash((self.ring.M, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
+    __hash__ = None
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -470,19 +470,14 @@ class FieldDesc:
         for code in range(self.size):
             yield FFElem(self, code)
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p, "f": self.f, "l": self.l,
-            "defining_poly": list(self.modulus),
-            "generator": self._digits(self.gen_packed),
-        }
-
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
 
 
 class FFElem:
-    """Element of a FieldDesc, stored packed; hashable and immutable."""
+    """Element of a FieldDesc, stored packed; hashable and immutable.  Its
+    +, * and / take elements of its own field only; an int enters through
+    FieldDesc.from_int."""
 
     __slots__ = ("field", "packed")
 
@@ -495,8 +490,6 @@ class FFElem:
             if other.field is not self.field:
                 raise ValidationError("elements of different fields")
             return other
-        if isinstance(other, int):
-            return FFElem(self.field, other % self.field.p)
         return None
 
     def __add__(self, other):
@@ -505,30 +498,11 @@ class FFElem:
             return NotImplemented
         return FFElem(self.field, self.field.add_packed(self.packed, o.packed))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FFElem(self.field, self.field.neg_packed(self.packed))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return FFElem(self.field, self.field.mul_packed(self.packed, o.packed))
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         return FFElem(self.field, self.field.pow_packed(self.packed, e))
@@ -545,15 +519,10 @@ class FFElem:
     def __eq__(self, other):
         if isinstance(other, FFElem):
             return self.field is other.field and self.packed == other.packed
-        if isinstance(other, int):
-            return self.packed == other % self.field.p and self.packed < self.field.p
         return NotImplemented
 
     def __hash__(self):
         return hash((id(self.field), self.packed))
-
-    def __bool__(self):
-        return self.packed != 0
 
     def is_zero(self) -> bool:
         return self.packed == 0

@@ -496,10 +496,6 @@ class CentralChar:
         return eta._finish(root, eta.n * v, (eta.alg.m - 1) * eta.n * v)
 
 
-def central_char(eta: SscParam) -> CentralChar:
-    return CentralChar(eta)
-
-
 def endoclass_label(eta: SscParam) -> dict:
     """The parameter-level endo-class data: everything the restriction of
     theta to the 1-units remembers.  Ignores chi and c by design."""

@@ -284,7 +284,7 @@ def test_criterion_10_local_constants_and_invariants():
 
         split = ssc.jl_transfer(eta).param
         assert_exact(ssc.epsilon(split), eps, f"{label} transfer epsilon")
-        omega_d, omega_s = ssc.central_char(eta), ssc.central_char(split)
+        omega_d, omega_s = ssc.CentralChar(eta), ssc.CentralChar(split)
         assert_exact(omega_d.varpi_value(), omega_s.varpi_value(),
                      f"{label} central varpi")
         for t, v in ((0, 0), (0, 1), (1, -1), (1, 2)):

@@ -594,6 +594,17 @@ class TestReportShape:
         cell = row.split(",")[columns.index("value")]
         assert "j" in cell
 
+    def test_csv_list_cell_is_json(self, capsys):
+        argv = ["csa", "selftest", "--p", "2", "--f", "1", "--m", "2",
+                "--r", "2", "--s", "1"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        (record,) = lines(out)
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        (row,) = csv_mod.DictReader(io.StringIO(out))
+        assert json.loads(row["checks"]) == record["checks"]
+
 
     @pytest.mark.parametrize("command,header", [
         ("epsilon --p 3 --f 1 --m 1 --r 2 --s 1 --twist-unit 1 "

@@ -186,7 +186,10 @@ class TestRingStructure:
         R = cyc.ring_for(4)
         assert R.from_int(3) == 3
         assert R.zeta(4) * 2 + 1 == R.from_int(1) + R.zeta(4) + R.zeta(4)
-        assert 5 - R.from_int(2) == 3
+        with pytest.raises(TypeError):
+            5 - R.from_int(2)
+        with pytest.raises(TypeError):
+            hash(R.from_int(2))
 
     def test_weighted_root_sum(self):
         R = cyc.ring_for(3)

@@ -642,10 +642,11 @@ class TestWitnesses:
         monkeypatch.undo()
         gvals = [expsum.restricted_gauss(n, chi, psi, a)
                  for a in k.elements()]
+        minus_one = k.from_int(-1)
         for x, got in zip(k.elements(), seen[-k.size:]):
             want = R.zero()
             for a, g in zip(k.elements(), gvals):
-                want = want + g * psi.eval(-(a * x))
+                want = want + g * psi.eval(minus_one * a * x)
             assert got == want
 
     @pytest.mark.parametrize("p,f,n,j", [(3, 2, 2, 1), (2, 3, 7, 2),
@@ -679,10 +680,11 @@ class TestWitnesses:
         gvals = [gauss(n, chi, psi, a) for a in k.elements()]
         # elements() runs through the codes in order
         transforms = seen[-rep.witness.packed - 1:]
+        minus_one = k.from_int(-1)
         for x, got in zip(k.elements(), transforms):
             want = R.zero()
             for a, g in zip(k.elements(), gvals):
-                want = want + g * psi.eval(-(a * x))
+                want = want + g * psi.eval(minus_one * a * x)
             assert got == c * want
 
     @pytest.mark.parametrize("j", [0, 1, 5, 21])

@@ -522,7 +522,7 @@ class TestLocalConstants:
         eta = param_q3_21(zeta_dlog=1)
         xi = ssc.TameChar(MultChar(eta.k, 1, eta.chi.ring),
                           ssc.CUnit(order=1))
-        ybar = -eta.zeta
+        ybar = eta.k.from_int(-1) * eta.zeta
         assert ssc.epsilon_twisted(eta, xi) == \
             xi.unit_part.eval(ybar) * ssc.epsilon(eta)
 
@@ -561,7 +561,7 @@ class TestCentralCharacter:
                               (2, 2, 1, 2, 1)]:
             eta = ssc.make_param(p, f, m, r, s, zeta_dlog=1, chi_j=1,
                                  c=ssc.CUnit(order=4, power=1))
-            omega = ssc.central_char(eta)
+            omega = ssc.CentralChar(eta)
             for t in range(eta.k.order):
                 for v in (-2, -1, 0, 1, 2):
                     x = lf.teichmuller(eta.k.from_dlog(t)).shift(v)
@@ -570,24 +570,24 @@ class TestCentralCharacter:
 
     def test_uniformizer_value_closed_form(self):
         eta = param_q3_12(zeta_dlog=1, c=ssc.CUnit(order=4, power=1))
-        omega = ssc.central_char(eta)
+        omega = ssc.CentralChar(eta)
         assert omega.varpi_value() == omega.at(uniformizer(eta.k))
 
     def test_one_units_matter_only_for_degree_one(self):
         eta = param_q3_21(zeta_dlog=1)
-        omega = ssc.central_char(eta)
+        omega = ssc.CentralChar(eta)
         x = lf.one(eta.k) + uniformizer(eta.k, prec=6)
         assert omega.at(x) == eta.chi.ring.one()
 
         eta1 = ssc.make_param(3, 1, 1, 1, None, zeta_dlog=1, chi_j=1)
-        omega1 = ssc.central_char(eta1)
+        omega1 = ssc.CentralChar(eta1)
         got = omega1.at(lf.one(eta1.k) + uniformizer(eta1.k, prec=6))
         assert got == eta1.psi.eval(eta1.k.one() / eta1.zeta)
 
     def test_zero_is_rejected(self):
         eta = param_q3_21()
         with pytest.raises(DomainError):
-            ssc.central_char(eta).at(lf.zero(eta.k))
+            ssc.CentralChar(eta).at(lf.zero(eta.k))
 
 
 class TestEndoclass:
