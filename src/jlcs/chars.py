@@ -24,9 +24,7 @@ class AddChar:
 
     __slots__ = ("field", "twist", "ring", "p", "_shift")
 
-    def __init__(self, field: ff.FieldDesc, twist, ring: CycRing):
-        if isinstance(twist, int):
-            twist = field.elem(twist)
+    def __init__(self, field: ff.FieldDesc, twist: ff.FFElem, ring: CycRing):
         if twist.field is not field:
             raise ValidationError("twist must live in the field")
         if twist.is_zero():

@@ -91,8 +91,6 @@ class DivAlgebra:
 
     def teich(self, c: ff.FFElem) -> "AlgElem":
         """Teichmuller lift of c in k_r."""
-        if c.field is not self.kr:
-            c = ff.embed(c, self.kr)
         return self.from_series(lf.teichmuller(c))
 
     def twist(self, x: lf.LaurentTrunc, i: int) -> lf.LaurentTrunc:
@@ -699,7 +697,9 @@ def _det(mat, field) -> lf.LaurentTrunc:
 def _descend(x: lf.LaurentTrunc, k: ff.FieldDesc) -> lf.LaurentTrunc:
     if x.field is k:
         return x
-    if lf.galois_series(x, 1, k) != x:
+    # Frobenius keeps val, prec and the zeros of a normalized series, so x
+    # is invariant exactly when its coefficient tuple is
+    if lf.galois_series(x, 1, k).coeffs != x.coeffs:
         raise IdentityFailure("reduced invariant left the base field")
     return lf.pullback_series(x, k)
 

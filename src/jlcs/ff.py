@@ -31,10 +31,11 @@ and negatives are lookups too: p = 2 adds by XOR, and every odd-p field
 holds a Zech table of order = size - 1 entries,
 zech[t] = log(1 + g^t), so that g^a + g^b = g^(a + zech[b - a]) and
 -g^a = g^(a + order/2); prime fields add as (a + b) % p.  The exp, log and
-Zech tables are int32 machine arrays (array('i'), 4 bytes an entry, filled
-straight from the numpy buffers of the build), and each lookup reads back a
-Python int.  Field sizes are capped at DEFAULT_FIELD_CAP elements to keep
-this honest; the build also checks that codes fit int32.
+Zech tables are int32 machine arrays (array('i'), 4 bytes an entry, each
+allocated once at its final length and filled in place through a numpy view
+of its buffer), and each lookup reads back a Python int.  Field sizes are
+capped at DEFAULT_FIELD_CAP elements to keep this honest; the build also
+checks that codes fit int32.
 
 make_field and make_extension return one shared FieldDesc per field, so
 fields compare by identity.
@@ -89,12 +90,12 @@ def _exact_matmul(A, X) -> np.ndarray:
     return (A.astype(np.float64) @ X.astype(np.float64)).astype(np.int64)
 
 
-def _int_array(values: np.ndarray) -> array:
-    """The np.intc buffer values copied into an array('i'), whose items
-    read back as Python ints."""
-    out = array("i")
-    out.frombytes(memoryview(values).cast("B"))
-    return out
+def _int32_table(n: int, fill: int) -> tuple[array, np.ndarray]:
+    """An array('i') of n entries equal to fill, whose items read back as
+    Python ints, and a writable np.intc view of its buffer through which
+    numpy fills it in place."""
+    table = array("i", [fill]) * n
+    return table, np.frombuffer(table, dtype=np.intc)
 
 
 def _matpow_mod(M, e, p):
@@ -261,10 +262,13 @@ class FieldDesc:
         by the rows [M^_BLOCK; p^i; Tr x^i] gives the next block and the
         current block's packed codes and traces.  Every float64 sum of
         products here is at most d (p - 1)^2 for a digit or a trace and
-        below p^d for a packed code, so it is exact below 2^53.  The codes
-        and logs are written into np.intc buffers (every code is below
-        2^31, checked once) and copied byte for byte into the int32 exp,
-        log and Zech arrays; no Python int is kept per element."""
+        below p^d for a packed code, so it is exact below 2^53.  The exp,
+        log and Zech arrays are allocated once, as int32 arrays of their
+        final length (every code is below 2^31, checked once), and filled
+        through np.intc views: each block writes its codes into exp and
+        its logs into log, and the Zech table is read off exp and log one
+        block at a time.  Nothing is copied, no temporary grows with the
+        field, and no Python int is kept per element."""
         p, d, size, order = self.p, self.degree, self.size, self.order
         # powers[i] = C^i multiplies by x^i, so sum c_i C^i multiplies by
         # the element with coefficients c
@@ -294,35 +298,38 @@ class FieldDesc:
         # MB is M^_BLOCK once the walk has more than one block; a one-block
         # field only discards the next block it gives
         rows = np.vstack([MB, weights, traces])
-        packed = np.empty(order, dtype=np.intc)
+        self.exp, exp = _int32_table(order, 0)
+        self.log, log = _int32_table(size, -1)
         trace_exp = np.empty(order, dtype=np.min_scalar_type(p - 1))
         for start in range(0, order, width):
             out = _exact_matmul(rows, block)
             stop = min(start + width, order)
-            packed[start:stop] = out[d, :stop - start]
+            exp[start:stop] = out[d, :stop - start]
+            log[exp[start:stop]] = np.arange(start, stop, dtype=np.intc)
             trace_exp[start:stop] = out[d + 1, :stop - start] % p
             block = out[:d] % p
-        log_arr = np.full(size, -1, dtype=np.intc)
-        log_arr[packed] = np.arange(order, dtype=np.intc)
-        if int((log_arr >= 0).sum()) != order:
+        # the order powers are nonzero codes, of which there are order, so
+        # they repeat exactly when some nonzero code is left without a log
+        if log[1:].min() < 0:
             raise InvariantError("generator powers repeat")
-        self.exp = _int_array(packed)
-        self.log = _int_array(log_arr)
         trace_exp.setflags(write=False)
         self.trace_exp = trace_exp
-        self.zech = None if p == 2 else self._zech_table(packed, log_arr)
+        self.zech = None if p == 2 else self._zech_table(exp, log)
 
-    def _zech_table(self, packed, log_arr) -> array:
-        """zech[t] = log(1 + g^t), computed in place on the packed buffer;
-        1 + g^t only moves the constant digit.  The one t with 1 + g^t = 0
-        gets log[0] = -1."""
-        # adding 1 wraps a constant digit of p - 1 to 0, with no carry
-        packed += 1
-        packed[packed % self.p == 0] -= self.p
-        # out is the index buffer itself: element t is written only after
-        # index t is read, and clip leaves every (in-range) index as it is
-        log_arr.take(packed, out=packed, mode="clip")
-        return _int_array(packed)
+    def _zech_table(self, exp, log) -> array:
+        """zech[t] = log(1 + g^t), filled _BLOCK entries at a time from the
+        np.intc views of exp and log; 1 + g^t only moves the constant
+        digit.  The one t with 1 + g^t = 0 gets log[0] = -1."""
+        p = self.p
+        table, zech = _int32_table(self.order, 0)
+        for start in range(0, self.order, _BLOCK):
+            codes = exp[start:start + _BLOCK] + 1
+            # adding 1 wraps a constant digit of p - 1 to 0, with no carry
+            codes[codes % p == 0] -= p
+            # clip leaves every (in-range) code as it is, and unlike the
+            # default mode it writes into out without buffering it
+            log.take(codes, out=zech[start:start + _BLOCK], mode="clip")
+        return table
 
     def _declare_embedding(self, sub: "FieldDesc"):
         """Send the class of x in sub to the least root alpha of sub.modulus

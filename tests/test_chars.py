@@ -16,7 +16,7 @@ class TestAddChar:
     def test_values_on_prime_field(self):
         k = ff.make_field(3, 1)
         R = standard_ring(3, 1)
-        psi = chars.AddChar(k, 1, R)
+        psi = chars.AddChar(k, k.one(), R)
         assert psi.eval(k.zero()) == R.one()
         assert psi.eval(k.elem(1)) == R.zeta(3, 1)
         assert psi.eval(k.elem(2)) == R.zeta(3, 2)
@@ -24,7 +24,7 @@ class TestAddChar:
     def test_gf9_exponents_follow_the_trace(self):
         k = ff.make_field(3, 2)
         R = standard_ring(3, 2)
-        psi = chars.AddChar(k, 1, R)
+        psi = chars.AddChar(k, k.one(), R)
         # Tr(1) = 2 and Tr(x) = 0 in the x^2 + 1 presentation
         assert psi.exponent(k.one()) == 2
         assert psi.exponent(k.elem(3)) == 0
@@ -53,7 +53,7 @@ class TestAddChar:
     def test_twist_is_a_translate(self):
         k = ff.make_field(3, 2)
         R = standard_ring(3, 2)
-        psi1 = chars.AddChar(k, 1, R)
+        psi1 = chars.AddChar(k, k.one(), R)
         b = k.gen()
         psib = chars.AddChar(k, b, R)
         for x in k.elements():
@@ -62,13 +62,15 @@ class TestAddChar:
     def test_zero_twist_rejected(self):
         k = ff.make_field(3, 1)
         with pytest.raises(ValidationError):
-            chars.AddChar(k, 0, standard_ring(3, 1))
+            chars.AddChar(k, k.zero(), standard_ring(3, 1))
 
     @pytest.mark.parametrize("twist", [100, -1])
     def test_twist_code_outside_the_field_rejected(self, twist):
+        # a twist enters as a field element, and FieldDesc.elem rejects the
+        # code before any character is built
         k = ff.make_field(3, 1)
         with pytest.raises(ValidationError):
-            chars.AddChar(k, twist, standard_ring(3, 1))
+            chars.AddChar(k, k.elem(twist), standard_ring(3, 1))
 
     @pytest.mark.parametrize("p,f,l", [(2, 1, 1), (2, 2, 3), (3, 1, 1),
                                        (3, 2, 2), (7, 1, 2), (61, 1, 1)])
@@ -93,7 +95,7 @@ class TestAddChar:
     def test_ring_must_contain_pth_roots(self):
         k = ff.make_field(3, 1)
         with pytest.raises(ValidationError):
-            chars.AddChar(k, 1, cyc.ring_for(4))
+            chars.AddChar(k, k.one(), cyc.ring_for(4))
 
 
 class TestMultChar:
@@ -166,6 +168,6 @@ class TestInflation:
     def test_inflation_outside_tower_rejected(self):
         k5 = ff.make_field(5, 1)
         k3 = ff.make_field(3, 1)
-        psi = chars.AddChar(k3, 1, standard_ring(3, 1))
+        psi = chars.AddChar(k3, k3.one(), standard_ring(3, 1))
         with pytest.raises(ValidationError):
             chars.inflate_add(psi, k5)

@@ -811,7 +811,7 @@ class TestDeterminism:
     def test_kloosterman_report_matches_enumeration(self, capsys):
         # the reported value is the literal sum over unit triples of F_5
         k = ff.make_field(5, 1)
-        psi = AddChar(k, 1, ring_for(5, k.order))
+        psi = AddChar(k, k.one(), ring_for(5, k.order))
         units = [x for x in k.elements() if not x.is_zero()]
         for t in range(k.order):
             a = k.from_dlog(t)

@@ -134,6 +134,16 @@ class TestDivisionAlgebraArithmetic:
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
 
+    def test_teich_lifts_constants_of_k_r_only(self):
+        # a constant of k is embedded into k_r first; teich rejects it as is
+        k = ff.make_field(3, 1)
+        D = csa.div_algebra(k, 2, 1)
+        c = k.from_int(2)
+        with pytest.raises(ValidationError):
+            D.teich(c)
+        assert D.teich(ff.embed(c, D.kr)) == \
+            D.from_base_series(lf.teichmuller(c))
+
     def test_noncommutative(self):
         k = ff.make_field(3, 1)
         D = csa.div_algebra(k, 2, 1)
@@ -1103,6 +1113,24 @@ class TestReducedInvariants:
         phi = csa.make_phi_zeta(3, D, zeta)
         assert csa.rtrace(csa.phi_inverse(3, D, zeta)).is_zero()
         assert csa.rtrace(phi).is_zero()
+
+    def test_descend_pulls_back_only_frobenius_invariant_series(self):
+        # a series over k_r whose coefficients lie in k comes back over k
+        # unchanged in (val, coeffs, prec); one that holds the generator of
+        # k_r is not Frobenius-invariant, and descending it is a failed
+        # identity
+        k = ff.make_field(3, 2)
+        kr = ff.make_extension(k, 3)
+        for x in (lf.from_coeffs(k, -1, [k.gen().packed, 0, 1], 5),
+                  lf.from_coeffs(k, 2, [1]), lf.zero(k, 3)):
+            down = csa._descend(lf.embed_series(x, kr), k)
+            assert down.field is k
+            assert (down.val, down.coeffs, down.prec) == \
+                (x.val, x.coeffs, x.prec)
+            assert csa._descend(x, k) is x
+        for coeffs in ([kr.gen().packed], [1, 0, kr.gen().packed]):
+            with pytest.raises(IdentityFailure):
+                csa._descend(lf.from_coeffs(kr, 0, coeffs, 4), k)
 
     def test_rnorm_of_phi(self):
         # Nrd(phi_zeta) = (-1)^{n-1} zeta w

@@ -14,7 +14,7 @@ from oracles import conjugate, galois, rel_norm, rel_trace
 def setup_k(p, f):
     k = ff.make_field(p, f)
     R = cyc.ring_for(p, max(k.order, 1))
-    psi = chars.AddChar(k, 1, R)
+    psi = chars.AddChar(k, k.one(), R)
     return k, R, psi
 
 

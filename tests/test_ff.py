@@ -750,16 +750,19 @@ def test_table_build_holds_no_digit_matrix():
 
 def test_field_tables_hold_no_python_ints():
     """A fresh GF(3^12) keeps less than 16 B per element (the exp, log and
-    Zech tables at 4 B each, trace_exp at 1 B), and its tables read back
-    Python ints, so no numpy scalar can reach a JSON report."""
+    Zech tables at 4 B each, trace_exp at 1 B), its build peaks below 1.25
+    times what it keeps (each table is filled in place, so no second buffer
+    of its size is held), and its tables read back Python ints, so no numpy
+    scalar can reach a JSON report."""
     base = ff.make_field(3, 1)
     tracemalloc.start()
     try:
         k = ff.FieldDesc(3, 12, 1, base)
-        kept, _ = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert kept < 16 * k.size
+    assert peak < 1.25 * kept
     rng = random.Random("int32-tables")
     for _ in range(100):
         t, c = rng.randrange(k.order), rng.randrange(1, k.size)

@@ -332,7 +332,7 @@ class TestPsiK:
     def test_values(self):
         k = ff.make_field(3, 1)
         R = cyc.ring_for(3, 2)
-        psi = chars.AddChar(k, 1, R)
+        psi = chars.AddChar(k, k.one(), R)
         w = uniformizer(k)
         assert lf.psi_K(psi, w) == R.one()
         assert lf.psi_K(psi, lf.zero(k)) == R.one()
@@ -342,7 +342,7 @@ class TestPsiK:
     def test_constant_on_p_cosets(self):
         k = ff.make_field(5, 1)
         R = cyc.ring_for(5, 4)
-        psi = chars.AddChar(k, 1, R)
+        psi = chars.AddChar(k, k.one(), R)
         x = lf.teichmuller(k.elem(3))
         for j in range(1, 4):
             shifted = x + uniformizer(k).shift(j - 1)
@@ -351,7 +351,7 @@ class TestPsiK:
     def test_pole_rejected(self):
         k = ff.make_field(3, 1)
         R = cyc.ring_for(3, 2)
-        psi = chars.AddChar(k, 1, R)
+        psi = chars.AddChar(k, k.one(), R)
         x = lf.LaurentTrunc(k, -1, [1], 4)
         with pytest.raises(DomainError):
             lf.psi_K(psi, x)
