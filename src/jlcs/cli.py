@@ -347,7 +347,10 @@ def _run_verify(args):
             records.append(expsum.fourier_inversion_check(
                 args.n, chi, psi, args.budget).to_json())
     else:  # separation
-        k, ring, psi, _ = _setup_chars(args)
+        # only psi's exponent table is read, so psi takes Z[zeta_p], not
+        # the ring of chi's values as well
+        k = ff.make_field(args.p, args.f)
+        psi = AddChar(k, k.from_dlog(args.psi_twist), ring_for(args.p))
         if k.order < 2:
             raise ValidationError(
                 f"F_{k.size} has no ratio a' outside zero and one")

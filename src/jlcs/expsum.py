@@ -17,7 +17,11 @@ two are coprime and the CRT makes that group the cyclic Z/(d*p).
 _TupleCounts convolves one flat vector up to the (l-1)-fold table, one
 contiguous shifted add per nonzero single-unit cell and step; one row of
 the l-fold table is then one gather over the single-unit cells, and the
-whole table one more step and a gather back to the d x p layout.  A sum
+whole table one more step and a gather back to the d x p layout.  A prime
+field's own table (d = p - 1, every unit its own cell of weight 1) takes
+its first step, about p**3 adds, as one histogram of its (p-1)**2 pair
+sums instead.  An extension field keeps the shifted adds: with p small
+they cost only p times as many adds as there are pairs.  A sum
 over one norm fiber (l = 1) reads its own coset of the unit group: a
 strided slice of the field's trace_exp array, counted with no histogram
 over the other units.
@@ -138,6 +142,11 @@ class _TupleCounts:
     written out twice as dbl (for l = 1 the 0-fold table, one count at
     0).  A convolution step adds, per nonzero cell c of weight w of the
     single-unit table, w times the contiguous slice dbl[N - c:2N - c].
+    On a prime field with d = p - 1 every unit is its own cell of weight
+    1 and a step costs d*N, about p**3 adds, so the 2-fold table is
+    instead one histogram of the d**2 < N cell-pair sums mod N.  On an
+    extension field p is small, d*N is only p times d**2, and the shifted
+    adds stay.
     row(T) reads one row of the l-fold table with no step, by one gather:
     column e is the sum over the cells of w * dbl[(T*u - c) mod N + e*v
     mod N].  table() takes the last step (none for l = 1, whose table is
@@ -158,23 +167,40 @@ class _TupleCounts:
         self.single = single
         self.cells = np.flatnonzero(single)
         self.weights = single[self.cells]
-        self.slices = list(zip((N - self.cells).tolist(),
-                               self.weights.tolist()))
         self.columns = np.arange(p) * v % N
-        if l == 1:
-            prev = np.zeros_like(single)
-            prev[0] = 1
-        else:
-            prev = single
-            for _ in range(l - 2):
-                prev = self._step(np.concatenate((prev, prev)))
+        # a prime field's own table: every unit its own cell, d = p - 1
+        self.by_pairs = fld.degree == 1 and d == fld.order
+        prev = self._fold(l - 1)
         self.dbl = np.concatenate((prev, prev))
+
+    def _fold(self, j) -> np.ndarray:
+        """The j-fold table, flat on Z/N."""
+        if j == 0:
+            prev = np.zeros_like(self.single)
+            prev[0] = 1
+            return prev
+        if j >= 2 and self.by_pairs:
+            prev, j = self._pairs(), j - 2
+        else:
+            prev, j = self.single, j - 1
+        for _ in range(j):
+            prev = self._step(np.concatenate((prev, prev)))
+        return prev
+
+    def _pairs(self) -> np.ndarray:
+        """The 2-fold table of a table whose cells all have weight 1: one
+        histogram of the d**2 cell-pair sums mod N."""
+        sums = np.add.outer(self.cells, self.cells)
+        sums %= self.N
+        return np.bincount(sums.ravel(), minlength=self.N).astype(
+            self.single.dtype)
 
     def _step(self, dbl) -> np.ndarray:
         """The next convolution power of the table dbl holds twice."""
         N = self.N
         out = np.zeros(N, dtype=dbl.dtype)
-        for start, w in self.slices:
+        for start, w in zip((N - self.cells).tolist(),
+                            self.weights.tolist()):
             # when d = q - 1 every unit has its own cell, of weight 1
             shifted = dbl[start:start + N]
             out += shifted if w == 1 else w * shifted
@@ -189,7 +215,7 @@ class _TupleCounts:
         """The whole d x p table."""
         layout = (np.arange(self.d)[:, None] * self.u
                   + self.columns) % self.N
-        flat = self.single if self.l == 1 else self._step(self.dbl)
+        flat = self._fold(self.l) if self.l <= 2 else self._step(self.dbl)
         return flat[layout]
 
 
@@ -316,12 +342,14 @@ def check_identity_725(m: int, r: int, lam: ff.FFElem, psi: AddChar,
     route1 = kloosterman(kr, m, lam, psi, budget)
 
     # route 2: sign times the norm-fiber sum over k_n
-    sign2 = -1 if (m - 1) % 2 else 1
-    route2 = kloosterman(kn, 1, lam, psi, budget) * sign2
+    route2 = kloosterman(kn, 1, lam, psi, budget)
+    if (m - 1) % 2:
+        route2 = -route2
 
     # route 3: sign times a single Kloosterman sum over the base field
-    sign3 = -1 if (n - m) % 2 else 1
-    route3 = kloosterman(k, n, lam, psi, budget) * sign3
+    route3 = kloosterman(k, n, lam, psi, budget)
+    if (n - m) % 2:
+        route3 = -route3
 
     pairs = [(route1, route2), (route2, route3), (route1, route3)]
     bad = next(((x, y) for x, y in pairs if not (x - y).is_zero()), None)
@@ -421,6 +449,8 @@ def separation_witnesses(n: int, psi: AddChar, aprimes,
     of one count table of the K_{n,a}, each row read at most once and only
     when a ratio compares it."""
     k = psi.field
+    if n < 1:
+        raise ValidationError("n must be positive")
     aprimes = list(aprimes)
     for aprime in aprimes:
         if aprime.field is not k:

@@ -404,7 +404,7 @@ class TestExitCodes:
         assert code == 2
         (record,) = lines(out)
         assert record["error"] == "ValidationError"
-        assert record["message"] == "l must be positive"
+        assert record["message"] == "n must be positive"
 
     @pytest.mark.parametrize("budget,code", [(10799, 3), (10800, 0)])
     def test_separation_budget_edge(self, capsys, budget, code):
@@ -800,6 +800,20 @@ class TestDeterminism:
         _, reduced = run(capsys, *argv, "--aprime-dlog", "1")
         assert wrapped == reduced
         assert lines(reduced)[0]["parameters"]["aprime_dlog"] == 1
+
+    def test_separation_builds_only_z_zeta_p(self, capsys, monkeypatch):
+        # the rows are compared as counts, so psi needs no (q-1)-th roots
+        orders = []
+
+        def recorded(*args):
+            orders.append(args)
+            return ring_for(*args)
+
+        monkeypatch.setattr(cli, "ring_for", recorded)
+        code, out = run(capsys, "verify", "separation", "--p", "61",
+                        "--f", "1", "--n", "3", "--aprime-dlog", "4")
+        assert code == 0 and orders == [(61,)]
+        assert lines(out)[0]["witness_dlog"] is not None
 
     def test_repeated_runs_are_byte_identical(self, capsys):
         argv = ["char", "--p", "3", "--f", "1", "--m", "2", "--r", "1",

@@ -340,6 +340,63 @@ def test_dtype_switch_matches_the_tile_loop(l, dtype, d):
     assert sum(got.ravel().tolist()) == k.order ** l
 
 
+@pytest.mark.parametrize("l", [3, 4])
+@pytest.mark.parametrize("p", [47, 61, 101, 257])
+def test_prime_field_pair_counts_match_the_tile_loop(p, l):
+    # d = p - 1: the 2-fold table is the histogram of the unit pairs
+    k, R, psi = setup_k(p, 1)
+    assert_rows_match(k, psi.dlog_exponent_table(), l, k.order)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_field_pair_counts_match_enumeration(p, l):
+    k, R, _ = setup_k(p, 1)
+    psi = chars.AddChar(k, k.from_dlog(k.order // 2), R)
+    got = expsum._tuple_counts(k, psi.dlog_exponent_table(), l, k.order)
+    assert np.array_equal(got, literal_counts(k, l, k.order, psi.exponent))
+
+
+@pytest.mark.parametrize("l,dtype", [(10, np.int64), (11, object)])
+def test_prime_field_dtype_switch_matches_the_tile_loop(l, dtype):
+    # 60**10 < 2**63 < 60**11: the pair histogram is cast to the table's
+    # dtype before the later steps
+    k, R, psi = setup_k(61, 1)
+    tau = psi.dlog_exponent_table()
+    got = expsum._tuple_counts(k, tau, l, k.order)
+    assert got.dtype == dtype
+    assert sum(got.ravel().tolist()) == k.order ** l
+    assert_rows_match(k, tau, l, k.order)
+
+
+@pytest.mark.parametrize("p,f,d,l,built,finished", [
+    (61, 1, 60, 3, 0, 1),   # prime field, d = q - 1: the pair histogram
+    (61, 1, 60, 4, 1, 2),
+    (47, 1, 46, 2, 0, 0),
+    (61, 1, 30, 3, 1, 2),   # cells of weight 2: shifted adds
+    (7, 2, 48, 3, 1, 2),    # extension fields keep the shifted adds
+    (2, 6, 63, 3, 1, 2),
+    (3, 4, 80, 2, 0, 1)])
+def test_step_routing(p, f, d, l, built, finished, monkeypatch):
+    # the shifted-add steps taken to build the reader and read every row,
+    # then in all once the table is finished
+    calls = []
+    step = expsum._TupleCounts._step
+
+    def counted(self, dbl):
+        calls.append(len(dbl))
+        return step(self, dbl)
+
+    monkeypatch.setattr(expsum._TupleCounts, "_step", counted)
+    k, R, psi = setup_k(p, f)
+    reader = expsum._TupleCounts(k, psi.dlog_exponent_table(), l, d)
+    for T in range(d):
+        reader.row(T)
+    assert len(calls) == built
+    reader.table()
+    assert len(calls) == finished
+
+
 def assert_rows_match(fld, tau, l, d):
     """Every row the reader returns against the finished table and the
     tile-loop oracle, dtype included."""
@@ -570,6 +627,22 @@ class TestIdentity725:
                 rep = expsum.check_identity_725(m, r, lam, psi)
                 assert rep.equal, (p, f, m, r)
 
+    def test_signs_make_no_ring_product(self, monkeypatch):
+        # (m, r) = (2, 1) negates route 2 and (1, 2) route 3: each sign is
+        # a negation, and the routes still meet the literal norm-fiber sum
+        k, R, psi = setup_k(3, 1)
+        kr = {r: ff.make_extension(k, r) for r in (1, 2)}
+        want = {(m, r, t): literal_norm_sum(psi, kr[r], m, k.from_dlog(t))
+                for m, r in [(2, 1), (1, 2)] for t in range(k.order)}
+
+        def refuse(*args):
+            raise AssertionError("ring product")
+
+        monkeypatch.setattr(cyc.CycElem, "__mul__", refuse)
+        for (m, r, t), value in want.items():
+            rep = expsum.check_identity_725(m, r, k.from_dlog(t), psi)
+            assert rep.equal and rep.lhs == value, (m, r, t)
+
 
 class TestWitnesses:
     def test_gn_witness_trivial_chi_is_zero_elem(self):
@@ -721,6 +794,12 @@ class TestWitnesses:
             expsum.separation_witnesses(2, psi, [k.one()])
         with pytest.raises(ValidationError):
             expsum.separation_witnesses(2, psi, [k.zero()])
+
+    def test_separation_rejects_nonpositive_degree(self):
+        k, R, psi = setup_k(5, 1)
+        for n in (0, -1):
+            with pytest.raises(ValidationError, match="n must be positive"):
+                expsum.separation_witnesses(n, psi, [k.gen()])
 
     @pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
     def test_separation_exists_small(self, p, f):
