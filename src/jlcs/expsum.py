@@ -17,14 +17,12 @@ two are coprime and the CRT makes that group the cyclic Z/(d*p).
 _TupleCounts convolves one flat vector up to the (l-1)-fold table, one
 contiguous shifted add per nonzero single-unit cell and step; one row of
 the l-fold table is then one gather over the single-unit cells, and the
-whole table one more step and a gather back to the d x p layout.  A prime
-field's own table (d = p - 1, every unit its own cell of weight 1) takes
-its first step, about p**3 adds, as one histogram of its (p-1)**2 pair
-sums instead.  An extension field keeps the shifted adds: with p small
-they cost only p times as many adds as there are pairs.  A sum
-over one norm fiber (l = 1) reads its own coset of the unit group: a
-strided slice of the field's trace_exp array, counted with no histogram
-over the other units.
+whole table one more step and a gather back to the d x p layout.  A
+field's own table (d = q - 1, every unit its own cell of weight 1) takes
+its first step, (q-1)**2 * p adds, as one histogram of its (q-1)**2 pair
+sums instead.  A sum over one norm fiber (l = 1) reads its own coset of
+the unit group: a strided slice of the field's trace_exp array, counted
+with no histogram over the other units.
 """
 
 from __future__ import annotations
@@ -142,11 +140,9 @@ class _TupleCounts:
     written out twice as dbl (for l = 1 the 0-fold table, one count at
     0).  A convolution step adds, per nonzero cell c of weight w of the
     single-unit table, w times the contiguous slice dbl[N - c:2N - c].
-    On a prime field with d = p - 1 every unit is its own cell of weight
-    1 and a step costs d*N, about p**3 adds, so the 2-fold table is
-    instead one histogram of the d**2 < N cell-pair sums mod N.  On an
-    extension field p is small, d*N is only p times d**2, and the shifted
-    adds stay.
+    With d = q - 1 every unit is its own cell of weight 1 and a step
+    costs d*N = p * d**2 adds, so the 2-fold table is instead one
+    histogram of the d**2 cell-pair sums mod N.
     row(T) reads one row of the l-fold table with no step, by one gather:
     column e is the sum over the cells of w * dbl[(T*u - c) mod N + e*v
     mod N].  table() takes the last step (none for l = 1, whose table is
@@ -168,8 +164,8 @@ class _TupleCounts:
         self.cells = np.flatnonzero(single)
         self.weights = single[self.cells]
         self.columns = np.arange(p) * v % N
-        # a prime field's own table: every unit its own cell, d = p - 1
-        self.by_pairs = fld.degree == 1 and d == fld.order
+        # d = q - 1: every unit its own cell, of weight 1
+        self.by_pairs = d == fld.order
         prev = self._fold(l - 1)
         self.dbl = np.concatenate((prev, prev))
 

@@ -329,10 +329,14 @@ def test_extension_counts_match_the_tile_loop(p, f, r):
 
 
 @pytest.mark.parametrize("l,dtype", [(10, np.int64), (11, object)])
-@pytest.mark.parametrize("d", [1, 7, 63])
-def test_dtype_switch_matches_the_tile_loop(l, dtype, d):
-    # 63**10 < 2**63 < 63**11: the last int64 and the first object table
-    k, R, psi = setup_k(2, 6)
+@pytest.mark.parametrize("pf,d", [
+    pytest.param((2, 6), 1, id="1"), pytest.param((2, 6), 7, id="7"),
+    pytest.param((2, 6), 63, id="63"), pytest.param((61, 1), 60, id="q61")])
+def test_dtype_switch_matches_the_tile_loop(l, dtype, pf, d):
+    # 63**10 < 2**63 < 63**11 and 60**10 < 2**63 < 60**11: the last int64
+    # and the first object table; with d = q - 1 the pair histogram is
+    # cast to the table's dtype before the later steps
+    k, R, psi = setup_k(*pf)
     tau = psi.dlog_exponent_table()
     got = expsum._tuple_counts(k, tau, l, d)
     assert got.dtype == dtype
@@ -357,26 +361,15 @@ def test_prime_field_pair_counts_match_enumeration(p, l):
     assert np.array_equal(got, literal_counts(k, l, k.order, psi.exponent))
 
 
-@pytest.mark.parametrize("l,dtype", [(10, np.int64), (11, object)])
-def test_prime_field_dtype_switch_matches_the_tile_loop(l, dtype):
-    # 60**10 < 2**63 < 60**11: the pair histogram is cast to the table's
-    # dtype before the later steps
-    k, R, psi = setup_k(61, 1)
-    tau = psi.dlog_exponent_table()
-    got = expsum._tuple_counts(k, tau, l, k.order)
-    assert got.dtype == dtype
-    assert sum(got.ravel().tolist()) == k.order ** l
-    assert_rows_match(k, tau, l, k.order)
-
-
 @pytest.mark.parametrize("p,f,d,l,built,finished", [
-    (61, 1, 60, 3, 0, 1),   # prime field, d = q - 1: the pair histogram
+    (61, 1, 60, 3, 0, 1),   # d = q - 1: the pair histogram
     (61, 1, 60, 4, 1, 2),
     (47, 1, 46, 2, 0, 0),
+    (7, 2, 48, 3, 0, 1),
+    (2, 6, 63, 3, 0, 1),
+    (3, 4, 80, 2, 0, 0),
     (61, 1, 30, 3, 1, 2),   # cells of weight 2: shifted adds
-    (7, 2, 48, 3, 1, 2),    # extension fields keep the shifted adds
-    (2, 6, 63, 3, 1, 2),
-    (3, 4, 80, 2, 0, 1)])
+    (3, 4, 40, 2, 0, 1)])
 def test_step_routing(p, f, d, l, built, finished, monkeypatch):
     # the shifted-add steps taken to build the reader and read every row,
     # then in all once the table is finished
