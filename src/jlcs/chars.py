@@ -1,8 +1,9 @@
 """Additive and multiplicative characters of finite fields, valued in a
 cyclotomic ring.
 
-An additive character is determined by a nonzero twist b: it sends x to
-zeta_p ** Tr(b*x) with Tr the absolute trace.  A multiplicative character is
+An additive character is determined by a nonzero twist b of dlog shift:
+it sends x to zeta_p ** Tr(b*x) with Tr the absolute trace, so g**t goes
+to zeta_p ** trace_exp[t + shift].  A multiplicative character is
 determined by an exponent j against the canonical generator g: it sends g**t
 to zeta_(q-1) ** (j*t).  Both expose integer exponent() alongside ring-valued
 eval() so that summation kernels can stay in integer counting coordinates.
@@ -22,7 +23,7 @@ from .errors import DomainError, ValidationError
 class AddChar:
     """x -> zeta_p ** Tr(twist * x) on a finite field."""
 
-    __slots__ = ("field", "twist", "ring", "p", "_shift")
+    __slots__ = ("field", "twist", "ring", "p", "shift")
 
     def __init__(self, field: ff.FieldDesc, twist: ff.FFElem, ring: CycRing):
         if twist.field is not field:
@@ -36,7 +37,7 @@ class AddChar:
         self.twist = twist
         self.ring = ring
         self.p = field.p
-        self._shift = ff.dlog(twist)
+        self.shift = ff.dlog(twist)
 
     def exponent(self, x: ff.FFElem) -> int:
         """Tr(twist * x) as an integer in [0, p)."""
@@ -45,21 +46,21 @@ class AddChar:
         if x.is_zero():
             return 0
         f = self.field
-        return int(f.trace_exp[(self._shift + f.log[x.packed]) % f.order])
+        return int(f.trace_exp[(self.shift + f.log[x.packed]) % f.order])
 
     def eval(self, x: ff.FFElem) -> CycElem:
         return self.ring.zeta(self.p, self.exponent(x))
 
     def dlog_exponent_table(self) -> np.ndarray:
         """Tr(twist * g**t) for every t and the canonical generator g, as a
-        numpy array of the field's trace_exp dtype; summation kernels
-        index this directly."""
-        te, s = self.field.trace_exp, self._shift
+        numpy array of the field's trace_exp dtype: trace_exp rotated by
+        shift, the spelling the count kernels' test oracles read."""
+        te, s = self.field.trace_exp, self.shift
         # concatenating the two slices is several times faster than np.roll
         return np.concatenate((te[s:], te[:s]))
 
     def __repr__(self):
-        return f"AddChar(twist dlog {self._shift} on {self.field!r})"
+        return f"AddChar(twist dlog {self.shift} on {self.field!r})"
 
 
 class MultChar:
@@ -93,14 +94,3 @@ class MultChar:
 
     def __repr__(self):
         return f"MultChar(j={self.j} on {self.field!r})"
-
-
-def inflate_add(psi: AddChar, ext: ff.FieldDesc) -> AddChar:
-    """The composite of psi with the relative trace from ext.
-
-    Trace transitivity turns this into the additive character of ext whose
-    twist is the image of psi's twist, so no per-point trace is needed.
-    """
-    if not ext.has_subfield(psi.field):
-        raise ValidationError("inflation requires a declared subfield")
-    return AddChar(ext, ff.embed(psi.twist, ext), psi.ring)

@@ -280,6 +280,12 @@ def _setup_chars(args, chi_j=None):
     return k, ring, psi, chi
 
 
+def _setup_psi(args):
+    # a sum of psi's values alone needs no (q-1)-th roots of unity
+    k = ff.make_field(args.p, args.f)
+    return k, AddChar(k, k.from_dlog(args.psi_twist), ring_for(args.p))
+
+
 def _run_sums(args):
     if args.sum_kind == "gauss":
         k, ring, psi, chi = _setup_chars(args, args.chi)
@@ -294,13 +300,13 @@ def _run_sums(args):
                   "a_dlog": None if a.is_zero() else ff.dlog(a),
                   "psi_twist_dlog": ff.dlog(psi.twist)}
     elif args.sum_kind == "kloosterman":
-        k, ring, psi, _ = _setup_chars(args)
+        k, psi = _setup_psi(args)
         a = k.from_dlog(args.a_dlog)
         value = expsum.kloosterman(k, args.l, a, psi, args.budget)
         params = {"q": k.size, "l": args.l, "a_dlog": ff.dlog(a),
                   "psi_twist_dlog": ff.dlog(psi.twist)}
     else:
-        k, ring, psi, _ = _setup_chars(args)
+        k, psi = _setup_psi(args)
         ext = ff.make_extension(k, args.l)
         lam = k.from_dlog(args.lambda_dlog)
         value = expsum.kloosterman(ext, 1, lam, psi, args.budget)
@@ -347,10 +353,7 @@ def _run_verify(args):
             records.append(expsum.fourier_inversion_check(
                 args.n, chi, psi, args.budget).to_json())
     else:  # separation
-        # only psi's exponent table is read, so psi takes Z[zeta_p], not
-        # the ring of chi's values as well
-        k = ff.make_field(args.p, args.f)
-        psi = AddChar(k, k.from_dlog(args.psi_twist), ring_for(args.p))
+        k, psi = _setup_psi(args)
         if k.order < 2:
             raise ValidationError(
                 f"F_{k.size} has no ratio a' outside zero and one")

@@ -12,7 +12,8 @@ Restricted Gauss sums and d716's chi-weighted sums share the one fold
 _fold_chi_psi into counts over the powers of zeta_lcm(p, q-1).  Every sum
 over unit l-tuples, l >= 2, is a row of one d x p histogram (row: product
 dlog mod d; column: exponent of the sum), the l-fold convolution of
-single-unit counts on Z/d x Z/p.  d divides q - 1 and p divides q, so the
+single-unit counts on Z/d x Z/p, psi's twist a row offset (g**t has
+exponent trace_exp[t + shift]).  d divides q - 1 and p divides q, so the
 two are coprime and the CRT makes that group the cyclic Z/(d*p).
 _TupleCounts convolves one flat vector up to the (l-1)-fold table, one
 contiguous shifted add per nonzero single-unit cell and step; one row of
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import ff
-from .chars import AddChar, MultChar, inflate_add
+from .chars import AddChar, MultChar
 from .cyc import CycElem
 from .errors import BudgetExceeded, ValidationError
 
@@ -95,12 +96,12 @@ def restricted_gauss(n: int, chi: MultChar, psi: AddChar,
     if psi.field is not k or a.field is not k:
         raise ValidationError("character and argument fields must agree")
     # the n_q-th roots of unity are g**t for the multiples t of step, and
-    # a*g**t has dlog s = dlog a + t: psi's exponents there are one strided
-    # slice of its dlog table, paired with t = s - dlog a
+    # a*g**t has dlog s = dlog a + t: psi's exponents there are
+    # trace_exp[s + shift], paired with t = s - dlog a
     step = k.order // math.gcd(n, k.order)
     ta = 0 if a.is_zero() else ff.dlog(a)
     s = np.arange(ta % step, k.order, step)
-    e = 0 if a.is_zero() else psi.dlog_exponent_table()[ta % step::step]
+    e = 0 if a.is_zero() else k.trace_exp[(s + psi.shift) % k.order]
     return _fold_chi_psi(chi, s - ta, e, 1)
 
 
@@ -129,17 +130,19 @@ def _fold_chi_psi(chi: MultChar, T, e, count) -> CycElem:
 class _TupleCounts:
     """Counts of unit l-tuples of fld as a d x p table: row T, column e
     counts the tuples whose dlogs sum to T mod d and whose sum has
-    exponent e under the additive character with dlog table tau.
+    exponent e, g**t having exponent trace_exp[t + shift].
 
     The character is additive, so the exponent of a sum is the sum of the
     exponents, and the l-tuple table is the l-fold convolution of the
     single-unit table on Z/d x Z/p.  d must divide the unit group order,
     so gcd(d, p) = 1, and the CRT index i = T*u + e*v mod N, N = d*p
     (u = 1 mod d, 0 mod p; v = 0 mod d, 1 mod p), makes that group the
-    cyclic Z/N.  The object holds the (l-1)-fold table flat on Z/N,
-    written out twice as dbl (for l = 1 the 0-fold table, one count at
-    0).  A convolution step adds, per nonzero cell c of weight w of the
-    single-unit table, w times the contiguous slice dbl[N - c:2N - c].
+    cyclic Z/N.  The twist is a row offset: entry s of trace_exp is the
+    unit g**(s - shift), in cell (s - shift)*u + trace_exp[s]*v mod N.
+    The object holds the (l-1)-fold table flat on Z/N, written out twice
+    as dbl (for l = 1 the 0-fold table, one count at 0).  A convolution
+    step adds, per nonzero cell c of weight w of the single-unit table,
+    w times the contiguous slice dbl[N - c:2N - c].
     With d = q - 1 every unit is its own cell of weight 1 and a step
     costs d*N = p * d**2 adds, so the 2-fold table is instead one
     histogram of the d**2 cell-pair sums mod N.
@@ -149,7 +152,7 @@ class _TupleCounts:
     the single-unit one) and reads the d x p layout back with one gather.
     """
 
-    def __init__(self, fld, tau, l, d):
+    def __init__(self, fld, shift, l, d):
         p = fld.p
         N = self.N = d * p
         self.d, self.l = d, l
@@ -157,8 +160,8 @@ class _TupleCounts:
         v = d * pow(d, -1, p)
         # every count is at most order**l; past int64, hold Python integers
         dtype = np.int64 if fld.order ** l < 2 ** 63 else object
-        single = np.bincount((np.arange(fld.order) * self.u
-                              + tau.astype(np.int64) * v) % N,
+        single = np.bincount(((np.arange(fld.order) - shift) * self.u
+                              + fld.trace_exp.astype(np.int64) * v) % N,
                              minlength=N).astype(dtype)
         self.single = single
         self.cells = np.flatnonzero(single)
@@ -215,22 +218,14 @@ class _TupleCounts:
         return flat[layout]
 
 
-def _tuple_counts(fld, tau, l, d) -> np.ndarray:
-    """The d x p table of _TupleCounts(fld, tau, l, d)."""
-    return _TupleCounts(fld, tau, l, d).table()
+def _coset_counts(fld, shift: int, d: int, t0: int) -> np.ndarray:
+    """Row t0 of _TupleCounts(fld, shift, 1, d).table(): the units g**t
+    with t = t0 mod d counted by exponent trace_exp[t + shift].
 
-
-def _coset_counts(psi: AddChar, d: int, t0: int) -> np.ndarray:
-    """Row t0 of _tuple_counts(psi.field, psi.dlog_exponent_table(), 1, d):
-    the units g**t with t = t0 mod d counted by exponent under psi.
-
-    psi(g**t) has exponent trace_exp[t + dlog twist], so the coset is every
-    d-th entry of the unrotated table from (t0 + dlog twist) mod d: a
+    The coset is every d-th entry of trace_exp from (t0 + shift) mod d: a
     strided view, counted without touching the other units.
     """
-    fld = psi.field
-    start = (ff.dlog(psi.twist) + t0) % d
-    return np.bincount(fld.trace_exp[start::d], minlength=fld.p)
+    return np.bincount(fld.trace_exp[(shift + t0) % d::d], minlength=fld.p)
 
 
 def kloosterman(ext: ff.FieldDesc, l: int, lam: ff.FFElem, psi: AddChar,
@@ -241,6 +236,8 @@ def kloosterman(ext: ff.FieldDesc, l: int, lam: ff.FFElem, psi: AddChar,
     Over ext = k this is K_{l,lam}; for l = 1 it is the sum of psi(Tr(y))
     over the norm fiber of lam in ext, the coset g**(t0 + j*(q-1)) of the
     generator g, read as every (q-1)-th entry of ext's trace_exp array.
+    By trace transitivity psi o Tr is the character of ext whose twist is
+    psi's, embedded in ext, so its shift is that embedded twist's dlog.
     """
     k = psi.field
     if l < 1:
@@ -253,12 +250,11 @@ def kloosterman(ext: ff.FieldDesc, l: int, lam: ff.FFElem, psi: AddChar,
         return psi.eval(lam)
     t0, fiber = ff.norm_fiber_congruence(ext, k, lam)
     check_budget(ext.order ** (l - 1) * fiber, budget)
-    psi_ext = inflate_add(psi, ext)
+    shift = ff.dlog(ff.embed(psi.twist, ext))
     if l == 1:
-        row = _coset_counts(psi_ext, k.order, t0)
+        row = _coset_counts(ext, shift, k.order, t0)
     else:
-        tau = psi_ext.dlog_exponent_table()
-        row = _TupleCounts(ext, tau, l, k.order).row(t0)
+        row = _TupleCounts(ext, shift, l, k.order).row(t0)
     return psi.ring.weighted_root_sum(k.p, row.tolist())
 
 
@@ -273,15 +269,16 @@ def _kloosterman_rows(fld: ff.FieldDesc, l: int, psi: AddChar,
         raise ValidationError("character must live on the field")
     L = fld.order
     check_budget(max(l - 1, 1) * L * L, budget)
-    return _TupleCounts(fld, psi.dlog_exponent_table(), l, L)
+    return _TupleCounts(fld, psi.shift, l, L)
 
 
 def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
                       budget: int | None = None) -> list[CycElem]:
     """All K_{l,a} at once, indexed by dlog a.
 
-    Computed by repeated convolution over (product dlog, exponent) pairs,
-    which costs about l*(q-1)^2 instead of (q-1)^l.
+    Computed by repeated convolution over (product dlog, exponent) pairs
+    instead of enumerating the (q-1)^l tuples: for l >= 2 one histogram
+    of the (q-1)^2 unit pairs, then (l-2)*(q-1)^2*p shifted adds.
     """
     counts = _kloosterman_rows(fld, l, psi, budget).table()
     return [psi.ring.weighted_root_sum(fld.p, row) for row in counts.tolist()]
@@ -301,7 +298,7 @@ def check_identity_716(n: int, chi: MultChar, psi: AddChar,
     if n < 1:
         raise ValidationError("n must be positive")
     check_budget(k.order ** n, budget)
-    counts = _tuple_counts(k, psi.dlog_exponent_table(), n, k.order)
+    counts = _TupleCounts(k, psi.shift, n, k.order).table()
     # row T, column e counts chi(g**T) psi(e) terms
     lhs = _fold_chi_psi(chi, *np.indices(counts.shape), counts)
     rhs = gauss_sum(chi, psi) ** n
@@ -347,7 +344,8 @@ def check_identity_725(m: int, r: int, lam: ff.FFElem, psi: AddChar,
     if (n - m) % 2:
         route3 = -route3
 
-    pairs = [(route1, route2), (route2, route3), (route1, route3)]
+    # equality is transitive: if both pairs agree, route1 equals route3
+    pairs = [(route1, route2), (route2, route3)]
     bad = next(((x, y) for x, y in pairs if not (x - y).is_zero()), None)
     lhs, rhs = bad if bad is not None else (route1, route3)
     return SumReport(
@@ -404,9 +402,9 @@ def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar,
     bound = len(rows) * max((abs(c) for row in rows for c in row), default=0)
     dtype = np.int64 if bound < 2 ** 62 else object
     rows = np.array(rows, dtype=dtype).reshape(len(log_a), ring.deg)
-    # psi(-a*x) = zeta_p**-tau[log a + log x], so G_n(a) psi(-a*x) is
-    # row a moved by -(M/p)*tau[log a + log x] powers of zeta_M
-    tau = psi.dlog_exponent_table().astype(np.int64)
+    # psi(-a*x) = zeta_p**-te[log a + log x + shift], so G_n(a) psi(-a*x)
+    # is row a moved by -(M/p)*te[log a + log x + shift] powers of zeta_M
+    te = k.trace_exp.astype(np.int64)
     slots = np.arange(ring.deg)
     mu_codes = {x.packed for x in ff.enumerate_mu(k, n_q)}
     witness = None
@@ -416,8 +414,8 @@ def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar,
         if x.is_zero():
             e = np.zeros_like(log_a)
         else:
-            e = np.where(log_a < 0, 0,
-                         -tau[(log_a + k.log[x.packed]) % k.order])
+            t = k.log[x.packed] + psi.shift
+            e = np.where(log_a < 0, 0, -te[(log_a + t) % k.order])
         vec = np.zeros(ring.M, dtype=rows.dtype)
         np.add.at(vec, (slots + (ring.M // k.p) * e[:, None]) % ring.M, rows)
         total = ring.weighted_root_sum(ring.M, vec.tolist())

@@ -185,8 +185,8 @@ class FieldDesc:
 
     The tables are built from the companion matrix C of the modulus, by a
     walk over the generator powers in blocks of 1024 digit columns (see
-    _build_tables), so no d x order digit matrix is ever held.  A
-    declared subfield is held as (t, u_inv): its generator g_s maps to g^t,
+    _build_tables), so no d x order digit matrix is ever held.  _emb maps
+    each declared subfield object to (t, u_inv): its generator g_s -> g^t,
     t = step*u with step = order/|sub^x|, so g_s^j embeds as g^(t*j) and
     pullback reads j = (s/step)*u_inv mod |sub^x| off a log s in step*Z.
     """
@@ -346,7 +346,7 @@ class FieldDesc:
         if alpha is None:
             raise InvariantError("no root of subfield polynomial found")
         t = self.log[self._eval_poly(sub._digits(sub.gen_packed), alpha)]
-        self._emb[(sub.p, sub.f, sub.l)] = (t, pow(t // step, -1, sub.order))
+        self._emb[sub] = (t, pow(t // step, -1, sub.order))
 
     def _eval_poly(self, coeffs, at_packed: int) -> int:
         acc = 0
@@ -401,20 +401,12 @@ class FieldDesc:
 
     # -- tower bookkeeping ---------------------------------------------------
 
-    def subfield_chain(self) -> list["FieldDesc"]:
-        chain = [self]
-        cur = self.base
-        while cur is not None:
-            chain.append(cur)
-            cur = cur.base
-        return chain
-
     def has_subfield(self, sub: "FieldDesc") -> bool:
-        return sub in self.subfield_chain()
+        return sub is self or sub in self._emb
 
     def _subfield_logs(self, sub: "FieldDesc") -> tuple[int, int]:
         try:
-            return self._emb[(sub.p, sub.f, sub.l)]
+            return self._emb[sub]
         except KeyError:
             raise ValidationError(
                 f"{sub!r} is not a declared subfield of {self!r}") from None

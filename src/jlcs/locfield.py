@@ -94,11 +94,8 @@ class LaurentTrunc:
 
     def in_unit_group_1(self) -> bool:
         """Membership in U^1 = 1 + p: distance from 1 has valuation >= 1."""
-        return certify((self - self.field_one()).val_at_least(1),
+        return certify((self - one(self.field, self.prec)).val_at_least(1),
                        "1-unit membership")
-
-    def field_one(self) -> "LaurentTrunc":
-        return LaurentTrunc(self.field, 0, (1,), self.prec)
 
     def coeff(self, v: int) -> ff.FFElem:
         """Coefficient of w^v; unknown positions raise."""

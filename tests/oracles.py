@@ -2,7 +2,8 @@
 with the library code it checks:
 
 - rel_norm: ff.norm_fiber_congruence, expsum's norm fibers, csa.make_phi_D
-- rel_trace: FieldDesc.trace_exp and trace_packed, chars.inflate_add
+- rel_trace: FieldDesc.trace_exp and trace_packed, and psi o Tr as the
+  character of the embedded twist, which expsum.kloosterman reads
 - uniformizer, div_pi: w and Pi, inputs to the csa and ssc tests
 - w_terms, w_valuation: MatA.radical_valuation and order membership
 - scale_base_series: MatA.scale_teich and the scalings of ssc.gu_cosets

@@ -155,19 +155,22 @@ class TestMultChar:
         assert len(tables) == k.order
 
 
-class TestInflation:
-    def test_inflation_agrees_with_trace_composition(self):
-        k = ff.make_field(3, 2)
-        ext = ff.make_extension(k, 2)
-        R = standard_ring(3, 2)
-        psi = chars.AddChar(k, k.gen(), R)
-        lifted = chars.inflate_add(psi, ext)
-        for x in ext.elements():
-            assert lifted.eval(x) == psi.eval(rel_trace(x, k))
+class TestTraceTransitivity:
+    def test_embedded_twist_is_psi_of_the_trace(self):
+        # psi o Tr is the character of the extension whose twist is psi's,
+        # embedded: the shift expsum.kloosterman reads there, at every twist
+        for p, f, l in [(3, 2, 2), (2, 2, 3), (3, 1, 3), (5, 1, 2)]:
+            k = ff.make_field(p, f)
+            ext = ff.make_extension(k, l)
+            R = cyc.ring_for(p)
+            for t in range(k.order):
+                psi = chars.AddChar(k, k.from_dlog(t), R)
+                lifted = chars.AddChar(ext, ff.embed(psi.twist, ext), R)
+                for x in ext.elements():
+                    assert lifted.eval(x) == psi.eval(rel_trace(x, k))
 
-    def test_inflation_outside_tower_rejected(self):
+    def test_embedding_outside_the_tower_rejected(self):
         k5 = ff.make_field(5, 1)
         k3 = ff.make_field(3, 1)
-        psi = chars.AddChar(k3, k3.one(), standard_ring(3, 1))
         with pytest.raises(ValidationError):
-            chars.inflate_add(psi, k5)
+            ff.embed(k3.one(), k5)

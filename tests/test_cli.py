@@ -58,15 +58,15 @@ def without_approx(obj):
 # (id, command, exit code, SHA-256 of its JSON lines without approx pairs)
 FROZEN_REPORTS = [
     ("kloosterman-l2", "sums kloosterman --p 3 --f 1 --l 2 --a-dlog 0", 0,
-     "68f9abe19aee917064ba2ffd0f5cfdcccb623702ccfcb220238aa5b5b2b2a806"),
+     "4e8e3ba9fefc59b1701657d34236f6c9feb83cce880f1d6220b41c67a41438e7"),
     ("kloosterman-l1-budget0",
      "sums kloosterman --p 3 --f 1 --l 1 --a-dlog 1 --budget 0", 0,
-     "10c06d9f55a03be10126362d30d68c2abf1e08ebe61109d346e01567d4e4aebf"),
+     "092e7dfd543876850cdb38759d8e14f224d2815e1439f152f6cbd4e784459d2b"),
     ("norm-fiber-l3", "sums norm-fiber --p 2 --f 2 --l 3 --lambda-dlog 1", 0,
-     "947664ea8ceff41493faa0a9a2f29404886f36e15f055a19106a6fef0cddec3a"),
+     "d563a2ef69ee48e21f5bc1eaa32cecb32828accffc102ccacab89dfed8e31b4c"),
     ("norm-fiber-l1-budget0",
      "sums norm-fiber --p 2 --f 2 --l 1 --lambda-dlog 1 --budget 0", 0,
-     "4d73268f820d7cf9c239ecc16cc5000e6fda5d330f8fe9b6e295046e86b29049"),
+     "6ad41d29daa3a77a7028464da5e9f4e7825b445855b38970c4b29e5750b6f132"),
     ("norm-fiber-l2-budget0",
      "sums norm-fiber --p 2 --f 2 --l 2 --lambda-dlog 1 --budget 0", 3,
      "21b0fb411f485d85b83221dbb1b9b630dd3b3315710ef95d53e6aa627755d950"),
@@ -133,7 +133,7 @@ FROZEN_REPORTS = [
      "9fe03cadabe3318e325aa165a5afd4de4428ba257534f90359f0faaa4a6618e5"),
     ("norm-fiber-gf2-20",
      "sums norm-fiber --p 2 --f 4 --l 5 --lambda-dlog 7", 0,
-     "928f351cd3cb1eef1275d47232dd89766f5faa3361b768b955e5515c55435807"),
+     "58d35d554ef48454ea972165915dfc951de99c853eb4fd770eda5623ff237e7a"),
     ("fourier-q64-n3", "verify fourier --p 2 --f 6 --n 3", 0,
      "4f2000609d6a07dee1b58c384b6e2b2e2795351a13e2b46401a34bd1029477d7"),
     ("d725-q9-r6", "verify d725 --p 3 --f 2 --m 1 --r 6 --lambda-dlog 3", 0,
@@ -815,6 +815,26 @@ class TestDeterminism:
         assert code == 0 and orders == [(61,)]
         assert lines(out)[0]["witness_dlog"] is not None
 
+    @pytest.mark.parametrize("argv", [
+        "sums kloosterman --p 61 --f 1 --l 2 --a-dlog 0",
+        "sums kloosterman --p 7 --f 2 --l 3 --a-dlog 5 --psi-twist 3",
+        "sums norm-fiber --p 61 --f 1 --l 2 --lambda-dlog 3",
+        "sums norm-fiber --p 3 --f 2 --l 3 --lambda-dlog 1 --psi-twist 2"])
+    def test_psi_only_sums_build_only_z_zeta_p(self, capsys, monkeypatch,
+                                               argv):
+        # a sum of psi's values alone lies in Z[zeta_p]
+        orders = []
+
+        def recorded(*args):
+            orders.append(args)
+            return ring_for(*args)
+
+        monkeypatch.setattr(cli, "ring_for", recorded)
+        code, out = run(capsys, *argv.split())
+        p = int(argv.split()[3])
+        assert code == 0 and orders == [(p,)]
+        assert lines(out)[0]["value"]["ring"] == p
+
     def test_repeated_runs_are_byte_identical(self, capsys):
         argv = ["char", "--p", "3", "--f", "1", "--m", "2", "--r", "1",
                 "--lambda-dlog", "1", "--samples", "2"]
@@ -823,9 +843,10 @@ class TestDeterminism:
         assert first == second
 
     def test_kloosterman_report_matches_enumeration(self, capsys):
-        # the reported value is the literal sum over unit triples of F_5
+        # the reported value is the literal sum over unit triples of F_5,
+        # written in Z[zeta_5]
         k = ff.make_field(5, 1)
-        psi = AddChar(k, k.one(), ring_for(5, k.order))
+        psi = AddChar(k, k.one(), ring_for(5))
         units = [x for x in k.elements() if not x.is_zero()]
         for t in range(k.order):
             a = k.from_dlog(t)

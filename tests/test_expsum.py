@@ -30,7 +30,7 @@ def unit_tuples(fld, l):
 
 
 def literal_counts(fld, l, d, exponent):
-    """The oracle for expsum._tuple_counts: unit l-tuples counted by (dlog
+    """The oracle for expsum._TupleCounts: unit l-tuples counted by (dlog
     of the product mod d, exponent of the sum), by enumeration."""
     counts = np.zeros((d, fld.p), dtype=np.int64)
     for prod, tot in unit_tuples(fld, l):
@@ -51,6 +51,17 @@ def literal_norm_sum(psi, kr, m, lam):
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def tuple_counts(psi, l, d):
+    """The d x p table of the kernel on psi's field, at psi's shift."""
+    return expsum._TupleCounts(psi.field, psi.shift, l, d).table()
+
+
+def inflated(psi, kr):
+    """psi o Tr from kr down to psi's field, as the character of kr whose
+    twist is psi's embedded (trace transitivity)."""
+    return chars.AddChar(kr, ff.embed(psi.twist, kr), psi.ring)
 
 
 class TestRestrictedGauss:
@@ -108,6 +119,24 @@ class TestRestrictedGauss:
                             continue
                         term = chi.eval(x) * psi.eval(a * x)
                         brute = brute + term
+                    assert expsum.restricted_gauss(n, chi, psi, a) == brute
+
+    @pytest.mark.parametrize("p,f", [(3, 2), (7, 1), (2, 3)])
+    def test_every_twist_matches_brute_force(self, p, f):
+        # psi's twist enters as an offset of the dlog: every twist against
+        # chi(x) psi(a*x) summed term by term
+        k, R, _ = setup_k(p, f)
+        chi = chars.MultChar(k, 1, R)
+        for tw in range(k.order):
+            psi = chars.AddChar(k, k.from_dlog(tw), R)
+            for n in (2, k.order):
+                n_q = math.gcd(n, k.order)
+                mu = [x for x in k.elements()
+                      if not x.is_zero() and x ** n_q == k.one()]
+                for a in k.elements():
+                    brute = R.zero()
+                    for x in mu:
+                        brute = brute + chi.eval(x) * psi.eval(a * x)
                     assert expsum.restricted_gauss(n, chi, psi, a) == brute
 
     def test_gauss_sum_makes_one_ring_call(self, monkeypatch):
@@ -199,7 +228,7 @@ class TestTupleCounts:
     def test_matches_enumeration(self, p, f, l, d, twist):
         k, R, _ = setup_k(p, f)
         psi = chars.AddChar(k, k.from_dlog(twist), R)
-        got = expsum._tuple_counts(k, psi.dlog_exponent_table(), l, d)
+        got = tuple_counts(psi, l, d)
         assert got.shape == (d, p)
         assert np.array_equal(got, literal_counts(k, l, d, psi.exponent))
 
@@ -210,8 +239,7 @@ class TestTupleCounts:
         # counts over k_r by the character psi o Tr, rows mod q - 1
         k, R, psi = setup_k(p, f)
         kr = ff.make_extension(k, r)
-        tau = chars.inflate_add(psi, kr).dlog_exponent_table()
-        got = expsum._tuple_counts(kr, tau, m, k.order)
+        got = tuple_counts(inflated(psi, kr), m, k.order)
         want = literal_counts(
             kr, m, k.order, lambda y: psi.exponent(rel_trace(y, k)))
         assert np.array_equal(got, want)
@@ -247,7 +275,7 @@ class TestTupleCounts:
     def test_counts_past_int64_stay_exact(self):
         # 6**27 unit 27-tuples of F_7: more than an int64 holds
         k, R, psi = setup_k(7, 1)
-        counts = expsum._tuple_counts(k, psi.dlog_exponent_table(), 27, 6)
+        counts = tuple_counts(psi, 27, 6)
         assert counts.sum() == 6 ** 27
         assert all(sum(row) == 6 ** 26 for row in counts.tolist())
 
@@ -268,15 +296,17 @@ def test_tuple_counts_match_enumeration_random(pf, l, data):
     psi = chars.AddChar(
         k, k.from_dlog(data.draw(st.integers(0, k.order - 1))), R)
     d = data.draw(st.sampled_from(divisors(k.order)))
-    got = expsum._tuple_counts(k, psi.dlog_exponent_table(), l, d)
+    got = tuple_counts(psi, l, d)
     assert np.array_equal(got, literal_counts(k, l, d, psi.exponent))
 
 
-def oracle_tuple_counts(fld, tau, l, d):
-    """The earlier _tuple_counts, kept as the oracle for the CRT kernel:
-    the l-fold convolution on Z/d x Z/p, one strided 2-D slice of the
-    tiled table per nonzero cell of the single-unit table."""
-    p = fld.p
+def oracle_tuple_counts(psi, l, d):
+    """The earlier tuple-count kernel, kept as the oracle for the CRT
+    kernel: the l-fold convolution on Z/d x Z/p, one strided 2-D slice of
+    the tiled table per nonzero cell of the single-unit table.  It reads
+    psi's exponents from the rotated table tau[t] = trace_exp[t + shift],
+    not from the row offset the kernel takes."""
+    fld, tau, p = psi.field, psi.dlog_exponent_table(), psi.p
     dtype = np.int64 if fld.order ** l < 2 ** 63 else object
     single = np.bincount(np.arange(fld.order) % d * p + tau,
                          minlength=d * p).reshape(d, p).astype(dtype)
@@ -311,9 +341,8 @@ def test_tuple_counts_match_the_tile_loop(pf, l, data):
     psi = chars.AddChar(k, k.from_dlog(data.draw(
         st.integers(0, k.order - 1), label="twist dlog")), R)
     d = data.draw(st.sampled_from(divisors(k.order)), label="d")
-    tau = psi.dlog_exponent_table()
-    assert_same_counts(expsum._tuple_counts(k, tau, l, d),
-                       oracle_tuple_counts(k, tau, l, d))
+    assert_same_counts(tuple_counts(psi, l, d),
+                       oracle_tuple_counts(psi, l, d))
 
 
 @pytest.mark.parametrize("p,f,r", [(p, f, r) for p, f in SUMS_FIELDS
@@ -321,11 +350,10 @@ def test_tuple_counts_match_the_tile_loop(pf, l, data):
 def test_extension_counts_match_the_tile_loop(p, f, r):
     # route 1 of d725: units of k_r by psi o Tr, rows mod |k^x|
     k, R, psi = setup_k(p, f)
-    kr = ff.make_extension(k, r)
-    tau = chars.inflate_add(psi, kr).dlog_exponent_table()
+    psi_r = inflated(psi, ff.make_extension(k, r))
     for l in range(1, 5):
-        assert_same_counts(expsum._tuple_counts(kr, tau, l, k.order),
-                           oracle_tuple_counts(kr, tau, l, k.order))
+        assert_same_counts(tuple_counts(psi_r, l, k.order),
+                           oracle_tuple_counts(psi_r, l, k.order))
 
 
 @pytest.mark.parametrize("l,dtype", [(10, np.int64), (11, object)])
@@ -337,10 +365,9 @@ def test_dtype_switch_matches_the_tile_loop(l, dtype, pf, d):
     # and the first object table; with d = q - 1 the pair histogram is
     # cast to the table's dtype before the later steps
     k, R, psi = setup_k(*pf)
-    tau = psi.dlog_exponent_table()
-    got = expsum._tuple_counts(k, tau, l, d)
+    got = tuple_counts(psi, l, d)
     assert got.dtype == dtype
-    assert_same_counts(got, oracle_tuple_counts(k, tau, l, d))
+    assert_same_counts(got, oracle_tuple_counts(psi, l, d))
     assert sum(got.ravel().tolist()) == k.order ** l
 
 
@@ -349,7 +376,7 @@ def test_dtype_switch_matches_the_tile_loop(l, dtype, pf, d):
 def test_prime_field_pair_counts_match_the_tile_loop(p, l):
     # d = p - 1: the 2-fold table is the histogram of the unit pairs
     k, R, psi = setup_k(p, 1)
-    assert_rows_match(k, psi.dlog_exponent_table(), l, k.order)
+    assert_rows_match(psi, l, k.order)
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -357,7 +384,7 @@ def test_prime_field_pair_counts_match_the_tile_loop(p, l):
 def test_prime_field_pair_counts_match_enumeration(p, l):
     k, R, _ = setup_k(p, 1)
     psi = chars.AddChar(k, k.from_dlog(k.order // 2), R)
-    got = expsum._tuple_counts(k, psi.dlog_exponent_table(), l, k.order)
+    got = tuple_counts(psi, l, k.order)
     assert np.array_equal(got, literal_counts(k, l, k.order, psi.exponent))
 
 
@@ -382,7 +409,7 @@ def test_step_routing(p, f, d, l, built, finished, monkeypatch):
 
     monkeypatch.setattr(expsum._TupleCounts, "_step", counted)
     k, R, psi = setup_k(p, f)
-    reader = expsum._TupleCounts(k, psi.dlog_exponent_table(), l, d)
+    reader = expsum._TupleCounts(k, psi.shift, l, d)
     for T in range(d):
         reader.row(T)
     assert len(calls) == built
@@ -390,12 +417,12 @@ def test_step_routing(p, f, d, l, built, finished, monkeypatch):
     assert len(calls) == finished
 
 
-def assert_rows_match(fld, tau, l, d):
-    """Every row the reader returns against the finished table and the
-    tile-loop oracle, dtype included."""
-    reader = expsum._TupleCounts(fld, tau, l, d)
-    table = expsum._tuple_counts(fld, tau, l, d)
-    oracle = oracle_tuple_counts(fld, tau, l, d)
+def assert_rows_match(psi, l, d):
+    """Every row the reader on psi's field returns against the finished
+    table and the tile-loop oracle, dtype included."""
+    reader = expsum._TupleCounts(psi.field, psi.shift, l, d)
+    table = tuple_counts(psi, l, d)
+    oracle = oracle_tuple_counts(psi, l, d)
     assert_same_counts(table, oracle)
     for T in range(d):
         got = reader.row(T)
@@ -412,7 +439,7 @@ def test_rows_match_the_table(pf, l, data):
     psi = chars.AddChar(k, k.from_dlog(data.draw(
         st.integers(0, k.order - 1), label="twist dlog")), R)
     d = data.draw(st.sampled_from(divisors(k.order)), label="d")
-    assert_rows_match(k, psi.dlog_exponent_table(), l, d)
+    assert_rows_match(psi, l, d)
 
 
 @settings(max_examples=40, deadline=None)
@@ -425,9 +452,7 @@ def test_extension_rows_match_the_table(pfr, l, data):
     k, R, _ = setup_k(p, f)
     psi = chars.AddChar(k, k.from_dlog(data.draw(
         st.integers(0, k.order - 1), label="twist dlog")), R)
-    kr = ff.make_extension(k, r)
-    tau = chars.inflate_add(psi, kr).dlog_exponent_table()
-    assert_rows_match(kr, tau, l, k.order)
+    assert_rows_match(inflated(psi, ff.make_extension(k, r)), l, k.order)
 
 
 @pytest.mark.parametrize("l", [25, 27])
@@ -435,7 +460,7 @@ def test_object_dtype_rows_match_the_table(l):
     # 6**25 > 2**63: the rows hold Python integers
     k, R, psi = setup_k(7, 1)
     for d in divisors(k.order):
-        assert_rows_match(k, psi.dlog_exponent_table(), l, d)
+        assert_rows_match(psi, l, d)
 
 
 # every field of the perfbench `sums` set-up, k_l over k with q <= 9 and
@@ -454,14 +479,38 @@ def test_coset_counts_match_tuple_counts_row(pfl, data):
     psi = chars.AddChar(ext, ext.from_dlog(data.draw(
         st.integers(0, ext.order - 1), label="twist dlog")), cyc.ring_for(p))
     d = data.draw(st.sampled_from(divisors(k.order)), label="d")
-    table = expsum._tuple_counts(ext, psi.dlog_exponent_table(), 1, d)
+    table = tuple_counts(psi, 1, d)
     literal = (literal_counts(ext, 1, d, psi.exponent)
                if ext.size <= 729 else None)
     for t0 in range(d):
-        got = expsum._coset_counts(psi, d, t0)
+        got = expsum._coset_counts(ext, psi.shift, d, t0)
         assert got.tolist() == table[t0].tolist(), t0
         if literal is not None:
             assert got.tolist() == literal[t0].tolist(), t0
+
+
+@pytest.mark.parametrize("p,f,r", [(3, 1, 2), (2, 2, 2), (2, 2, 3),
+                                   (5, 1, 2), (3, 2, 2), (3, 1, 3)])
+def test_extension_sums_at_every_twist_match_enumeration(p, f, r):
+    # over k_r psi o Tr is read at the dlog of psi's embedded twist: the
+    # coset (l = 1) and the count rows (l = 2) at every twist and lambda,
+    # against the literal sums, tallied once by (norm, trace) of the tuple
+    k, R, _ = setup_k(p, f)
+    kr = ff.make_extension(k, r)
+    for l in (1, 2):
+        tally = {}
+        for prod, tot in unit_tuples(kr, l):
+            key = (rel_norm(prod, k), rel_trace(tot, k))
+            tally[key] = tally.get(key, 0) + 1
+        for tw in range(k.order):
+            psi = chars.AddChar(k, k.from_dlog(tw), R)
+            for t in range(k.order):
+                lam = k.from_dlog(t)
+                want = R.zero()
+                for (nm, tr), c in tally.items():
+                    if nm == lam:
+                        want = want + R.from_int(c) * psi.eval(tr)
+                assert expsum.kloosterman(kr, l, lam, psi) == want, (tw, t)
 
 
 class TestNormFiberSum:
@@ -514,7 +563,7 @@ class TestNormFiberSum:
         def refuse(*args):
             raise AssertionError("an l = 1 sum built a tuple histogram")
 
-        monkeypatch.setattr(expsum, "_tuple_counts", refuse)
+        monkeypatch.setattr(expsum, "_TupleCounts", refuse)
         for (p, f, d, t), want in expect.items():
             k, R, psi = setup_k(p, f)
             ext = ff.make_extension(k, d)
@@ -564,8 +613,7 @@ class TestIdentity716:
         # the oracle lifts each count row into the ring and multiplies it
         # by chi(g**T); n = 25 over F_7 holds its counts as Python integers
         k, R, psi = setup_k(p, f)
-        counts = expsum._tuple_counts(k, psi.dlog_exponent_table(), n,
-                                      k.order)
+        counts = tuple_counts(psi, n, k.order)
         wrs = cyc.CycRing.weighted_root_sum
         calls = []
 
@@ -636,6 +684,35 @@ class TestIdentity725:
             rep = expsum.check_identity_725(m, r, k.from_dlog(t), psi)
             assert rep.equal and rep.lhs == value, (m, r, t)
 
+    @pytest.mark.parametrize("broken", [0, 1, 2])
+    @pytest.mark.parametrize("m,r", [(2, 1), (1, 2), (2, 2)])
+    def test_a_broken_route_is_reported_with_its_neighbour(self, m, r,
+                                                           broken,
+                                                           monkeypatch):
+        # routes 1, 2 and 3 call kloosterman in that order; one of them,
+        # moved by 1, must fail the check, reported as the first pair of
+        # (route1, route2), (route2, route3) that differs
+        k, R, psi = setup_k(3, 1)
+        lam = k.from_dlog(1)
+        kloosterman = expsum.kloosterman
+        values = []
+
+        def moved(*args, **kwargs):
+            value = kloosterman(*args, **kwargs)
+            if len(values) == broken:
+                value = value + R.one()
+            values.append(value)
+            return value
+
+        monkeypatch.setattr(expsum, "kloosterman", moved)
+        rep = expsum.check_identity_725(m, r, lam, psi)
+        n = m * r
+        signs = [1, -1 if (m - 1) % 2 else 1, -1 if (n - m) % 2 else 1]
+        routes = [v if s == 1 else -v for v, s in zip(values, signs)]
+        assert not rep.equal
+        pair = (0, 1) if broken < 2 else (1, 2)
+        assert (rep.lhs, rep.rhs) == tuple(routes[i] for i in pair)
+
 
 class TestWitnesses:
     def test_gn_witness_trivial_chi_is_zero_elem(self):
@@ -686,6 +763,18 @@ class TestWitnesses:
                 chi = chars.MultChar(k, j, R)
                 rep = expsum.fourier_inversion_check(n, chi, psi)
                 assert rep.equal, (p, f, n, j)
+
+    @pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (5, 1), (3, 2)])
+    def test_fourier_inversion_at_every_twist(self, p, f):
+        # the transform reads psi at the offset of its twist: a wrong
+        # offset transforms by another character and the inversion fails
+        k, R, _ = setup_k(p, f)
+        for tw in range(k.order):
+            psi = chars.AddChar(k, k.from_dlog(tw), R)
+            for n in (1, 2):
+                chi = chars.MultChar(k, 1, R)
+                rep = expsum.fourier_inversion_check(n, chi, psi)
+                assert rep.equal, (p, f, tw, n)
 
     @pytest.mark.parametrize("p,f,n,j", [(3, 2, 2, 1), (3, 2, 4, 3),
                                          (2, 3, 7, 2), (7, 1, 3, 4),

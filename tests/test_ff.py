@@ -630,6 +630,15 @@ def _tower(p, f, l):
     return ff.make_extension(ff.make_field(p, f), l)
 
 
+def _declared_subfields(k):
+    """The proper subfields k declares: its base, then the base's base."""
+    subs = []
+    while k.base is not None:
+        k = k.base
+        subs.append(k)
+    return subs
+
+
 PINNED_FIELDS = ([(p, f, l) for (p, f) in [(2, 1), (3, 1), (2, 2), (5, 1),
                                            (7, 1), (2, 3), (3, 2)]
                   for l in range(1, 7)]
@@ -655,7 +664,7 @@ def field_table_digest(k):
     put("trace_exp", k.trace_exp)
     put("zech", [] if k.zech is None else k.zech)
     rng = random.Random(f"pin-{k.p}-{k.f}-{k.l}")
-    for sub in k.subfield_chain()[1:]:
+    for sub in _declared_subfields(k):
         image = [k.embed_packed(sub, c) for c in range(sub.size)]
         put(f"embed-{sub.f}-{sub.l}", image)
         codes = (range(k.size) if k.size <= 4096 else
@@ -867,7 +876,7 @@ class TestCompanionBuild:
         digits = np.stack([codes // p ** j % p for j in range(k.degree)])
         want = np.asarray(oracle_basis_traces(k), dtype=np.int64) @ digits
         assert np.array_equal(k.trace_exp, want % p)
-        for sub in k.subfield_chain()[1:]:
+        for sub in _declared_subfields(k):
             image = oracle_embedding(k, sub)
             assert [k.embed_packed(sub, c) for c in range(sub.size)] == image
             assert [k.pullback_packed(sub, c) for c in image] == list(
@@ -881,3 +890,13 @@ class TestCompanionBuild:
             k3.embed_packed(k9, code)
         with pytest.raises(ValidationError):
             k3.pullback_packed(k9, code)
+
+    def test_a_copy_of_a_declared_subfield_is_not_declared(self):
+        # a field built again with the same (p, f, l) as k is a different
+        # field object, whose elements the tower over k does not embed
+        k = ff.make_field(3, 2)
+        ext = ff.make_extension(k, 2)
+        copy = ff.FieldDesc(3, 2, 1, ff.make_field(3, 1))
+        assert ext.has_subfield(k) and not ext.has_subfield(copy)
+        with pytest.raises(ValidationError):
+            ff.embed(copy.gen(), ext)
