@@ -3,7 +3,7 @@
 of src/jlcs that no command, script or benchmark job reaches.
 
 The traffic is every ``jlcs`` command of README.md (run in-process, in a
-temporary directory, so an ``--out`` file lands there), the relation sweep
+temporary directory, so an ``--out`` file lands there), the grid sweep
 at ``--max-n 2``, one ``--tiny`` pass of each perfbench workload, and one
 round of the perfbench layer probes.  The trace starts before jlcs is
 imported, so code that runs at import time counts as reached.
@@ -123,16 +123,11 @@ def run_traffic() -> list[str]:
     done.append(f"{len(commands)} README commands")
 
     spec = importlib.util.spec_from_file_location(
-        "grid_relation_sweep", ROOT / "scripts" / "grid_relation_sweep.py")
+        "grid_sweep", ROOT / "scripts" / "grid_sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    saved = sys.argv
-    sys.argv = ["grid_relation_sweep.py", "--max-n", "2"]
-    try:
-        sweep.main()
-    finally:
-        sys.argv = saved
-    done.append("grid_relation_sweep.py --max-n 2")
+    sweep.main(["--max-n", "2"])
+    done.append("grid_sweep.py --max-n 2")
 
     import probes
     import workloads

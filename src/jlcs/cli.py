@@ -7,12 +7,12 @@ constants), csa (algebra selftest).
 
 Reports are JSON lines (or CSV with --format csv, flattening exact
 values to their complex embedding); given the same configuration and
-seed, two runs emit identical bytes.  Exit codes: 0 all checks passed,
-1 a mathematical verification failed (a failed report or an
-IdentityFailure), 2 usage or validation error (including an unwritable
---out), 3 budget or precision abort, 4 an internal error (an
-InvariantError or any unexpected exception; the traceback goes to
-stderr).
+seed, two runs emit identical bytes.  Every verb but sums (and epsilon at
+n = 1) compares, and ends in one summary, ok only if a check ran and none
+failed.  Exit codes: 0 no failed summary, 1 a summary that is not ok or
+an IdentityFailure, 2 usage or validation error (an unwritable --out
+included), 3 budget or precision abort, 4 an internal error (an
+InvariantError or any unexpected exception; the traceback goes to stderr).
 
 Each command is parsed by its own subcommand parser, reached by a walk
 by exact names; the full-tree parse is the tests' oracle for the walk,
@@ -229,11 +229,12 @@ def _header(args, subcommand: str, parameters: dict) -> dict:
 
 
 def _summary(records) -> dict:
+    """The verdict: ok only if a record was checked and none failed."""
     checked = [r for r in records if "equal" in r or "match" in r or "ok" in r]
     failures = sum(1 for r in checked
                    if not r.get("equal", r.get("match", r.get("ok"))))
     return {"kind": "summary", "checks": len(checked),
-            "failures": failures, "ok": failures == 0}
+            "failures": failures, "ok": failures == 0 and bool(checked)}
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -246,8 +247,6 @@ def _flatten(record: dict, prefix: str = "") -> dict:
                 flat[name] = str(complex(*value["approx"]))
             else:
                 flat.update(_flatten(value, name + "."))
-        elif isinstance(value, list):
-            flat[name] = json_line(value)
         else:
             flat[name] = value
     return flat
@@ -269,7 +268,7 @@ def _emit(records, args, stream) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verb implementations: each returns (records, ok)
+# verb implementations: each returns its records
 
 
 def _setup_chars(args, chi_j=None):
@@ -314,7 +313,7 @@ def _run_sums(args):
                   "psi_twist_dlog": ff.dlog(psi.twist)}
     record = {"kind": args.sum_kind, "parameters": params,
               "value": value.to_json(), "display": _display(value)}
-    return [record], True
+    return [record]
 
 
 def _run_verify(args):
@@ -371,7 +370,7 @@ def _run_verify(args):
                 "ok": witness is not None,
             })
     records.append(_summary(records))
-    return records, records[-1]["ok"]
+    return records
 
 
 def _build_param(args, extra_orders=()):
@@ -411,7 +410,7 @@ def _run_char(args):
     records = [_header(args, "char", eta.to_json())]
     records += [row.to_json() for row in rows]
     records.append(_summary(records))
-    return records, records[-1]["ok"]
+    return records
 
 
 def _invariant_rows(eta, split):
@@ -442,7 +441,7 @@ def _run_jl(args):
             "eta": eta.to_json(), "transfer": transfer.to_json()})]
         records += _invariant_rows(eta, transfer.param)
         records.append(_summary(records))
-        return records, records[-1]["ok"]
+        return records
     lambdas = _pick_lambdas(args, eta.k)
     us = _sample_us(eta, args)
     rows = ssc.character_relation_check(eta, us=us, lambdas=lambdas,
@@ -453,7 +452,7 @@ def _run_jl(args):
     })]
     records += [row.to_json() for row in rows]
     records.append(_summary(records))
-    return records, records[-1]["ok"]
+    return records
 
 
 def _run_epsilon(args):
@@ -465,21 +464,26 @@ def _run_epsilon(args):
         "eta": eta.to_json(), "xi": xi.to_json()})]
     records.append({"kind": "epsilon",
                     "value": ssc.epsilon(eta).to_json()})
-    records.append({"kind": "epsilon_twisted",
-                    "value": ssc.epsilon_twisted(eta, xi).to_json()})
-    if eta.n > 1:
-        records.append({
-            "kind": "normalized_tau",
-            "value": ssc.normalized_tau(eta, xi).to_json(),
-            "sign": ssc.jl_transfer(eta).sign,
-        })
-    return records, True
+    twisted = ssc.epsilon_twisted(eta, xi)
+    records.append({"kind": "epsilon_twisted", "value": twisted.to_json()})
+    if eta.n == 1:  # Trd(phi^{-1}) has a pole: no tau to compare
+        return records
+    tau, sign = ssc.normalized_tau(eta, xi), ssc.jl_transfer(eta).sign
+    signed = tau if sign > 0 else -tau  # (-1)^{n-m} tau
+    records.append({"kind": "normalized_tau", "value": tau.to_json(),
+                    "sign": sign, "match": signed == twisted})
+    records.append(_summary(records))
+    return records
 
 
 def _run_csa(args):
-    report = csa.selftest(args.p, args.f, args.m, args.r, args.s,
-                          prec=args.precision, seed=args.seed)
-    return [report], report["ok"]
+    records = [_header(args, "csa selftest", {
+        "q": ff.make_field(args.p, args.f).size, "n": args.m * args.r,
+        "m": args.m, "r": args.r, "s": args.s})]
+    records += csa.selftest(args.p, args.f, args.m, args.r, args.s,
+                            prec=args.precision, seed=args.seed)
+    records.append(_summary(records))
+    return records
 
 
 _DISPATCH = {
@@ -497,12 +501,13 @@ def _error(exc, kind="error") -> dict:
 
 
 def _run(args):
-    """Run the verb; returns (exit code, records)."""
+    """Run the verb; returns (exit code, records), the code of a report 1
+    exactly when its last record is a summary that is not ok."""
     try:
         if args.budget < 0:
             raise ValidationError(
                 f"the budget must be nonnegative, got {args.budget}")
-        records, ok = _DISPATCH[args.verb](args)
+        records = _DISPATCH[args.verb](args)
     except (ValidationError, DomainError) as exc:
         return EXIT_USAGE, [_error(exc)]
     except (BudgetExceeded, PrecisionError) as exc:
@@ -512,7 +517,8 @@ def _run(args):
     except Exception as exc:  # InvariantError and every unexpected one
         traceback.print_exc()
         return EXIT_INTERNAL, [_error(exc, "internal_error")]
-    return (EXIT_OK if ok else EXIT_MATH), records
+    failed = records[-1]["kind"] == "summary" and not records[-1]["ok"]
+    return (EXIT_MATH if failed else EXIT_OK), records
 
 
 def main(argv=None) -> int:

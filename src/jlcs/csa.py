@@ -942,8 +942,9 @@ def matching_element(f: RedCharPoly, zeta: ff.FFElem,
 
 
 def selftest(p: int, f: int, m: int, r: int, s: int | None,
-             prec: int = lf.DEFAULT_PREC, seed: int = 0) -> dict:
-    """Run the structural invariants for one algebra and report them."""
+             prec: int = lf.DEFAULT_PREC, seed: int = 0) -> list[dict]:
+    """Check the structural invariants of one algebra: one
+    {"kind": "csa_check", "check", "ok"} row per invariant."""
     from ._util import stable_rng
 
     k = ff.make_field(p, f)
@@ -951,10 +952,10 @@ def selftest(p: int, f: int, m: int, r: int, s: int | None,
     MA = matrix_algebra(D, m)
     n = MA.n
     rng = stable_rng(seed, "csa-selftest", p, f, m, r, s or 0)
-    checks = []
+    rows = []
 
     def record(name, ok):
-        checks.append({"check": name, "ok": bool(ok)})
+        rows.append({"kind": "csa_check", "check": name, "ok": bool(ok)})
 
     zeta = k.gen() if k.order > 1 else k.one()
     zw = lf.teichmuller(zeta).shift(1)
@@ -1000,12 +1001,4 @@ def selftest(p: int, f: int, m: int, r: int, s: int | None,
     hinv = one_plus_inverse(h - MA.identity())
     record("charpoly_conjugation_invariant",
            red_charpoly(h * gu * hinv) == fpoly)
-
-    ok = all(c["ok"] for c in checks)
-    return {
-        "kind": "csa_selftest",
-        "q": k.size, "n": n, "m": m, "r": r, "s": s,
-        "seed": seed, "precision": prec,
-        "checks": checks,
-        "ok": ok,
-    }
+    return rows

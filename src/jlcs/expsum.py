@@ -29,8 +29,7 @@ with no histogram over the other units.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,10 +51,8 @@ class SumReport:
     rhs: CycElem
     equal: bool
     witness: ff.FFElem | None = None
-    elapsed: float = dc_field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
-        # elapsed is deliberately left out: reports must be byte-stable
         out = {
             "kind": self.kind,
             "parameters": self.parameters,
@@ -291,7 +288,6 @@ def kloosterman_table(fld: ff.FieldDesc, l: int, psi: AddChar,
 def check_identity_716(n: int, chi: MultChar, psi: AddChar,
                        budget: int | None = None) -> SumReport:
     """Verify that the chi-weighted sum of K_{n,a} over a equals G(chi,psi)^n."""
-    t_start = time.perf_counter()
     k = chi.field
     if psi.field is not k:
         raise ValidationError("characters must live on the same field")
@@ -306,15 +302,13 @@ def check_identity_716(n: int, chi: MultChar, psi: AddChar,
         kind="d716",
         parameters={"q": k.size, "n": n, "chi_exponent": chi.j,
                     "psi_twist_dlog": ff.dlog(psi.twist)},
-        lhs=lhs, rhs=rhs, equal=(lhs - rhs).is_zero(),
-        elapsed=time.perf_counter() - t_start)
+        lhs=lhs, rhs=rhs, equal=(lhs - rhs).is_zero())
 
 
 def check_identity_725(m: int, r: int, lam: ff.FFElem, psi: AddChar,
                        budget: int | None = None) -> SumReport:
     """Verify the three-way equality relating Kloosterman sums over k_r on a
     norm fiber, a norm-fiber sum over k_n, and a single K_{n,lam}, n = m*r."""
-    t_start = time.perf_counter()
     k = psi.field
     if lam.field is not k:
         raise ValidationError("lambda must live in the base field")
@@ -353,8 +347,7 @@ def check_identity_725(m: int, r: int, lam: ff.FFElem, psi: AddChar,
         parameters={"q": k.size, "m": m, "r": r,
                     "lambda_dlog": ff.dlog(lam),
                     "psi_twist_dlog": ff.dlog(psi.twist)},
-        lhs=lhs, rhs=rhs, equal=bad is None,
-        elapsed=time.perf_counter() - t_start)
+        lhs=lhs, rhs=rhs, equal=bad is None)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +376,6 @@ def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar,
                             budget: int | None = None) -> SumReport:
     """Check, for every x in k, that the psi-transform of a |-> G_n(a)
     recovers q times the indicator-weighted character on the n_q-torsion."""
-    t_start = time.perf_counter()
     k = chi.field
     check_budget(k.size ** 2, budget)  # the transform's (x, a) pairs
     ring = chi.ring
@@ -432,8 +424,7 @@ def fourier_inversion_check(n: int, chi: MultChar, psi: AddChar,
         kind="fourier_inversion",
         parameters={"q": k.size, "n": n, "chi_exponent": chi.j,
                     "psi_twist_dlog": ff.dlog(psi.twist)},
-        lhs=lhs, rhs=rhs, equal=equal, witness=witness,
-        elapsed=time.perf_counter() - t_start)
+        lhs=lhs, rhs=rhs, equal=equal, witness=witness)
 
 
 def separation_witnesses(n: int, psi: AddChar, aprimes,

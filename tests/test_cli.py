@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jlcs import cli, expsum, ff, ssc
+from jlcs import cli, csa, expsum, ff, ssc
 from jlcs.chars import AddChar
 from jlcs.cyc import CycRing, ring_for
 from jlcs.errors import IdentityFailure, InvariantError
@@ -38,11 +38,13 @@ def captured(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def record_kinds(out, csv=False):
-    """The kind of each record of a JSON-lines or CSV report, in order."""
+def report_records(out, csv=False):
+    """The records of a JSON-lines or CSV report, in order; a CSV row
+    keeps the kind, and reads its ok cell back as a bool."""
     if csv:
-        return [row["kind"] for row in csv_mod.DictReader(io.StringIO(out))]
-    return [record["kind"] for record in lines(out)]
+        return [{"kind": row["kind"], "ok": row.get("ok") == "True"}
+                for row in csv_mod.DictReader(io.StringIO(out))]
+    return lines(out)
 
 
 def without_approx(obj):
@@ -91,21 +93,21 @@ FROZEN_REPORTS = [
      "106c1b60627c2f1d2533a9113a52704407848bb676b0d41cb5f376e034ae78e9"),
     ("epsilon", "epsilon --p 3 --f 1 --m 1 --r 2 --s 1 --twist-unit 1 "
      "--twist-varpi-order 4 --twist-varpi-power 1", 0,
-     "b1cb8fb11d99383e6be767bf67ad2fabd2efaf4614ad7e4bbcdf6543bee33da3"),
+     "167db50c4d93c437276e729feb85b3ec5ef7dc00abcc5ae1e69df6951538de9e"),
     # n = 6, r = 3: tau = epsilon reads rtrace(phi_inverse) and rnorm(phi)
     ("epsilon-n6", "epsilon --p 3 --f 1 --m 2 --r 3 --s 1 --twist-unit 1 "
      "--twist-varpi-order 4 --twist-varpi-power 1", 0,
-     "f3ac590b3fe640f98aababe3be320f555b565f6ccc807b5524931ffa65dac34b"),
+     "dd1177bda3bc2da3ca589d420dd8d0bcd1d0126a82f2cf69930cd50b5c712b62"),
     ("csa-selftest", "csa selftest --p 2 --f 1 --m 2 --r 2 --s 1", 0,
-     "20ed40392e5dfe19e51377e14950463c39f7d0568eb6eab3fe14b562b083e11a"),
+     "f27f3bdba81009c3483dd9701e44838a8ab12af72f92d7c54af5e5de73e9a9a6"),
     ("char-order-membership-undetermined",
      "char --p 3 --f 1 --m 2 --r 1 --precision 0", 3,
      "6ddba50527940beca3682ce51f4d26b667184f18b6b699f5f8ce82eb58f27814"),
     ("csa-selftest-n6", "csa selftest --p 3 --f 1 --m 2 --r 3 --s 1", 0,
-     "d2eeb9d92cd1d38b751983d3945d3599ad7bf08623db6e2862fa9bd39af7b7dc"),
+     "d4763568801ea12c3c303efe3d9e6b6215f12db2c3d2e79f6d57bdc82d2779a3"),
     ("csa-selftest-n6-prec30",
      "csa selftest --p 2 --f 1 --m 3 --r 2 --s 1 --precision 30", 0,
-     "314c93b39258d24d14e4ee3b434305f65d196d4573b74678c0f4085e9897d864"),
+     "9ec9e45c18d794c911956269c5df3eef64f70c719a561d83a2e7de36aef3ebfe"),
     ("jl-verify-p2-r3",
      "jl verify --p 2 --f 1 --m 1 --r 3 --s 2 --all-lambda --samples 2", 0,
      "1a74569c9c4932b058a4e257535cc383bdeee713e9679e79fd1a90b1c4345969"),
@@ -421,7 +423,7 @@ class TestExitCodes:
     def test_unwritable_out_is_usage(self, capsys, tmp_path, monkeypatch):
         ran = []
         monkeypatch.setitem(cli._DISPATCH, "sums",
-                            lambda args: ran.append(args) or ([], True))
+                            lambda args: ran.append(args) or [])
         target = tmp_path / "missing" / "report.json"
         code, out = run(capsys, "sums", "gauss", "--p", "3", "--f", "1",
                         "--out", str(target))
@@ -469,14 +471,23 @@ class TestExitCodes:
         assert code in (0, 1, 2, 3), (argv, err)
         assert "internal_error" not in out, argv
         assert err == "", argv
-        kinds = record_kinds(out, csv="--format" in argv)
+        records = report_records(out, csv="--format" in argv)
+        kinds = [record["kind"] for record in records]
         if code in (2, 3):
             # an abort prints its one error record and nothing else
             assert kinds == ["error"], argv
-        elif argv[0] in ("verify", "char", "jl"):
-            # a sweep ends with its one summary
-            assert kinds.count("summary") == 1 and kinds[-1] == "summary", \
-                argv
+            return
+        # every verb but sums compares, and ends with its one summary;
+        # epsilon compares nothing at n = 1, where it has no tau row
+        compares = argv[0] != "sums" and (argv[0] != "epsilon"
+                                          or "normalized_tau" in kinds)
+        assert kinds.count("summary") == compares, argv
+        if compares:
+            assert kinds[-1] == "summary", argv
+            # the exit code is the summary's verdict
+            assert code == (0 if records[-1]["ok"] else 1), argv
+        else:
+            assert code == 0, argv
 
     def test_interrupt_still_propagates(self, monkeypatch):
         def interrupted(*args, **kwargs):
@@ -521,23 +532,83 @@ class TestReportShape:
         records = lines(out)
         kinds = [r["kind"] for r in records]
         assert kinds == ["run_header", "epsilon", "epsilon_twisted",
-                         "normalized_tau"]
+                         "normalized_tau", "summary"]
         assert records[1]["value"]["approx"] == [-1.0, 0.0]
+        tau = records[3]
+        assert tau["sign"] == -1 and tau["match"] is True
+        assert tau["value"]["coeffs"] == \
+            [-c for c in records[2]["value"]["coeffs"]]
+        assert records[-1] == {"kind": "summary", "checks": 1,
+                               "failures": 0, "ok": True}
 
     def test_epsilon_omits_tau_in_degree_one(self, capsys):
+        # Trd(phi^{-1}) has a pole at n = 1: values only, no verdict
         code, out = run(capsys, "epsilon", "--p", "3", "--f", "1",
                         "--m", "1", "--r", "1")
         assert code == 0
         kinds = [r["kind"] for r in lines(out)]
-        assert "normalized_tau" not in kinds
+        assert kinds == ["run_header", "epsilon", "epsilon_twisted"]
+
+    def test_epsilon_tau_mismatch_is_math_failure(self, capsys,
+                                                  monkeypatch):
+        tau = ssc.normalized_tau
+        monkeypatch.setattr(ssc, "normalized_tau",
+                            lambda eta, xi: -tau(eta, xi))
+        code, out = run(capsys, "epsilon", "--p", "3", "--f", "1",
+                        "--m", "1", "--r", "2", "--s", "1",
+                        "--twist-unit", "1",
+                        "--twist-varpi-order", "4", "--twist-varpi-power", "1")
+        assert code == 1
+        records = lines(out)
+        assert records[-2]["kind"] == "normalized_tau"
+        assert records[-2]["match"] is False
+        assert records[-1] == {"kind": "summary", "checks": 1,
+                               "failures": 1, "ok": False}
 
     def test_csa_selftest(self, capsys):
         code, out = run(capsys, "csa", "selftest", "--p", "2", "--f", "1",
                         "--m", "1", "--r", "3", "--s", "2")
         assert code == 0
-        (record,) = lines(out)
-        assert record["ok"] is True
-        assert all(c["ok"] for c in record["checks"])
+        records = lines(out)
+        assert records[0]["subcommand"] == "csa selftest"
+        assert records[0]["parameters"] == {"q": 2, "n": 3, "m": 1, "r": 3,
+                                            "s": 2}
+        rows = records[1:-1]
+        assert rows and all(r["kind"] == "csa_check" and r["ok"] is True
+                            for r in rows)
+        assert records[-1] == {"kind": "summary", "checks": len(rows),
+                               "failures": 0, "ok": True}
+
+    def test_csa_selftest_failure_is_math_failure(self, capsys,
+                                                  monkeypatch):
+        selftest = csa.selftest
+        monkeypatch.setattr(csa, "selftest", lambda *a, **kw: [
+            {**row, "ok": row["check"] != "rnorm_phi"}
+            for row in selftest(*a, **kw)])
+        code, out = run(capsys, "csa", "selftest", "--p", "2", "--f", "1",
+                        "--m", "2", "--r", "2", "--s", "1")
+        assert code == 1
+        summary = lines(out)[-1]
+        assert summary["failures"] == 1 and summary["ok"] is False
+
+    @pytest.mark.parametrize("records", [
+        [],
+        [{"kind": "run_header", "parameters": {}}],
+        [{"kind": "epsilon", "value": {"coeffs": [1]}}],
+    ], ids=["empty", "header-only", "values-only"])
+    def test_summary_of_no_verdict_is_not_ok(self, records):
+        assert cli._summary(records) == {"kind": "summary", "checks": 0,
+                                         "failures": 0, "ok": False}
+
+    def test_report_that_checks_nothing_exits_one(self, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(ssc, "character_relation_check",
+                            lambda *a, **kw: [])
+        code, out = run(capsys, "jl", "verify", "--p", "3", "--f", "1",
+                        "--m", "1", "--r", "2", "--s", "1")
+        assert code == 1
+        assert lines(out)[-1] == {"kind": "summary", "checks": 0,
+                                  "failures": 0, "ok": False}
 
     def test_verify_d725(self, capsys):
         code, out = run(capsys, "verify", "d725", "--p", "2", "--f", "2",
@@ -594,22 +665,27 @@ class TestReportShape:
         cell = row.split(",")[columns.index("value")]
         assert "j" in cell
 
-    def test_csv_list_cell_is_json(self, capsys):
+    def test_csv_has_one_row_per_csa_check(self, capsys):
         argv = ["csa", "selftest", "--p", "2", "--f", "1", "--m", "2",
                 "--r", "2", "--s", "1"]
         code, out = run(capsys, *argv)
         assert code == 0
-        (record,) = lines(out)
+        checks = [(r["check"], str(r["ok"])) for r in lines(out)
+                  if r["kind"] == "csa_check"]
         code, out = run(capsys, *argv, "--format", "csv")
         assert code == 0
-        (row,) = csv_mod.DictReader(io.StringIO(out))
-        assert json.loads(row["checks"]) == record["checks"]
+        rows = list(csv_mod.DictReader(io.StringIO(out)))
+        assert [row["kind"] for row in rows] == \
+            ["run_header"] + ["csa_check"] * len(checks) + ["summary"]
+        assert [(row["check"], row["ok"]) for row in rows[1:-1]] == checks
+        assert rows[-1]["checks"] == str(len(checks))
 
 
     @pytest.mark.parametrize("command,header", [
         ("epsilon --p 3 --f 1 --m 1 --r 2 --s 1 --twist-unit 1 "
          "--twist-varpi-order 4 --twist-varpi-power 1",
-         "budget,kind,parameters.eta.c.order,parameters.eta.c.power,"
+         "budget,checks,failures,kind,match,ok,parameters.eta.c.order,"
+         "parameters.eta.c.power,"
          "parameters.eta.chi_j,parameters.eta.conductor,"
          "parameters.eta.psi_twist_dlog,parameters.eta.q,"
          "parameters.eta.side.m,parameters.eta.side.r,parameters.eta.side.s,"
@@ -865,10 +941,14 @@ class TestDeterminism:
     def test_reports_are_frozen(self, capsys, command, code, digest):
         got_code, out = run(capsys, *command.split())
         assert got_code == code
+        records = lines(out)
         text = "".join(json.dumps(without_approx(record), sort_keys=True,
                                   separators=(",", ":")) + "\n"
-                       for record in lines(out))
+                       for record in records)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        if records[-1]["kind"] == "summary":
+            # the exit code is the summary's verdict
+            assert (got_code == 0) == records[-1]["ok"]
 
     def test_seed_changes_sampled_rows_only(self, capsys):
         argv = ["jl", "verify", "--p", "5", "--f", "1", "--m", "2", "--r",

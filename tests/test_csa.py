@@ -1328,14 +1328,20 @@ class TestConjugacyData:
 
 class TestSelfTest:
     def test_selftest_passes(self):
-        rep = csa.selftest(3, 1, 2, 2, 1)
-        assert rep["ok"]
-        assert rep["q"] == 3 and rep["n"] == 4
-        assert all(c["ok"] for c in rep["checks"])
+        rows = csa.selftest(3, 1, 2, 2, 1)
+        assert {row["kind"] for row in rows} == {"csa_check"}
+        # n = 4 >= 2, so the reduced trace of phi^{-1} is checked
+        assert "rtrace_phi_inverse" in [row["check"] for row in rows]
+        assert all(row["ok"] is True for row in rows)
 
     def test_selftest_split_case(self):
-        rep = csa.selftest(2, 1, 3, 1, None)
-        assert rep["ok"]
+        rows = csa.selftest(2, 1, 3, 1, None)
+        assert rows and all(row["ok"] is True for row in rows)
+
+    def test_degree_one_skips_the_phi_inverse_check(self):
+        checks = [row["check"] for row in csa.selftest(3, 1, 1, 1, None)]
+        assert len(checks) == len(set(checks)) == 10
+        assert "rtrace_phi_inverse" not in checks
 
 
 SCALING_ALGEBRAS = [(p, f, r, s) for p, f in ((2, 1), (3, 1), (2, 2))
