@@ -13,11 +13,15 @@ series never need to be inverted along the way.
 
 Multiplication by a power of the block uniformizer phi is a row map, not
 a product: phi_power_mul permutes the rows of g and multiplies each by a
-power of the corner c Pi, a twist, a scaling and a shift of every
-coefficient; phi_inverse is that row map applied to the identity.  The
-matrix product _matmul is the definition, each entry the sum of its m
-products: it serves the checks that phi^n is zeta w, the geometric series
-of one_plus_inverse and the self-test.  An AlgElem finds its live
+power of the corner c Pi; phi_inverse is that row map applied to the
+identity, and make_g_u is phi^2 u + phi.  Each coefficient the map moves
+takes one pass of LaurentTrunc.coeff_map, a -> C a^e w^j: the Frobenius
+power e, the unit C (kept as its discrete log) and the shift j hold the
+twist, the scaling and the shift at once.  regular_rep and
+MatA.scale_teich use the same map.  The matrix product _matmul is the
+definition, each entry the sum of its m products: it serves the checks
+that phi^n is zeta w, the geometric series of one_plus_inverse and the
+self-test.  An AlgElem finds its live
 coefficients (those not an exact zero) once, when it is built: its
 products run over the live pairs only, adding an exact zero (no live
 coefficient) returns the other operand, and the empty slots of a product
@@ -33,9 +37,11 @@ order P^0 included.
 
 Conjugation by a Teichmuller diagonal diag(d_1, ..., d_m) is a
 per-coefficient scaling, not a product: Pi^l d = sigma^{sl}(d) Pi^l, so
-teich_conjugate multiplies the Pi^l coefficient of entry (i, j) by the
-constant d_i^{-1} sigma^{sl}(d_j) of k_r, and MatA.scale_teich scales
-every coefficient by one constant of k.  rtrace_product reads the reduced
+the Pi^l coefficient of entry (i, j) is multiplied by the constant
+d_i^{-1} sigma^{sl}(d_j) of k_r.  phi_power_mul takes the units d_i and
+adds the log of that constant to its map's, so phi^e x^{-1} g x is one row
+map and no conjugate matrix is built.  MatA.scale_teich scales every
+coefficient by one constant of k.  rtrace_product reads the reduced
 trace of a product from the Pi^0 terms of its diagonal entries alone.
 """
 
@@ -60,7 +66,7 @@ class DivAlgebra:
     instances; the coefficient field for the series entries is k_r.
     """
 
-    __slots__ = ("k", "r", "s", "kr", "zero_series")
+    __slots__ = ("k", "r", "s", "kr", "zero_series", "frob")
 
     def __init__(self, k: ff.FieldDesc, r: int, s: int | None):
         self.k = k
@@ -69,6 +75,8 @@ class DivAlgebra:
         self.kr = ff.make_extension(k, r)
         # the exact zero over k_r, shared by every empty slot
         self.zero_series = lf.zero(self.kr)
+        # frob[t] = q^(s t mod r): sigma^{st} is the power map a -> a^frob[t]
+        self.frob = tuple(k.size ** (s * t % r) if s else 1 for t in range(r))
 
     # -- element constructors ------------------------------------------------
 
@@ -95,9 +103,7 @@ class DivAlgebra:
 
     def twist(self, x: lf.LaurentTrunc, i: int) -> lf.LaurentTrunc:
         """sigma^{s i} applied to the coefficients of x."""
-        if self.r == 1:
-            return x
-        return lf.galois_series(x, self.s * i, self.k)
+        return x.coeff_map(0, self.frob[i % self.r], 0)
 
     def random(self, rng, prec: int, lead_val: int) -> "AlgElem":
         """Random coefficients at precision prec, the Pi^0 one starting at
@@ -333,28 +339,21 @@ class MatA:
         D = self.parent.D
         if c.field is not D.k or c.packed == 0:
             raise ValidationError("the scalar must be a unit of k")
-        consts = [ff.embed(c, D.kr)] * D.r
+        lc = D.kr.log[D.kr.embed_packed(D.k, c.packed)]
         return MatA(self.parent, tuple(
-            tuple(_scale_coeffs(e, consts) for e in row)
+            tuple(_corner_power_times(e, 0, 0, lc, 0, 0) for e in row)
             for row in self.entries))
-
-    def plus_identity(self) -> "MatA":
-        """self + 1, adding on the diagonal only, as minus_identity does."""
-        return self._add_on_diagonal(lf.one(self.parent.D.kr))
 
     def minus_identity(self) -> "MatA":
         """self - 1, subtracting on the diagonal only: the entries off it
         are kept as they are, and so are the Pi^l coefficients, l > 0, on
         it."""
-        return self._add_on_diagonal(-lf.one(self.parent.D.kr))
-
-    def _add_on_diagonal(self, x: lf.LaurentTrunc) -> "MatA":
-        """self + x, x a series over k_r (a central one)."""
         D = self.parent.D
+        minus_one = -lf.one(D.kr)
         rows = [list(row) for row in self.entries]
         for i, row in enumerate(rows):
             c = row[i].coeffs
-            row[i] = AlgElem(D, (c[0] + x,) + c[1:])
+            row[i] = AlgElem(D, (c[0] + minus_one,) + c[1:])
         return MatA(self.parent, tuple(tuple(row) for row in rows))
 
     def truncate(self, prec: int) -> "MatA":
@@ -431,44 +430,6 @@ class MatA:
         return f"MatA({self.parent!r})"
 
 
-def _scale_coeffs(e: AlgElem, consts) -> AlgElem:
-    """sum_l consts[l] a_l Pi^l for e = sum_l a_l Pi^l, the constants units
-    of k_r: each live coefficient is scaled and exact zeros are kept."""
-    if not e.live:
-        return e
-    coeffs = list(e.coeffs)
-    for l, a in e.live:
-        coeffs[l] = a.scale(consts[l])
-    return AlgElem(e.parent, coeffs)
-
-
-def teich_conjugate(g: MatA, units) -> MatA:
-    """x^{-1} g x for the Teichmuller diagonal x = diag(d_1, ..., d_m), the
-    d_i units of k_r.
-
-    Pi^l d = sigma^{sl}(d) Pi^l, so conjugation by a Teichmuller diagonal
-    is a per-coefficient scaling: the Pi^l coefficient of entry (i, j) is
-    multiplied by the constant d_i^{-1} sigma^{sl}(d_j) of k_r.  Exact zeros
-    are kept; every other coefficient equals that of the product
-    x^{-1} * g * x in (val, coeffs, prec).
-    """
-    MA = g.parent
-    D = MA.D
-    units = list(units)
-    if len(units) != MA.m:
-        raise ValidationError(
-            f"expected {MA.m} diagonal units, got {len(units)}")
-    if any(d.field is not D.kr or d.packed == 0 for d in units):
-        raise ValidationError("the diagonal must hold units of k_r")
-    # sigma^{sl}(d_j) for l < r; r = 1 needs no twist
-    twisted = [[ff.frobenius(d, D.s * l, D.k) if l else d
-                for l in range(D.r)] for d in units]
-    return MatA(MA, tuple(
-        tuple(_scale_coeffs(e, [d_inv * t for t in twisted[j]])
-              for j, e in enumerate(row))
-        for d_inv, row in zip((d.inverse() for d in units), g.entries)))
-
-
 def _matmul(a, b):
     """The product of two matrices given as sequences of rows: each entry
     is the sum of its products, added left to right."""
@@ -527,54 +488,75 @@ def make_phi_zeta(m: int, Dalg: DivAlgebra, zeta: ff.FFElem) -> MatA:
 
 
 @canonical
-def _corner_powers(MA: MatrixAlgebra, zeta: ff.FFElem) -> tuple:
-    """The units c_t of k_r with (c Pi)^t = c_t Pi^t, 0 <= t < r, for the
-    corner c Pi of make_phi_zeta(MA.m, MA.D, zeta), and zeta in k_r."""
+def _corner_logs(MA: MatrixAlgebra, zeta: ff.FFElem) -> tuple:
+    """The logs in k_r of the units c_t with (c Pi)^t = c_t Pi^t,
+    0 <= t < r, for the corner c Pi of make_phi_zeta(MA.m, MA.D, zeta), and
+    the log of zeta in k_r."""
     corner = make_phi_zeta(MA.m, MA.D, zeta).entries[-1][0]
-    units = tuple((corner ** t).coeffs[t].residue() for t in range(MA.D.r))
-    return units, ff.embed(zeta, MA.D.kr)
+    kr = MA.D.kr
+    return (tuple(kr.log[(corner ** t).coeffs[t].residue().packed]
+                  for t in range(MA.D.r)),
+            kr.log[kr.embed_packed(zeta.field, zeta.packed)])
 
 
-def phi_power_mul(zeta: ff.FFElem, e: int, g: MatA) -> MatA:
-    """phi^e g for phi = make_phi_zeta(m, D, zeta) and any integer e, as a
-    row map: no matrix product.
+def phi_power_mul(zeta: ff.FFElem, e: int, g: MatA, units=None) -> MatA:
+    """phi^e x^{-1} g x for phi = make_phi_zeta(m, D, zeta), any integer e
+    and x the Teichmuller diagonal of the units d_i of k_r given (x = 1
+    when units is None), as one row map: no matrix product.
 
     phi has identity blocks above the diagonal and c Pi in the corner, and
     phi^m is the scalar c Pi.  So for e = a m + b with 0 <= b < m, row i of
-    phi^e g is (c Pi)^{a + [i + b >= m]} times row (i + b) mod m of g.  As
-    (c Pi)^r = zeta w, (c Pi)^{q r + t} = zeta^q c_t w^q Pi^t for any q, so
-    each power of c Pi, a negative one included, twists, scales and shifts
-    the coefficients: it sends x_l Pi^l to zeta^q c_t sigma^{st}(x_l) w^q
-    Pi^{t + l}, with Pi^r = w.  Rows whose power is 0 are reused as they
-    are, and so are exact zeros; every other coefficient equals that of the
-    product route in (val, coeffs, prec).
+    the result is (c Pi)^{a + [i + b >= m]} times row src = (i + b) mod m of
+    x^{-1} g x, whose entry (src, j) is d_src^{-1} g_{src j} d_j.  As
+    (c Pi)^r = zeta w, (c Pi)^{q r + t} = zeta^q c_t w^q Pi^t for any q, a
+    negative one included; _corner_power_times applies it together with
+    the conjugation.  With no units, rows whose power is 0 are reused as
+    they are; exact zeros always are, and every other coefficient equals
+    that of the product route in (val, coeffs, prec).
     """
     MA = g.parent
     D, m = MA.D, MA.m
-    units, zeta_r = _corner_powers(MA, zeta)
+    logs = [0] * m
+    if units is not None:
+        units = list(units)
+        if len(units) != m:
+            raise ValidationError(
+                f"expected {m} diagonal units, got {len(units)}")
+        if any(d.field is not D.kr or d.packed == 0 for d in units):
+            raise ValidationError("the diagonal must hold units of k_r")
+        logs = [D.kr.log[d.packed] for d in units]
+    corner, lz = _corner_logs(MA, zeta)
     a, b = divmod(e, m)
     rows = []
     for i in range(m):
         wrap, src = divmod(i + b, m)
         row = g.entries[src]
-        if a + wrap:
+        if a + wrap or units is not None:
             q, t = divmod(a + wrap, D.r)
-            c = units[t] * zeta_r ** q
-            row = tuple(_corner_power_times(x, q, t, c) for x in row)
+            lc = corner[t] + q * lz
+            row = tuple(_corner_power_times(x, q, t, lc, logs[src], logs[j])
+                        for j, x in enumerate(row))
         rows.append(row)
     return MatA(MA, tuple(rows))
 
 
-def _corner_power_times(x: AlgElem, q: int, t: int, c: ff.FFElem) -> AlgElem:
-    """c w^q Pi^t x: each live coefficient of x twisted by sigma^{st},
-    scaled by c and shifted; x itself when it is an exact zero."""
+def _corner_power_times(x: AlgElem, q: int, t: int, lc: int, src: int,
+                        dst: int) -> AlgElem:
+    """c w^q Pi^t d_src^{-1} x d_dst for the units c = g^lc and
+    d = g^src, g^dst of k_r: each live coefficient a_l of x goes through one
+    coefficient map, a -> C a^{q^{st}} w^{q + carry} at Pi^{(l + t) mod r},
+    C = c sigma^{st}(d_src^{-1}) sigma^{s(t + l)}(d_dst); x itself when it
+    is an exact zero."""
     if not x.live:
         return x
     D = x.parent
+    frob, order = D.frob, D.kr.order
     coeffs = [D.zero_series] * D.r
     for l, a in x.live:
         carry, rem = divmod(l + t, D.r)
-        coeffs[rem] = D.twist(a, t).scale(c).shift(q + carry)
+        coeffs[rem] = a.coeff_map(
+            (lc + frob[t] * (frob[l] * dst - src)) % order, frob[t],
+            q + carry)
     return AlgElem(D, coeffs)
 
 
@@ -616,16 +598,13 @@ def regular_rep(d: AlgElem):
     as an r x r matrix of series over k_r."""
     D = d.parent
     r = D.r
-    M = [[lf.zero(D.kr) for _ in range(r)] for _ in range(r)]
-    for i, a in enumerate(d.coeffs):
-        if a.is_exact_zero():
-            continue
+    M = [[D.zero_series] * r for _ in range(r)]
+    for i, a in d.live:
         for j in range(r):
             # a Pi^{i+j} = Pi^{i+j} sigma^{-s(i+j)}(a), and Pi^r = w; each
             # slot (rem, j) is reached from one i only
             carry, rem = divmod(i + j, r)
-            img = D.twist(a, -(i + j))
-            M[rem][j] = img.shift(carry) if carry else img
+            M[rem][j] = a.coeff_map(0, D.frob[-(i + j) % r], carry)
     return M
 
 
@@ -803,13 +782,20 @@ def red_charpoly(g: MatA) -> RedCharPoly:
 
 
 def make_g_u(m: int, Dalg: DivAlgebra, zeta: ff.FFElem, u: MatA) -> MatA:
-    """The elliptic element phi (1 + phi u) for u in the standard order."""
+    """The elliptic element phi (1 + phi u) for u in the standard order,
+    built as phi^2 u + phi: one row map, then phi's m entries added, the
+    identity blocks at (i, i + 1) and the corner at (m - 1, 0)."""
     MA = matrix_algebra(Dalg, m)
     if u.parent is not MA:
         raise ValidationError("u lives in a different matrix algebra")
     if not u.in_order():
         raise ValidationError("u must lie in the standard order")
-    return phi_power_mul(zeta, 1, phi_power_mul(zeta, 1, u).plus_identity())
+    phi = make_phi_zeta(m, Dalg, zeta)
+    rows = [list(row) for row in phi_power_mul(zeta, 2, u).entries]
+    for i, row in enumerate(rows):
+        j = (i + 1) % m
+        row[j] = row[j] + phi.entries[i][j]
+    return MatA(MA, tuple(tuple(row) for row in rows))
 
 
 def eisenstein_check(f: RedCharPoly, zeta: ff.FFElem) -> dict:

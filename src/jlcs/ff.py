@@ -558,13 +558,6 @@ def pullback(x: FFElem, onto: FieldDesc) -> FFElem:
     return FFElem(onto, x.field.pullback_packed(onto, x.packed))
 
 
-def frobenius(x: FFElem, j: int, over: FieldDesc) -> FFElem:
-    """x ** (|over| ** j); over must be a declared subfield."""
-    if not x.field.has_subfield(over):
-        raise ValidationError("frobenius over a field outside the tower")
-    return x ** (over.size ** (j % max(x.field.degree // over.degree, 1)))
-
-
 def norm_fiber_congruence(ext: FieldDesc, over: FieldDesc,
                           lam: FFElem) -> tuple[int, int]:
     """Solve Nr(g**t) = lam for the generator g of ext as t = t0 + j*(q-1),

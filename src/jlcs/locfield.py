@@ -13,7 +13,9 @@ operand.  Each gives one row over the longer operand, exp[log a + log b] per
 coefficient, cut at the product's precision; the first row starts the sum
 and later rows add into it.  A product by a one-term series is therefore
 one map over the other's coefficients, the shape of every product by a
-Teichmuller diagonal or a power of the uniformizer.
+Teichmuller diagonal or a power of the uniformizer.  coeff_map is that map
+with a Frobenius power folded in, a -> c a^e w^j in one table pass, which
+is how the algebra layer twists, scales and shifts a coefficient.
 
 ProductSums computes sums of series products on packed integers (Kronecker
 substitution).  Over k_r = F_p[x]/(P) of absolute degree d, a series becomes
@@ -205,16 +207,25 @@ class LaurentTrunc:
         """Multiply by a residue-field constant (exact)."""
         if c.field is not self.field:
             raise ValidationError("constant from a different field")
-        f = self.field
         if not c.packed:
-            return LaurentTrunc(f, self.val, (), self.prec)
+            return LaurentTrunc(self.field, self.val, (), self.prec)
+        return self.coeff_map(self.field.log[c.packed], 1, 0)
+
+    def coeff_map(self, lc: int, e: int, j: int) -> "LaurentTrunc":
+        """c a^e w^j for every coefficient a, c = g^lc a unit (exact): the
+        codes exp[(log a * e + lc) % order], zeros kept, val and prec moved
+        by j.  A power map sends no unit to 0, so the normal form is kept;
+        the series itself comes back when the map is the identity."""
+        if e == 1 and not lc and not j:
+            return self
+        f = self.field
+        prec = self.prec if self.prec == INF else self.prec + j
+        if not self.coeffs:
+            return _normalized(f, 0 if prec == INF else prec, (), prec)
         exp, log, order = f.exp, f.log, f.order
-        lc = log[c.packed]
-        return _normalized(
-            f, self.val,
-            tuple([exp[(lc + log[a]) % order] if a else 0
-                   for a in self.coeffs]),
-            self.prec)
+        return _normalized(f, self.val + j,
+                           tuple([exp[(log[a] * e + lc) % order] if a else 0
+                                  for a in self.coeffs]), prec)
 
     def shift(self, j: int) -> "LaurentTrunc":
         """Multiply by w^j (exact)."""
@@ -339,12 +350,8 @@ def galois_series(x: LaurentTrunc, j: int, over: ff.FieldDesc) -> LaurentTrunc:
     """Coefficientwise power of the residue Frobenius over a subfield."""
     if not x.field.has_subfield(over):
         raise ValidationError("series field does not extend the base")
-    e = over.size ** (j % max(x.field.degree // over.degree, 1))
-    if e == 1:
-        return x
-    return _normalized(x.field, x.val,
-                       tuple([x.field.pow_packed(c, e) for c in x.coeffs]),
-                       x.prec)
+    return x.coeff_map(
+        0, over.size ** (j % max(x.field.degree // over.degree, 1)), 0)
 
 
 def series_trace(x: LaurentTrunc, over: ff.FieldDesc) -> LaurentTrunc:

@@ -15,11 +15,14 @@ The scalar c is a root of unity of declared order, so every value is a
 CycElem in the parameter's cyclotomic ring and every comparison is exact.
 
 Both direct sums evaluate theta on conjugates x^{-1} g x by Teichmuller
-diagonals, and conjugation by a Teichmuller diagonal is a per-coefficient
-scaling (csa.teich_conjugate).  theta_eval makes no matrix product:
-phi^{-v} g is a row map (csa.phi_power_mul), the unit part is a second
-scaling, u - 1 is computed once on the diagonal, and Trd(phi^{-1}(u - 1))
-reads only the diagonal of that product (csa.rtrace_product).
+diagonals, and no conjugate matrix is built: theta_eval and decompose take
+g with the diagonal's units, and conjugation by a Teichmuller diagonal is
+a per-coefficient scaling that keeps every val, prec and exact zero.
+theta_eval makes no matrix product: phi^{-v} x^{-1} g x is one row map
+(csa.phi_power_mul), one coefficient map per live coefficient, the unit
+part is a second scaling, u - 1 is computed once on the diagonal, and
+Trd(phi^{-1}(u - 1)) reads only the diagonal of that product
+(csa.rtrace_product).
 """
 
 from __future__ import annotations
@@ -164,22 +167,28 @@ def make_param(p: int, f: int, m: int, r: int, s: int | None,
 # the character theta on L^x U^1
 
 
-def decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
-    """Write g = phi^v * x * u with x a Teichmuller scalar from k and
-    u in U^1 of the standard order; returns (v, residue of x, u, u - 1).
+def decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA,
+              units=None):
+    """Write y^{-1} g y = phi^v * x * u with x a Teichmuller scalar from k
+    and u in U^1 of the standard order, for the Teichmuller diagonal y of
+    the units of k_r given (y = 1 when units is None); returns
+    (v, residue of x, u, u - 1).
 
-    The valuation v is read off the order's radical filtration and the
+    The valuation v is read off the order's radical filtration of g: the
+    conjugation scales every coefficient by a unit, which keeps every val,
+    prec and exact zero, so the conjugate has the same filtration.  The
     factorization is then verified piece by piece, so failure at any step
-    means g lies outside the group where theta is defined.  The unit part
-    x^{-1} is central and Teichmuller, so u is phi^{-v} g with every
-    coefficient scaled by the residue of x^{-1}.
+    means the conjugate lies outside the group where theta is defined.
+    phi^{-v} y^{-1} g y is one row map (csa.phi_power_mul); the unit part
+    x^{-1} is central and Teichmuller, so u is that with every coefficient
+    scaled by the residue of x^{-1}.
     """
     if g.parent is not alg:
         raise ValidationError("element from a different algebra")
     v = g.radical_valuation()
     if v is None:
         raise DecompositionError("the element is not invertible")
-    h = csa.phi_power_mul(zeta, -v, g)
+    h = csa.phi_power_mul(zeta, -v, g, units)
     if not h.in_order():
         raise DecompositionError(
             "phi^{-v} g does not land in the standard order")
@@ -200,9 +209,11 @@ def decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA):
     return v, xbar, u, du
 
 
-def theta_eval(eta: SscParam, g: csa.MatA):
-    """theta(phi^v x u) = ((-1)^{m-1} c)^v chi(x) psi_K(Trd(phi^{-1}(u-1)))."""
-    v, xbar, _u, du = decompose(eta.alg, eta.zeta, g)
+def theta_eval(eta: SscParam, g: csa.MatA, units=None):
+    """theta(phi^v x u) = ((-1)^{m-1} c)^v chi(x) psi_K(Trd(phi^{-1}(u-1)))
+    at y^{-1} g y = phi^v x u, y the Teichmuller diagonal of the units given
+    (y = 1 when units is None)."""
+    v, xbar, _u, du = decompose(eta.alg, eta.zeta, g, units)
     phi_inv = csa.phi_inverse(eta.alg.m, eta.alg.D, eta.zeta)
     t = csa.rtrace_product(phi_inv, du)
     root = eta.chi.eval(xbar) * lf.psi_K(eta.psi, t)
@@ -232,8 +243,8 @@ def gu_cosets(alg: csa.MatrixAlgebra) -> tuple:
     with d^{q^s - 1} = lambda^m, and the Teichmuller diagonal x with the
     units d, d lambda, ..., d lambda^{m-1} of k_r conjugates phi to
     lambda phi for every zeta; lambda outside mu_{n_q} admits no such d
-    (checked here once per algebra).  csa.teich_conjugate takes the units
-    as they are.
+    (checked here once per algebra).  theta_eval takes the units as they
+    are.
     """
     D = alg.D
     k = D.k
@@ -275,7 +286,7 @@ def _gu_coset_sum(eta: SscParam, g: csa.MatA):
     """theta summed over the conjugates x^-1 g x, one per coset of
     mu_{n_q}, for a g = g_u already built."""
     return reduce(operator.add,
-                  (theta_eval(eta, csa.teich_conjugate(g, units))
+                  (theta_eval(eta, g, units)
                    for _lam, units in gu_cosets(eta.alg)))
 
 
@@ -328,7 +339,7 @@ def char_at_unipotent_deep(eta: SscParam, lam: ff.FFElem,
         for rest in itertools.product(range(Q), repeat=m - 1):
             diag = [kr.from_dlog(t1)]
             diag.extend(kr.from_dlog(t) for t in rest)
-            val = theta_eval(eta, csa.teich_conjugate(target, diag))
+            val = theta_eval(eta, target, diag)
             total = val if total is None else total + val
     return total
 

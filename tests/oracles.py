@@ -1,12 +1,17 @@
 """Literal oracles and input builders shared by the test modules, each
 with the library code it checks:
 
+- frobenius: the tower's Galois action, x -> x ** (|over| ** j), which the
+  library applies as one power map of the coefficients (coeff_map)
 - rel_norm: ff.norm_fiber_congruence, expsum's norm fibers, csa.make_phi_D
 - rel_trace: FieldDesc.trace_exp and trace_packed, and psi o Tr as the
   character of the embedded twist, which expsum.kloosterman reads
 - uniformizer, div_pi: w and Pi, inputs to the csa and ssc tests
 - w_terms, w_valuation: MatA.radical_valuation and order membership
 - scale_base_series: MatA.scale_teich and the scalings of ssc.gu_cosets
+- twist_series: DivAlgebra.twist, the power map of the coefficients
+- teich_conjugate: the units argument of csa.phi_power_mul, ssc.decompose
+  and ssc.theta_eval, which conjugate inside their row map
 - galois, conjugate: CycRing._reduce, and |G|^2 = q for the Gauss sums
 - random_group_element: inputs to ssc.decompose and ssc.theta_eval
 - round_berkowitz: csa._berkowitz, whose rounds advance in lockstep
@@ -17,6 +22,13 @@ import math
 from jlcs import csa, cyc, ff
 from jlcs import locfield as lf
 from jlcs.errors import PrecisionError, ValidationError
+
+
+def frobenius(x: ff.FFElem, j: int, over: ff.FieldDesc) -> ff.FFElem:
+    """x ** (|over| ** j); over must be a declared subfield."""
+    if not x.field.has_subfield(over):
+        raise ValidationError("frobenius over a field outside the tower")
+    return x ** (over.size ** (j % max(x.field.degree // over.degree, 1)))
 
 
 def rel_norm(x: ff.FFElem, over: ff.FieldDesc) -> ff.FFElem:
@@ -93,6 +105,37 @@ def scale_base_series(g: csa.MatA, x: lf.LaurentTrunc) -> csa.MatA:
     return g.parent.elem([[d * a for a in row] for row in g.entries])
 
 
+def twist_series(D: csa.DivAlgebra, x: lf.LaurentTrunc,
+                 i: int) -> lf.LaurentTrunc:
+    """sigma^{s i} on the coefficients of x, one frobenius per
+    coefficient."""
+    if D.r == 1:
+        return x
+    return lf.LaurentTrunc(x.field, x.val,
+                           [frobenius(x.field.elem(c), D.s * i, D.k).packed
+                            for c in x.coeffs], x.prec)
+
+
+def teich_conjugate(g: csa.MatA, units) -> csa.MatA:
+    """x^{-1} g x for the Teichmuller diagonal x = diag(d_1, ..., d_m), the
+    d_i units of k_r, step by step: Pi^l d = sigma^{sl}(d) Pi^l, so the
+    Pi^l coefficient of entry (i, j) is scaled by d_i^{-1} sigma^{sl}(d_j),
+    an FFElem built per coefficient.  Exact zeros are kept as they are."""
+    D = g.parent.D
+
+    def conjugate_entry(e, d_inv, d):
+        coeffs = list(e.coeffs)
+        for l, a in e.live:
+            coeffs[l] = a.scale(d_inv * (frobenius(d, D.s * l, D.k) if l
+                                         else d))
+        return csa.AlgElem(D, coeffs) if e.live else e
+
+    return csa.MatA(g.parent, tuple(
+        tuple(conjugate_entry(e, d_i.inverse(), d_j)
+              for e, d_j in zip(row, units))
+        for row, d_i in zip(g.entries, units)))
+
+
 def galois(a: cyc.CycElem, t: int) -> cyc.CycElem:
     """a under zeta_M -> zeta_M**t, t prime to M: the coefficient of
     zeta_M**i moves to zeta_M**(i t mod M), then the ring reduces."""
@@ -118,7 +161,7 @@ def random_group_element(eta, rng, prec: int) -> csa.MatA:
     v = rng.randrange(3)
     xbar = eta.k.from_dlog(rng.randrange(eta.k.order))
     y = csa.phi_power_mul(eta.zeta, 1, MA.random_in_order(rng, prec))
-    unit = y.truncate(prec).plus_identity().scale_teich(xbar)
+    unit = (MA.identity() + y.truncate(prec)).scale_teich(xbar)
     return csa.phi_power_mul(eta.zeta, v, unit)
 
 

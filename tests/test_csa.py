@@ -9,7 +9,8 @@ from jlcs.errors import (DomainError, IdentityFailure, PrecisionError,
                          ValidationError)
 
 from oracles import (div_pi, rel_norm, round_berkowitz, scale_base_series,
-                     uniformizer, w_terms, w_valuation)
+                     teich_conjugate, twist_series, uniformizer, w_terms,
+                     w_valuation)
 
 
 def zeta_w(k, zeta):
@@ -446,7 +447,7 @@ def oracle_alg_mul(x, y):
         if a.is_zero() and a.prec == lf.INF:
             continue
         for j, b in enumerate(y.coeffs):
-            term = oracle_series_mul(a, D.twist(b, i))
+            term = oracle_series_mul(a, twist_series(D, b, i))
             carry, rem = divmod(i + j, r)
             if carry:
                 term = term.shift(carry)
@@ -464,7 +465,7 @@ def oracle_regular_rep(d):
             continue
         for j in range(r):
             carry, rem = divmod(i + j, r)
-            img = D.twist(a, -(i + j))
+            img = twist_series(D, a, -(i + j))
             if carry:
                 img = img.shift(carry)
             M[rem][j] = M[rem][j] + img
@@ -1370,14 +1371,18 @@ class TestTeichmullerScalings:
                  for _ in range(MA.m)]
         x = MA.diag([D.teich(d) for d in units])
         x_inv = MA.diag([D.teich(d.inverse()) for d in units])
-        got = csa.teich_conjugate(g, units)
-        assert exact_key(got.entries) == exact_key((x_inv * g * x).entries)
-        # exact zeros are kept as they are
-        for row, got_row in zip(g.entries, got.entries):
-            for e, c in zip(row, got_row):
-                for a, b in zip(e.coeffs, c.coeffs):
-                    if a.is_exact_zero():
-                        assert b is a
+        want = exact_key((x_inv * g * x).entries)
+        # the oracle conjugate, and the row map of phi^0 given the units
+        oracle = teich_conjugate(g, units)
+        for got in (oracle, csa.phi_power_mul(D.k.one(), 0, g, units)):
+            assert exact_key(got.entries) == want
+            # exact zeros stay exact zeros, in the oracle the same objects
+            for row, got_row in zip(g.entries, got.entries):
+                for e, c in zip(row, got_row):
+                    for a, b in zip(e.coeffs, c.coeffs):
+                        if a.is_exact_zero():
+                            assert b is a if got is oracle else \
+                                b.is_exact_zero()
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -1390,8 +1395,6 @@ class TestTeichmullerScalings:
             exact_key(scale_base_series(g, lf.teichmuller(c)).entries)
         assert exact_key(g.minus_identity().entries) == \
             exact_key((g - MA.identity()).entries)
-        assert exact_key(g.plus_identity().entries) == \
-            exact_key((MA.identity() + g).entries)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -1423,11 +1426,20 @@ class TestTeichmullerScalings:
         one = D.kr.one()
         for units in ([one], [one, D.kr.zero()], [one, k.one()]):
             with pytest.raises(ValidationError):
-                csa.teich_conjugate(g, units)
+                csa.phi_power_mul(k.one(), 0, g, units)
         for c in (k.zero(), D.kr.gen()):
             with pytest.raises(ValidationError):
                 g.scale_teich(c)
 
+
+# the acceptance grid: q <= 9, n = m r <= 6, every twist s, and q^n <= 10^6
+ACCEPTANCE_GRID = [(p, f, m, r, s)
+                   for p, f in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                (3, 2)]
+                   for m in range(1, 7) for r in range(1, 6 // m + 1)
+                   for s in ([None] if r == 1 else
+                             [s for s in range(1, r) if math.gcd(s, r) == 1])
+                   if (p ** f) ** (m * r) <= 10 ** 6]
 
 PHI_ALGEBRAS = [(p, f, m, r, s) for p in (2, 3) for f in (1, 2)
                 for r in range(1, 7) for m in range(1, 6 // r + 1)
@@ -1480,6 +1492,63 @@ class TestPhiPowerRows:
             wrap, src = divmod(i + b, m)
             if a + wrap == 0:
                 assert row is g.entries[src]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_row_map_with_units_is_the_product(self, data):
+        # phi^e x^{-1} g x, x the Teichmuller diagonal of the units
+        p, f, m, r, s = data.draw(st.sampled_from(PHI_ALGEBRAS))
+        k = ff.make_field(p, f)
+        D = csa.div_algebra(k, r, s)
+        MA = csa.matrix_algebra(D, m)
+        zeta = data.draw(st.sampled_from((k.one(), k.gen())))
+        e = data.draw(st.integers(-2 * MA.n, 2 * MA.n))
+        g = MA.elem(data.draw(sparse_square(m, alg_entries(D), D.zero())))
+        units = [D.kr.from_dlog(data.draw(st.integers(0, D.kr.order - 1)))
+                 for _ in range(m)]
+        conj = (MA.diag([D.teich(d.inverse()) for d in units]) * g
+                * MA.diag([D.teich(d) for d in units]))
+        phi_e = (csa.make_phi_zeta(m, D, zeta) ** e if e >= 0
+                 else product_phi_inverse(m, D, zeta) ** -e)
+        assert exact_key(csa.phi_power_mul(zeta, e, g, units).entries) == \
+            exact_key((phi_e * conj).entries)
+
+    def test_row_map_with_units_on_the_acceptance_grid(self):
+        # every e in [-2m, 2m], against the row map of the oracle conjugate
+        assert len(ACCEPTANCE_GRID) == 147
+        for p, f, m, r, s in ACCEPTANCE_GRID:
+            k = ff.make_field(p, f)
+            D = csa.div_algebra(k, r, s)
+            MA = csa.matrix_algebra(D, m)
+            rng = stable_rng(11, "unit-rows", p, f, m, r, s or 0)
+            g = MA.random_in_order(rng, 3)
+            units = [D.kr.from_dlog(rng.randrange(D.kr.order))
+                     for _ in range(m)]
+            zeta = k.from_dlog(rng.randrange(k.order))
+            conj = teich_conjugate(g, units)
+            for e in range(-2 * m, 2 * m + 1):
+                assert exact_key(
+                    csa.phi_power_mul(zeta, e, g, units).entries) == \
+                    exact_key(csa.phi_power_mul(zeta, e, conj).entries), \
+                    (p, f, m, r, s, e)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_g_u_is_phi_times_one_plus_phi_u(self, data):
+        p, f, m, r, s = data.draw(st.sampled_from(PHI_ALGEBRAS))
+        k = ff.make_field(p, f)
+        D = csa.div_algebra(k, r, s)
+        MA = csa.matrix_algebra(D, m)
+        zeta = data.draw(st.sampled_from((k.one(), k.gen())))
+        u = MA.elem([[data.draw(order_entries(D, int(i > j)))
+                      for j in range(m)] for i in range(m)])
+        phi = csa.make_phi_zeta(m, D, zeta)
+        want = csa._matmul(
+            phi.entries,
+            (MA.identity() + csa.MatA(MA, csa._matmul(phi.entries,
+                                                      u.entries))).entries)
+        assert exact_key(csa.make_g_u(m, D, zeta, u).entries) == \
+            exact_key(want)
 
     def test_g_u_and_matching_are_the_product_route(self):
         for p, f, m, r, s in [(2, 1, 3, 1, None), (3, 1, 2, 2, 1),

@@ -251,6 +251,61 @@ class TestNormalForm:
         assert (lf.zero(k, 1) + x).coeffs == (1, 2)
 
 
+def chain_oracle(x, c, e, j):
+    """c a^e w^j for every coefficient a of x, by FFElem arithmetic, then
+    the constructor's normalization: the twist, scale and shift chain that
+    LaurentTrunc.coeff_map fuses."""
+    f = x.field
+    coeffs = [(c * f.elem(a) ** e).packed if a else 0 for a in x.coeffs]
+    prec = x.prec if x.prec == lf.INF else x.prec + j
+    return lf.LaurentTrunc(f, x.val + j, coeffs, prec)
+
+
+class TestCoeffMap:
+    """x.coeff_map(lc, e, j) against the chain it replaces, for every
+    Frobenius power e = q^t of k_r over k, in (val, coeffs, prec)."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_map_is_the_twist_scale_shift_chain(self, data):
+        p, f, r = data.draw(st.sampled_from([(2, 1, 3), (3, 1, 2), (2, 2, 2),
+                                             (3, 1, 4), (5, 1, 3)]))
+        k = ff.make_field(p, f)
+        kr = ff.make_extension(k, r)
+        x = data.draw(any_series(kr))
+        t = data.draw(st.integers(0, r - 1))
+        lc = data.draw(st.integers(0, kr.order - 1))
+        j = data.draw(st.integers(-4, 4))
+        c = kr.from_dlog(lc)
+        got = x.coeff_map(lc, k.size ** t, j)
+        assert normal_key(got) == normal_key(chain_oracle(x, c, k.size ** t, j))
+        assert normal_key(got) == normal_key(
+            lf.galois_series(x, t, k).scale(c).shift(j))
+
+    def test_every_power_and_constant_on_every_code(self):
+        for p, f, r in [(2, 1, 3), (3, 1, 2), (2, 2, 2)]:
+            k = ff.make_field(p, f)
+            kr = ff.make_extension(k, r)
+            # every code once, an interior zero and a truncated tail
+            x = lf.LaurentTrunc(kr, -2, [1, 0] + list(range(kr.size)),
+                                kr.size + 3)
+            for t in range(r):
+                for lc in range(kr.order):
+                    for j in (-3, 0, 2):
+                        want = chain_oracle(x, kr.from_dlog(lc), k.size ** t, j)
+                        got = x.coeff_map(lc, k.size ** t, j)
+                        assert normal_key(got) == normal_key(want)
+
+    def test_zeros_and_the_identity(self):
+        kr = ff.make_extension(ff.make_field(3, 1), 2)
+        x = lf.LaurentTrunc(kr, 1, [2, 5], 6)
+        assert x.coeff_map(0, 1, 0) is x
+        exact, cut = lf.zero(kr), lf.zero(kr, 2)
+        for j in (-2, 0, 3):
+            assert normal_key(exact.coeff_map(4, 3, j)) == (0, (), lf.INF, tuple)
+            assert normal_key(cut.coeff_map(4, 3, j)) == (2 + j, (), 2 + j, tuple)
+
+
 class TestInverse:
     def test_monomial_inverse_exact(self):
         k = ff.make_field(3, 2)

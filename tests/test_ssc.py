@@ -13,7 +13,8 @@ from jlcs.chars import MultChar
 from jlcs.errors import (BudgetExceeded, DecompositionError, DomainError,
                          PrecisionError, ValidationError)
 
-from oracles import random_group_element, scale_base_series, uniformizer
+from oracles import (frobenius, random_group_element, scale_base_series,
+                     teich_conjugate, uniformizer)
 
 
 def param_q3_21(**kw):
@@ -265,7 +266,7 @@ class TestEllipticFamily:
         D = eta.alg.D
         w = D.kr.gen()
         u1 = eta.alg.elem([[D.teich(w)]])
-        u2 = eta.alg.elem([[D.teich(ff.frobenius(w, 1, eta.k))]])
+        u2 = eta.alg.elem([[D.teich(frobenius(w, 1, eta.k))]])
         assert u1 != u2
         assert csa.rtrace(u1).residue() == csa.rtrace(u2).residue()
         assert ssc.char_at_gu_direct(eta, u1) == \
@@ -385,7 +386,7 @@ class TestUnipotentFamily:
                                                       repeat=m - 1):
                             diag = [kr.from_dlog(t) for t in (t1, *rest)]
                             total = total + ssc.theta_eval(
-                                eta, csa.teich_conjugate(target, diag))
+                                eta, teich_conjugate(target, diag))
                     assert total == deep, (pf, m, r, ff.dlog(lam), j)
 
     def test_deep_route_medium_config(self):
@@ -729,7 +730,9 @@ def oracle_params(draw):
 def test_theta_on_conjugates_matches_the_product_route(data):
     """Every conjugate of g_u, its (v, xbar, u), its theta value and the
     coset sum equal the product route's, conjugate entries and u in
-    (val, coeffs, prec)."""
+    (val, coeffs, prec), and so do decompose and theta_eval given g with
+    the units, which build no conjugate; a truncated input raises the
+    same error class on both routes."""
     eta = data.draw(oracle_params())
     u = data.draw(order_elements(eta.alg))
     g = csa.make_g_u(eta.alg.m, eta.alg.D, eta.zeta, u)
@@ -737,16 +740,17 @@ def test_theta_on_conjugates_matches_the_product_route(data):
     for _lam, units in ssc.gu_cosets(eta.alg):
         want_conj, want_dec, want_theta = oracle_theta_on_conjugate(
             eta, g, *teich_diagonals(eta.alg, units))
-        conj = csa.teich_conjugate(g, units)
+        conj = teich_conjugate(g, units)
         assert key(conj) == key(want_conj)
-        got = outcome(ssc.decompose, eta.alg, eta.zeta, conj)
-        if isinstance(want_dec, type):
-            assert got is want_dec
-        else:
-            assert got[:2] == want_dec[:2]
-            assert key(got[2]) == key(want_dec[2])
-        # an error type equals only itself
-        assert outcome(ssc.theta_eval, eta, conj) == want_theta
+        for args in ((conj,), (g, units)):
+            got = outcome(ssc.decompose, eta.alg, eta.zeta, *args)
+            if isinstance(want_dec, type):
+                assert got is want_dec
+            else:
+                assert got[:2] == want_dec[:2]
+                assert key(got[2]) == key(want_dec[2])
+            # an error type equals only itself
+            assert outcome(ssc.theta_eval, eta, *args) == want_theta
         want.append(want_theta)
     errors = [w for w in want if isinstance(w, type)]
     if errors:
@@ -850,8 +854,11 @@ class TestDecomposePrecision:
         hidden = [(alg.zero().truncate(3), "radical valuation"),
                   (eta.phi() * one_plus[0], "radical valuation"),
                   (eta.phi() * one_plus[1], "radical membership")]
+        # given units, v is read from g: the conjugate hides the same
+        units = [D.kr.gen(), D.kr.one()]
         for g, what in hidden:
-            with pytest.raises(PrecisionError, match=what):
-                ssc.decompose(alg, eta.zeta, g)
-            with pytest.raises(PrecisionError, match=what):
-                ssc.theta_eval(eta, g)
+            for args in ((g,), (g, units), (teich_conjugate(g, units),)):
+                with pytest.raises(PrecisionError, match=what):
+                    ssc.decompose(alg, eta.zeta, *args)
+                with pytest.raises(PrecisionError, match=what):
+                    ssc.theta_eval(eta, *args)
