@@ -2,12 +2,15 @@
 """Record a parent-versus-change benchmark comparison as BENCH_<label>.json.
 
 Runs the repository's own perfbench/run.py in alternating pairs: one run on
-the parent commit, one on this working tree, the order of the two flipped
+the parent commit, one on the change (HEAD), the order of the two flipped
 from pair to pair so a drift of the host's speed falls on both sides
-alike.  The parent's committed files are exported with `git archive` into
-a temporary directory, deleted at the end; unlike a `git worktree`, the
-export registers nothing in .git, so an interrupted run leaves nothing
-behind.  Run it from the repository root:
+alike.  Both sides run from their committed files, each exported with
+`git archive` into a temporary directory that is deleted at the end; unlike
+a `git worktree`, an export registers nothing in .git, so an interrupted
+run leaves nothing behind.  Every run has PYTHONDONTWRITEBYTECODE=1, so
+neither side reads or writes a bytecode cache: an export holds none, and
+no run leaves one.  Commit the change first, then run it from the
+repository root:
 
     python3 scripts/bench_record.py --label zech --workload algebra \\
         --pairs 10 --seed 301
@@ -61,6 +64,14 @@ def src_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+def export(rev: str, dest: Path) -> None:
+    """The committed files of rev, unpacked into the new directory dest."""
+    dest.mkdir()
+    archive = dest.with_suffix(".tar")
+    git("archive", "--format=tar", "-o", str(archive), rev)
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(dest)], check=True)
+
+
 def run_bench(root: Path, args, seed: int) -> dict:
     """One run of root's perfbench/run.py; its metrics, keyed
     "<workload>.<metric>" whatever the number of workloads."""
@@ -68,6 +79,7 @@ def run_bench(root: Path, args, seed: int) -> dict:
            "--workload", args.workload, "--seed", str(seed),
            "--trace", str(args.trace)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
                           text=True)
     if proc.returncode != 0:
@@ -120,20 +132,17 @@ def summarize(runs: list, better: dict) -> tuple[dict, dict]:
     return summary, wins
 
 
-def record(args) -> int:
-    parent_rev = git("rev-parse", args.parent)
-    head = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-    parent_root = tmp / "tree"
-    parent_root.mkdir()
+def measure(args) -> dict:
+    """The comparison document: args.pairs pairs of runs of the exports of
+    args.parent and HEAD."""
+    revs = {"parent": git("rev-parse", args.parent),
+            "change": git("rev-parse", "HEAD")}
+    tmp = Path(tempfile.mkdtemp(prefix="bench-"))
+    roots = {side: tmp / side for side in SIDES}
     runs = []
     try:
-        archive = tmp / "parent.tar"
-        git("archive", "--format=tar", "-o", str(archive), parent_rev)
-        subprocess.run(["tar", "-xf", str(archive), "-C", str(parent_root)],
-                       check=True)
-        roots = {"parent": parent_root, "change": ROOT}
+        for side in SIDES:
+            export(revs[side], roots[side])
         for pair in range(args.pairs):
             seed = args.seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -147,15 +156,16 @@ def record(args) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     summary, wins = summarize(runs, directions())
-    doc = {
+    return {
         "schema": SCHEMA,
         "label": args.label,
         "machine": {"cpu": cpu_model(), "nproc": os.cpu_count(),
                     "platform": platform.platform()},
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "parent": {"commit": parent_rev, "src_sha256": digests["parent"]},
-        "change": {"commit": head, "uncommitted_changes": dirty,
+        "parent": {"commit": revs["parent"],
+                   "src_sha256": digests["parent"]},
+        "change": {"commit": revs["change"],
                    "src_sha256": digests["change"]},
         "workload": args.workload,
         "trace": args.trace,
@@ -164,8 +174,12 @@ def record(args) -> int:
         "summary": summary,
         "wins": wins,
     }
+
+
+def record(args) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    out.write_text(json.dumps(measure(args), indent=1, sort_keys=True)
+                   + "\n")
     print(out)
     return 0
 
@@ -250,9 +264,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0,
                     help="seed of the first pair; pair i runs seed + i")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--parent", default="HEAD",
-                    help="the parent revision (default: HEAD, so the change "
-                         "is the uncommitted working tree)")
+    ap.add_argument("--parent", default="HEAD~1",
+                    help="the parent revision (default: HEAD~1); the change "
+                         "is HEAD")
     args = ap.parse_args(argv)
     if args.check is not None:
         return check(args.check)

@@ -17,11 +17,11 @@ power of the corner c Pi; phi_inverse is that row map applied to the
 identity, and make_g_u is phi^2 u + phi.  Each coefficient the map moves
 takes one pass of LaurentTrunc.coeff_map, a -> C a^e w^j: the Frobenius
 power e, the unit C (kept as its discrete log) and the shift j hold the
-twist, the scaling and the shift at once.  regular_rep and
-MatA.scale_teich use the same map.  The matrix product _matmul is the
-definition, each entry the sum of its m products: it serves the checks
-that phi^n is zeta w, the geometric series of one_plus_inverse and the
-self-test.  An AlgElem finds its live
+twist, the scaling and the shift at once.  regular_rep, AlgElem products
+and rtrace_product use the same map for sigma^{si} and Pi^r = w.  The
+matrix product _matmul is the definition, each entry the sum of its m
+products: it serves the checks that phi^n is zeta w, the geometric series
+of one_plus_inverse and the self-test.  An AlgElem finds its live
 coefficients (those not an exact zero) once, when it is built: its
 products run over the live pairs only, adding an exact zero (no live
 coefficient) returns the other operand, and the empty slots of a product
@@ -40,9 +40,9 @@ per-coefficient scaling, not a product: Pi^l d = sigma^{sl}(d) Pi^l, so
 the Pi^l coefficient of entry (i, j) is multiplied by the constant
 d_i^{-1} sigma^{sl}(d_j) of k_r.  phi_power_mul takes the units d_i and
 adds the log of that constant to its map's, so phi^e x^{-1} g x is one row
-map and no conjugate matrix is built.  MatA.scale_teich scales every
-coefficient by one constant of k.  rtrace_product reads the reduced
-trace of a product from the Pi^0 terms of its diagonal entries alone.
+map and no conjugate matrix is built.  rtrace_product reads the reduced
+trace of a product from the Pi^0 terms of its diagonal entries alone, and
+rnorm is (-1)^n times the constant term of red_charpoly.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class DivAlgebra:
     def teich(self, c: ff.FFElem) -> "AlgElem":
         """Teichmuller lift of c in k_r."""
         return self.from_series(lf.teichmuller(c))
-
-    def twist(self, x: lf.LaurentTrunc, i: int) -> lf.LaurentTrunc:
-        """sigma^{s i} applied to the coefficients of x."""
-        return x.coeff_map(0, self.frob[i % self.r], 0)
 
     def random(self, rng, prec: int, lead_val: int) -> "AlgElem":
         """Random coefficients at precision prec, the Pi^0 one starting at
@@ -186,10 +182,8 @@ class AlgElem:
         for i, a in self.live:
             for j, b in o.live:
                 # a Pi^i * b Pi^j = a sigma^{s i}(b) Pi^{i+j}, Pi^r = w
-                term = a * D.twist(b, i)
                 carry, rem = divmod(i + j, r)
-                if carry:
-                    term = term.shift(carry)
+                term = a * b.coeff_map(0, D.frob[i], carry)
                 out[rem] = term if out[rem] is None else out[rem] + term
         zero = D.zero_series
         return AlgElem(D, tuple(zero if c is None else c for c in out))
@@ -331,29 +325,16 @@ class MatA:
             return self.parent.identity()
         return binary_power(self, e, None)
 
-    def scale_teich(self, c: ff.FFElem) -> "MatA":
-        """Multiplication by the central Teichmuller scalar of a unit c of
-        k: every coefficient of every entry is scaled by c, exact zeros
-        kept, as the entrywise product by from_base_series(teichmuller(c))
-        would give it."""
+    def minus_scalar(self, c: ff.FFElem) -> "MatA":
+        """self - c for the Teichmuller lift of a constant c of k,
+        subtracting on the diagonal only: the entries off it are kept as
+        they are, and so are the Pi^l coefficients, l > 0, on it."""
         D = self.parent.D
-        if c.field is not D.k or c.packed == 0:
-            raise ValidationError("the scalar must be a unit of k")
-        lc = D.kr.log[D.kr.embed_packed(D.k, c.packed)]
-        return MatA(self.parent, tuple(
-            tuple(_corner_power_times(e, 0, 0, lc, 0, 0) for e in row)
-            for row in self.entries))
-
-    def minus_identity(self) -> "MatA":
-        """self - 1, subtracting on the diagonal only: the entries off it
-        are kept as they are, and so are the Pi^l coefficients, l > 0, on
-        it."""
-        D = self.parent.D
-        minus_one = -lf.one(D.kr)
+        minus_c = -lf.embed_series(lf.teichmuller(c), D.kr)
         rows = [list(row) for row in self.entries]
         for i, row in enumerate(rows):
-            c = row[i].coeffs
-            row[i] = AlgElem(D, (c[0] + minus_one,) + c[1:])
+            a = row[i].coeffs
+            row[i] = AlgElem(D, (a[0] + minus_c,) + a[1:])
         return MatA(self.parent, tuple(tuple(row) for row in rows))
 
     def truncate(self, prec: int) -> "MatA":
@@ -667,18 +648,12 @@ def _berkowitz(mat, field):
     return vec
 
 
-def _det(mat, field) -> lf.LaurentTrunc:
-    n = len(mat)
-    vec = _berkowitz(mat, field)
-    return vec[n] if n % 2 == 0 else -vec[n]
-
-
 def _descend(x: lf.LaurentTrunc, k: ff.FieldDesc) -> lf.LaurentTrunc:
     if x.field is k:
         return x
     # Frobenius keeps val, prec and the zeros of a normalized series, so x
     # is invariant exactly when its coefficient tuple is
-    if lf.galois_series(x, 1, k).coeffs != x.coeffs:
+    if x.coeff_map(0, k.size, 0).coeffs != x.coeffs:
         raise IdentityFailure("reduced invariant left the base field")
     return lf.pullback_series(x, k)
 
@@ -707,24 +682,9 @@ def rtrace_product(a: MatA, b: MatA) -> lf.LaurentTrunc:
                 if t.is_exact_zero():
                     continue
                 # s Pi^p * t Pi^q = s sigma^{sp}(t) Pi^{p+q}, Pi^r = w
-                term = s * D.twist(t, p)
-                acc = acc + (term.shift(1) if p else term)
+                acc = acc + s * t.coeff_map(0, D.frob[p], 1 if p else 0)
         diagonal.append(acc)
     return lf.series_trace(reduce(operator.add, diagonal), D.k)
-
-
-def rnorm(g: MatA) -> lf.LaurentTrunc:
-    """Reduced norm, as a series over k; g must be invertible as far as
-    the working precision can certify."""
-    MA = g.parent
-    det = _det(embed_A(g), MA.D.kr)
-    out = _descend(det, MA.D.k)
-    if out.is_exact_zero():
-        raise DomainError("reduced norm of a singular element")
-    if out.is_zero():
-        raise PrecisionError(
-            "cannot certify invertibility at this precision")
-    return out
 
 
 @dataclass(frozen=True)
@@ -777,6 +737,20 @@ def red_charpoly(g: MatA) -> RedCharPoly:
     return RedCharPoly(k, n, coeffs)
 
 
+def rnorm(g: MatA) -> lf.LaurentTrunc:
+    """Reduced norm, as a series over k: (-1)^n times the constant term of
+    the reduced characteristic polynomial; g must be invertible as far as
+    the working precision can certify."""
+    f = red_charpoly(g)
+    out = -f.coeffs[0] if f.n % 2 else f.coeffs[0]
+    if out.is_exact_zero():
+        raise DomainError("reduced norm of a singular element")
+    if out.is_zero():
+        raise PrecisionError(
+            "cannot certify invertibility at this precision")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # conjugacy data
 
@@ -823,7 +797,6 @@ def eisenstein_check(f: RedCharPoly, zeta: ff.FFElem) -> dict:
         "tail_in_maximal_ideal": tail_ok,
         "unit_part_in_u1": unit_ok,
         "eisenstein": tail_ok and unit_ok,
-        "elliptic_quasi_regular": tail_ok and unit_ok,
     }
 
 
@@ -852,7 +825,8 @@ def _resultant(fc: list, gc: list, field: ff.FieldDesc) -> lf.LaurentTrunc | Non
         for t in range(dg + 1):
             row[i + t] = gc[dg - t]
         rows.append(row)
-    return _det(rows, field)
+    vec = _berkowitz(rows, field)
+    return vec[size] if size % 2 == 0 else -vec[size]
 
 
 def classify_qr(g: MatA) -> str:

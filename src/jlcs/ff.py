@@ -44,7 +44,6 @@ fields compare by identity.
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 
 import numpy as np
@@ -53,15 +52,6 @@ from ._util import canonical, prime_factors
 from .errors import BudgetExceeded, InvariantError, ValidationError
 
 DEFAULT_FIELD_CAP = 1 << 20
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +188,7 @@ class FieldDesc:
     )
 
     def __init__(self, p: int, f: int, l: int, base: "FieldDesc | None"):
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise ValidationError(f"p = {p} is not prime")
         if f < 1 or l < 1:
             raise ValidationError("field degrees must be positive")

@@ -228,11 +228,9 @@ class LaurentTrunc:
                                   for a in self.coeffs]), prec)
 
     def shift(self, j: int) -> "LaurentTrunc":
-        """Multiply by w^j (exact)."""
-        prec = self.prec if self.prec == INF else self.prec + j
-        if not self.coeffs:
-            return LaurentTrunc(self.field, self.val + j, (), prec)
-        return _normalized(self.field, self.val + j, self.coeffs, prec)
+        """Multiply by w^j (exact): the coefficient map with no twist and
+        no scaling."""
+        return self.coeff_map(0, 1, j)
 
     def inverse(self) -> "LaurentTrunc":
         """Inverse of a monomial c w^v: c^-1 w^-v, exact when the monomial
@@ -344,14 +342,6 @@ def pullback_series(x: LaurentTrunc, onto: ff.FieldDesc) -> LaurentTrunc:
     subfield; raises when a coefficient is not rational over it."""
     coeffs = [x.field.pullback_packed(onto, c) for c in x.coeffs]
     return LaurentTrunc(onto, x.val, coeffs, x.prec)
-
-
-def galois_series(x: LaurentTrunc, j: int, over: ff.FieldDesc) -> LaurentTrunc:
-    """Coefficientwise power of the residue Frobenius over a subfield."""
-    if not x.field.has_subfield(over):
-        raise ValidationError("series field does not extend the base")
-    return x.coeff_map(
-        0, over.size ** (j % max(x.field.degree // over.degree, 1)), 0)
 
 
 def series_trace(x: LaurentTrunc, over: ff.FieldDesc) -> LaurentTrunc:

@@ -17,12 +17,14 @@ CycElem in the parameter's cyclotomic ring and every comparison is exact.
 Both direct sums evaluate theta on conjugates x^{-1} g x by Teichmuller
 diagonals, and no conjugate matrix is built: theta_eval and decompose take
 g with the diagonal's units, and conjugation by a Teichmuller diagonal is
-a per-coefficient scaling that keeps every val, prec and exact zero.
-theta_eval makes no matrix product: phi^{-v} x^{-1} g x is one row map
-(csa.phi_power_mul), one coefficient map per live coefficient, the unit
-part is a second scaling, u - 1 is computed once on the diagonal, and
-Trd(phi^{-1}(u - 1)) reads only the diagonal of that product
-(csa.rtrace_product).
+a per-coefficient scaling that keeps every val, prec and exact zero, so a
+sum over the conjugates of one g reads its radical valuation v once.
+theta_eval makes no matrix product: h = phi^{-v} x^{-1} g x is one row map
+(csa.phi_power_mul).  With xbar the residue of the unit part,
+u - 1 = xbar^{-1} (h - xbar) and Trd is K-linear, so h - xbar is formed on
+the diagonal alone, Trd(phi^{-1}(h - xbar)) reads only the diagonal of
+that product (csa.rtrace_product), and xbar^{-1} scales the one series it
+returns: no scaled copy of h is built.
 """
 
 from __future__ import annotations
@@ -172,22 +174,33 @@ def decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA,
     """Write y^{-1} g y = phi^v * x * u with x a Teichmuller scalar from k
     and u in U^1 of the standard order, for the Teichmuller diagonal y of
     the units of k_r given (y = 1 when units is None); returns
-    (v, residue of x, u, u - 1).
+    (v, xbar, h, h - xbar) with xbar the residue of x and h = x u, so that
+    u - 1 = xbar^{-1} (h - xbar).
 
     The valuation v is read off the order's radical filtration of g: the
     conjugation scales every coefficient by a unit, which keeps every val,
     prec and exact zero, so the conjugate has the same filtration.  The
     factorization is then verified piece by piece, so failure at any step
     means the conjugate lies outside the group where theta is defined.
-    phi^{-v} y^{-1} g y is one row map (csa.phi_power_mul); the unit part
-    x^{-1} is central and Teichmuller, so u is that with every coefficient
-    scaled by the residue of x^{-1}.
+    h is one row map (csa.phi_power_mul), and u is a 1-unit exactly when
+    h - xbar, formed on the diagonal, lies in the radical.
     """
+    return _decompose(alg, zeta, g, units, _valuation(alg, g))
+
+
+def _valuation(alg: csa.MatrixAlgebra, g: csa.MatA) -> int:
+    """The radical valuation of g, shared by all its conjugates by
+    Teichmuller diagonals; raises unless it is a finite certified value."""
     if g.parent is not alg:
         raise ValidationError("element from a different algebra")
     v = g.radical_valuation()
     if v is None:
         raise DecompositionError("the element is not invertible")
+    return v
+
+
+def _decompose(alg, zeta, g, units, v):
+    """decompose for the radical valuation v of g, read by the caller."""
     h = csa.phi_power_mul(zeta, -v, g, units)
     if not h.in_order():
         raise DecompositionError(
@@ -201,23 +214,35 @@ def decompose(alg: csa.MatrixAlgebra, zeta: ff.FFElem, g: csa.MatA,
             "the unit part is not a k-rational scalar") from exc
     if xbar.packed == 0:
         raise DecompositionError("the unit part is not invertible")
-    u = h.scale_teich(xbar.inverse())
-    du = u.minus_identity()
-    if not du.in_radical_power(1):
+    dh = h.minus_scalar(xbar)
+    if not dh.in_radical_power(1):
         raise DecompositionError(
             "the remainder is not a 1-unit of the order")
-    return v, xbar, u, du
+    return v, xbar, h, dh
 
 
 def theta_eval(eta: SscParam, g: csa.MatA, units=None):
     """theta(phi^v x u) = ((-1)^{m-1} c)^v chi(x) psi_K(Trd(phi^{-1}(u-1)))
     at y^{-1} g y = phi^v x u, y the Teichmuller diagonal of the units given
     (y = 1 when units is None)."""
-    v, xbar, _u, du = decompose(eta.alg, eta.zeta, g, units)
+    return _orbit_sum(eta, g, [units])
+
+
+def _orbit_sum(eta: SscParam, g: csa.MatA, orbit):
+    """theta summed over the conjugates of g by the Teichmuller diagonals
+    of the unit tuples in orbit.  They share the radical valuation v of g,
+    read once, and so the factor ((-1)^{m-1} c)^v, applied once to the sum
+    of chi(x) psi_K(xbar^{-1} Trd(phi^{-1}(h - xbar)))."""
+    v = _valuation(eta.alg, g)
     phi_inv = csa.phi_inverse(eta.alg.m, eta.alg.D, eta.zeta)
-    t = csa.rtrace_product(phi_inv, du)
-    root = eta.chi.eval(xbar) * lf.psi_K(eta.psi, t)
-    return eta._finish(root, v, (eta.alg.m - 1) * v)
+
+    def root(units):
+        _, xbar, _h, dh = _decompose(eta.alg, eta.zeta, g, units, v)
+        t = csa.rtrace_product(phi_inv, dh).scale(xbar.inverse())
+        return eta.chi.eval(xbar) * lf.psi_K(eta.psi, t)
+
+    total = reduce(operator.add, map(root, orbit))
+    return eta._finish(total, v, (eta.alg.m - 1) * v)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +310,7 @@ def char_at_gu_direct(eta: SscParam, u: csa.MatA):
 def _gu_coset_sum(eta: SscParam, g: csa.MatA):
     """theta summed over the conjugates x^-1 g x, one per coset of
     mu_{n_q}, for a g = g_u already built."""
-    return reduce(operator.add,
-                  (theta_eval(eta, g, units)
-                   for _lam, units in gu_cosets(eta.alg)))
+    return _orbit_sum(eta, g, (units for _lam, units in gu_cosets(eta.alg)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +357,10 @@ def char_at_unipotent_deep(eta: SscParam, lam: ff.FFElem,
         raise IdentityFailure(
             "the scaled uniformizer does not have the right power")
     target = eta.alg.identity() + phi_lam
-    total = None
-    for t1 in range(head):
-        for rest in itertools.product(range(Q), repeat=m - 1):
-            diag = [kr.from_dlog(t1)]
-            diag.extend(kr.from_dlog(t) for t in rest)
-            val = theta_eval(eta, target, diag)
-            total = val if total is None else total + val
-    return total
+    return _orbit_sum(eta, target, (
+        [kr.from_dlog(t) for t in (t1,) + rest]
+        for t1 in range(head)
+        for rest in itertools.product(range(Q), repeat=m - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,24 @@ with the library code it checks:
 
 - frobenius: the tower's Galois action, x -> x ** (|over| ** j), which the
   library applies as one power map of the coefficients (coeff_map)
+- galois_series: that action on every coefficient of a series, the
+  sigma-invariance test of csa._descend
 - rel_norm: ff.norm_fiber_congruence, expsum's norm fibers, csa.make_phi_D
 - rel_trace: FieldDesc.trace_exp and trace_packed, and psi o Tr as the
   character of the embedded twist, which expsum.kloosterman reads
 - uniformizer, div_pi: w and Pi, inputs to the csa and ssc tests
 - w_terms, w_valuation: MatA.radical_valuation and order membership
-- scale_base_series: MatA.scale_teich and the scalings of ssc.gu_cosets
-- twist_series: DivAlgebra.twist, the power map of the coefficients
+- scale_base_series: the unit part x^{-1} that ssc.decompose leaves in
+  h and ssc.theta_eval applies to one trace, and the scalings of
+  ssc.gu_cosets
+- twist_series: the sigma-twist that AlgElem products, regular_rep and
+  csa.rtrace_product fold into one coefficient map
 - teich_conjugate: the units argument of csa.phi_power_mul, ssc.decompose
   and ssc.theta_eval, which conjugate inside their row map
 - galois, conjugate: CycRing._reduce, and |G|^2 = q for the Gauss sums
 - random_group_element: inputs to ssc.decompose and ssc.theta_eval
 - round_berkowitz: csa._berkowitz, whose rounds advance in lockstep
+- ACCEPTANCE_GRID: the 147 configurations of the acceptance criteria
 """
 
 import math
@@ -23,12 +29,29 @@ from jlcs import csa, cyc, ff
 from jlcs import locfield as lf
 from jlcs.errors import PrecisionError, ValidationError
 
+# the acceptance grid: q <= 9, n = m r <= 6, every twist s, and q^n <= 10^6
+ACCEPTANCE_GRID = [(p, f, m, r, s)
+                   for p, f in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                (3, 2)]
+                   for m in range(1, 7) for r in range(1, 6 // m + 1)
+                   for s in ([None] if r == 1 else
+                             [s for s in range(1, r) if math.gcd(s, r) == 1])
+                   if (p ** f) ** (m * r) <= 10 ** 6]
+
 
 def frobenius(x: ff.FFElem, j: int, over: ff.FieldDesc) -> ff.FFElem:
     """x ** (|over| ** j); over must be a declared subfield."""
     if not x.field.has_subfield(over):
         raise ValidationError("frobenius over a field outside the tower")
     return x ** (over.size ** (j % max(x.field.degree // over.degree, 1)))
+
+
+def galois_series(x: lf.LaurentTrunc, j: int,
+                  over: ff.FieldDesc) -> lf.LaurentTrunc:
+    """frobenius(a, j, over) for every coefficient a of x; w is fixed."""
+    return lf.LaurentTrunc(x.field, x.val,
+                           [frobenius(x.field.elem(c), j, over).packed
+                            for c in x.coeffs], x.prec)
 
 
 def rel_norm(x: ff.FFElem, over: ff.FieldDesc) -> ff.FFElem:
@@ -161,7 +184,8 @@ def random_group_element(eta, rng, prec: int) -> csa.MatA:
     v = rng.randrange(3)
     xbar = eta.k.from_dlog(rng.randrange(eta.k.order))
     y = csa.phi_power_mul(eta.zeta, 1, MA.random_in_order(rng, prec))
-    unit = (MA.identity() + y.truncate(prec)).scale_teich(xbar)
+    unit = scale_base_series(MA.identity() + y.truncate(prec),
+                             lf.teichmuller(xbar))
     return csa.phi_power_mul(eta.zeta, v, unit)
 
 

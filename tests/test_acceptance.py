@@ -106,8 +106,10 @@ def test_criterion_02_gu_character_matches_restricted_gauss():
             g = csa.make_g_u(m, alg.D, eta.zeta, u)
             parts = []
             for x, x_inv in diagonals:
-                v, xbar, u1, _ = ssc.decompose(alg, eta.zeta, x_inv * g * x)
+                v, xbar, h, _ = ssc.decompose(alg, eta.zeta, x_inv * g * x)
                 assert v == 1, f"{label}: conjugate left the coset phi U^1"
+                # the 1-unit u1 = xbar^{-1} h, scaled by a matrix product
+                u1 = alg.scalar_series(lf.teichmuller(k.one() / xbar)) * h
                 tr = csa.rtrace(phi_inv * (u1 - ident))
                 parts.append((ff.dlog(xbar), lf.psi_K(eta.psi, tr)))
             tbar = csa.rtrace(u).residue()

@@ -1,9 +1,12 @@
 """The schema check of scripts/bench_record.py on the checked-in
 BENCH_*.json files and on broken copies of them; no timing runs."""
 
+import argparse
 import copy
+import hashlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,3 +74,43 @@ def test_unreadable_or_no_files_fail(tmp_path):
     bad.write_text("{not json")
     assert bench_record.main(["--check", str(bad)]) == 1
     assert bench_record.main(["--check"]) == 1
+
+
+def head_src_digest() -> str:
+    """src_digest of HEAD's committed sources, read through git show."""
+    names = bench_record.git("ls-tree", "-r", "--name-only", "HEAD",
+                             "src").splitlines()
+    h = hashlib.sha256()
+    for name in sorted((n for n in names if n.endswith(".py")), key=Path):
+        h.update(name.encode() + b"\0")
+        h.update(subprocess.run(["git", "show", f"HEAD:{name}"], cwd=ROOT,
+                                check=True, capture_output=True).stdout
+                 + b"\0")
+    return h.hexdigest()
+
+
+def test_both_sides_run_from_git_exports(monkeypatch):
+    try:
+        bench_record.git("rev-parse", "HEAD")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("not a git checkout")
+    seen = []
+
+    def fake_run_bench(root, args, seed):
+        # an export of the committed files, not the repository itself,
+        # with no bytecode cache for the run to read
+        assert root.resolve() != ROOT and (root / "src" / "jlcs").is_dir()
+        assert not list(root.rglob("__pycache__"))
+        seen.append(root)
+        return {"algebra.checks_per_s": float(seed + len(seen))}
+
+    monkeypatch.setattr(bench_record, "run_bench", fake_run_bench)
+    args = argparse.Namespace(label="test", workload="algebra", pairs=2,
+                              seed=0, trace=0, parent="HEAD")
+    doc = bench_record.measure(args)
+    assert len(seen) == 4 and len(set(seen)) == 2
+    head = bench_record.git("rev-parse", "HEAD")
+    assert doc["change"] == {"commit": head, "src_sha256": head_src_digest()}
+    assert bench_record.problems(doc) == []
+    # the exports are gone
+    assert not any(root.exists() for root in seen)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jlcs import chars, cyc, expsum, ff, ssc
+from jlcs._util import prime_factors
 from jlcs.errors import BudgetExceeded, ValidationError
 
 from oracles import conjugate, galois, rel_norm, rel_trace
@@ -466,7 +467,7 @@ def test_object_dtype_rows_match_the_table(l):
 # every field of the perfbench `sums` set-up, k_l over k with q <= 9 and
 # l <= 6, and the odd prime fields up to 61
 SUMS_EXTENSIONS = [(p, f, l) for p, f in SUMS_FIELDS for l in range(1, 7)]
-ODD_PRIMES = [(p, 1, 1) for p in range(3, 62) if ff.is_prime(p)]
+ODD_PRIMES = [(p, 1, 1) for p in range(3, 62) if prime_factors(p) == [p]]
 
 
 @settings(max_examples=40, deadline=None)

@@ -206,6 +206,11 @@ class TestModulus:
         k = ff.make_field(2, 3)
         assert k.modulus == (1, 0, 1, 1)
 
+    @pytest.mark.parametrize("p", [-1, 0, 1, 4])
+    def test_characteristic_must_be_prime(self, p):
+        with pytest.raises(ValidationError, match="is not prime"):
+            ff.make_field(p, 1)
+
 
 class TestTables:
     @pytest.mark.parametrize("p,f", SMALL_FIELDS)

@@ -13,8 +13,8 @@ from jlcs.chars import MultChar
 from jlcs.errors import (BudgetExceeded, DecompositionError, DomainError,
                          PrecisionError, ValidationError)
 
-from oracles import (frobenius, random_group_element, scale_base_series,
-                     teich_conjugate, uniformizer)
+from oracles import (ACCEPTANCE_GRID, frobenius, random_group_element,
+                     scale_base_series, teich_conjugate, uniformizer)
 
 
 def param_q3_21(**kw):
@@ -98,10 +98,9 @@ class TestDecomposition:
         phi = eta.phi()
         for _ in range(8):
             g = random_group_element(eta, rng, 6)
-            v, xbar, u, du = ssc.decompose(eta.alg, eta.zeta, g)
-            back = (phi ** v) * eta.alg.scalar_series(lf.teichmuller(xbar)) * u
-            assert back == g
-            assert du == u - eta.alg.identity()
+            v, xbar, h, dh = ssc.decompose(eta.alg, eta.zeta, g)
+            assert (phi ** v) * h == g
+            assert dh == h - eta.alg.scalar_series(lf.teichmuller(xbar))
 
     def test_random_group_element_is_the_product_route(self):
         # phi^v x (1 + phi y) by matrix products, from the same draws
@@ -632,8 +631,9 @@ def outcome(fn, *args):
 
 
 def oracle_decompose(alg, zeta, g):
-    """decompose by matrix products: phi^{-v} g, the central scaling
-    through scale_base_series, and u - identity for the 1-unit check."""
+    """decompose by matrix products: h = phi^{-v} g, the central scaling
+    u = xbar^{-1} h through scale_base_series, and u - identity for the
+    1-unit check; returns (v, xbar, h, u)."""
     v = g.radical_valuation()
     if v is None:
         raise DecompositionError("the element is not invertible")
@@ -654,20 +654,21 @@ def oracle_decompose(alg, zeta, g):
     u = scale_base_series(h, lf.teichmuller(k.one() / xbar))
     if not (u - alg.identity()).in_radical_power(1):
         raise DecompositionError("not a 1-unit")
-    return v, xbar, u
+    return v, xbar, h, u
 
 
 def oracle_theta_on_conjugate(eta, g, x, x_inv):
     """theta(x^-1 g x) by matrix products: the conjugate x_inv * g * x,
-    oracle_decompose, then rtrace(phi_inv * (u - 1)).  Returns the
-    conjugate, the decomposition (or the error type) and the value."""
+    oracle_decompose, then rtrace(phi_inv * (u - 1)) with u the scaled
+    copy of h.  Returns the conjugate, the decomposition (or the error
+    type) and the value."""
     conj = x_inv * g * x
     dec = outcome(oracle_decompose, eta.alg, eta.zeta, conj)
     if isinstance(dec, type):
         return conj, dec, dec
 
     def value():
-        v, xbar, u = dec
+        v, xbar, _h, u = dec
         phi_inv = csa.phi_inverse(eta.alg.m, eta.alg.D, eta.zeta)
         t = csa.rtrace(phi_inv * (u - eta.alg.identity()))
         root = eta.chi.eval(xbar) * lf.psi_K(eta.psi, t)
@@ -728,11 +729,11 @@ def oracle_params(draw):
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_theta_on_conjugates_matches_the_product_route(data):
-    """Every conjugate of g_u, its (v, xbar, u), its theta value and the
-    coset sum equal the product route's, conjugate entries and u in
-    (val, coeffs, prec), and so do decompose and theta_eval given g with
-    the units, which build no conjugate; a truncated input raises the
-    same error class on both routes."""
+    """Every conjugate of g_u, its (v, xbar, h, h - xbar), its theta value
+    and the coset sum equal the product route's, conjugate entries, h and
+    h - xbar in (val, coeffs, prec), and so do decompose and theta_eval
+    given g with the units, which build no conjugate; a truncated input
+    raises the same error class on both routes."""
     eta = data.draw(oracle_params())
     u = data.draw(order_elements(eta.alg))
     g = csa.make_g_u(eta.alg.m, eta.alg.D, eta.zeta, u)
@@ -747,8 +748,11 @@ def test_theta_on_conjugates_matches_the_product_route(data):
             if isinstance(want_dec, type):
                 assert got is want_dec
             else:
-                assert got[:2] == want_dec[:2]
-                assert key(got[2]) == key(want_dec[2])
+                v, xbar, h, _u = want_dec
+                assert got[:2] == (v, xbar)
+                assert key(got[2]) == key(h)
+                assert key(got[3]) == key(
+                    h - eta.alg.scalar_series(lf.teichmuller(xbar)))
             # an error type equals only itself
             assert outcome(ssc.theta_eval, eta, *args) == want_theta
         want.append(want_theta)
@@ -761,6 +765,35 @@ def test_theta_on_conjugates_matches_the_product_route(data):
         for w in want[1:]:
             total = total + w
         assert ssc.char_at_gu_direct(eta, u) == total
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_theta_scales_one_trace_as_the_scaled_copy_would(data):
+    """theta_eval, which scales Trd(phi^{-1}(h - xbar)) by xbar^{-1},
+    against oracle_theta_on_conjugate, which scales h to u and subtracts
+    1, on phi^v x (1 + phi u) for every Teichmuller unit x of k: the same
+    value, or the same error class."""
+    eta = data.draw(oracle_params())
+    g = data.draw(theta_domain_elements(eta))
+    one = eta.alg.identity()
+    assert outcome(ssc.theta_eval, eta, g) == \
+        oracle_theta_on_conjugate(eta, g, one, one)[2]
+
+
+def test_theta_scales_one_trace_on_the_acceptance_grid():
+    # a group element with a random unit part on every configuration,
+    # at every coset conjugate, against the scale-then-subtract route
+    assert len(ACCEPTANCE_GRID) == 147
+    for p, f, m, r, s in ACCEPTANCE_GRID:
+        eta = ssc.make_param(p, f, m, r, s, zeta_dlog=1 % (p ** f - 1),
+                             c=ssc.CUnit(order=4, power=1))
+        g = random_group_element(eta, random.Random(repr((p, f, m, r, s))), 4)
+        for _lam, units in ssc.gu_cosets(eta.alg):
+            want = oracle_theta_on_conjugate(
+                eta, g, *teich_diagonals(eta.alg, units))[2]
+            assert outcome(ssc.theta_eval, eta, g, units) == want, \
+                (p, f, m, r, s)
 
 
 def lift(x):
@@ -813,7 +846,7 @@ def theta_domain_elements(draw, eta):
 class TestDecomposePrecision:
     """decompose on a truncated input against the same input lifted to
     exact series: the truncated run may only claim what the exact run
-    confirms, and u carries the min-plus precision of phi^{-v} g."""
+    confirms, and h carries the min-plus precision of phi^{-v} g."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -828,11 +861,11 @@ class TestDecomposePrecision:
         if got is DecompositionError:
             assert exact is DecompositionError
             return
-        v, xbar, u, _ = got
+        v, xbar, h, _ = got
         assert exact[:2] == (v, xbar)
         phi_v = (csa.phi_inverse(alg.m, alg.D, eta.zeta) ** v if v >= 0
                  else eta.phi() ** -v)
-        for i, (row, exact_row) in enumerate(zip(u.entries,
+        for i, (row, exact_row) in enumerate(zip(h.entries,
                                                  exact[2].entries)):
             for j, (e, exact_e) in enumerate(zip(row, exact_row)):
                 for t, (a, b) in enumerate(zip(e.coeffs, exact_e.coeffs)):
