@@ -16,7 +16,7 @@ must be listed in scripts/reach_allow.txt, which keys an entry by the
 function's qualified name and the statement's source line, so entries
 survive edits elsewhere in the file:
 
-    csa._resultant: return None
+    csa.MatA._in_power: return None
         the reason the statement stays, on one or more indented lines
 
 The text ``*`` lists a whole ``__repr__`` or ``to_json``.  Run it from

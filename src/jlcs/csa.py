@@ -20,13 +20,12 @@ power e, the unit C (kept as its discrete log) and the shift j hold the
 twist, the scaling and the shift at once.  regular_rep, AlgElem products
 and rtrace_product use the same map for sigma^{si} and Pi^r = w.  The
 matrix product _matmul is the definition, each entry the sum of its m
-products: it serves the checks that phi^n is zeta w, the geometric series
-of one_plus_inverse and the self-test.  An AlgElem finds its live
-coefficients (those not an exact zero) once, when it is built: its
-products run over the live pairs only, adding an exact zero (no live
-coefficient) returns the other operand, and the empty slots of a product
-share the one exact-zero series of the DivAlgebra.  The sums
-of series products in the Berkowitz steps (each mat-vec, the Toeplitz
+products: it serves the check that phi^n is zeta w and the self-test.
+An AlgElem finds its live coefficients (those not an exact zero) once,
+when it is built: its products run over the live pairs only, adding an
+exact zero (no live coefficient) returns the other operand, and the empty
+slots of a product share the one exact-zero series of the DivAlgebra.  The
+sums of series products in the Berkowitz steps (each mat-vec, the Toeplitz
 entries and the Toeplitz convolution) go through locfield.ProductSums,
 which skips the exact-zero terms and reads each step's sums back from
 packed integers in one numpy pass.  The filtration of the standard order
@@ -54,7 +53,7 @@ from functools import cache, reduce
 
 from . import ff
 from . import locfield as lf
-from ._util import binary_power, canonical
+from ._util import binary_power, canonical, stable_rng
 from .errors import (DomainError, IdentityFailure, PrecisionError,
                      ValidationError)
 
@@ -150,9 +149,6 @@ class AlgElem:
         self.live = [(i, a) for i, a in enumerate(coeffs)
                      if not a.is_exact_zero()]
 
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.coeffs)
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other):
@@ -169,9 +165,6 @@ class AlgElem:
             return o
         return AlgElem(self.parent,
                        tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __neg__(self):
-        return AlgElem(self.parent, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         o = self._check(other)
@@ -307,13 +300,6 @@ class MatA:
             tuple(a + b for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, o.entries)))
 
-    def __neg__(self):
-        return MatA(self.parent,
-                    tuple(tuple(-a for a in row) for row in self.entries))
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
     def __mul__(self, other):
         o = self._check(other)
         return MatA(self.parent, _matmul(self.entries, o.entries))
@@ -348,9 +334,6 @@ class MatA:
                    for a, b in zip(ra, rb))
 
     __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
 
     def _radical_terms(self):
         """The least radical valuation of a known term and the least bound
@@ -548,28 +531,6 @@ def phi_inverse(m: int, Dalg: DivAlgebra, zeta: ff.FFElem) -> MatA:
     return phi_power_mul(zeta, -1, matrix_algebra(Dalg, m).identity())
 
 
-def one_plus_inverse(y: MatA) -> MatA:
-    """Inverse of 1 + y for y in the radical, by the geometric series,
-    computed to the absolute precision the input supports."""
-    if not y.in_radical_power(1):
-        raise DomainError("geometric inverse needs a radical perturbation")
-    finite = [a.prec for row in y.entries for e in row
-              for a in e.coeffs if a.prec != lf.INF]
-    if not finite:
-        raise PrecisionError("an exact perturbation needs a target precision")
-    prec = min(finite)
-    acc = y.parent.identity()
-    term = acc
-    while True:
-        term = (term * (-y)).truncate(prec)
-        if term.is_zero():
-            break
-        acc = acc + term
-    # the tail past the last term is only known to vanish below prec, in
-    # every coefficient: the exact identity's own coefficients included
-    return acc.truncate(prec)
-
-
 # ---------------------------------------------------------------------------
 # the regular representation and reduced invariants
 
@@ -696,35 +657,6 @@ class RedCharPoly:
     n: int
     coeffs: tuple
 
-    def derivative(self) -> list:
-        k = self.field
-        out = []
-        for i in range(self.n):
-            c = (i + 1) % k.p
-            top = lf.one(k) if i + 1 == self.n else self.coeffs[i + 1]
-            out.append(top.scale(k.from_int(c)))
-        return out
-
-    def taylor_shift(self, t: lf.LaurentTrunc) -> "RedCharPoly":
-        """The polynomial f(x + t)."""
-        b = _taylor_shift(list(self.coeffs) + [lf.one(self.field)], t)
-        return RedCharPoly(self.field, self.n, tuple(b[:self.n]))
-
-    def residue_coeffs(self) -> list:
-        """Residues of a_0..a_{n-1}; requires integral coefficients."""
-        return [c.residue() for c in self.coeffs]
-
-
-def _taylor_shift(coeffs, t):
-    """Coefficients of f(x + t), both by ascending degree, by repeated
-    synthetic division (Horner steps); works over any ring."""
-    b = list(coeffs)
-    n = len(b) - 1
-    for i in range(n + 1):
-        for j in range(n - 1, i - 1, -1):
-            b[j] = b[j] + t * b[j + 1]
-    return b
-
 
 def red_charpoly(g: MatA) -> RedCharPoly:
     """Reduced characteristic polynomial of g, with coefficients verified
@@ -800,67 +732,6 @@ def eisenstein_check(f: RedCharPoly, zeta: ff.FFElem) -> dict:
     }
 
 
-def _resultant(fc: list, gc: list, field: ff.FieldDesc) -> lf.LaurentTrunc | None:
-    """Resultant via the Sylvester determinant; fc and gc hold coefficients
-    by ascending degree, fc monic.  None when the degree of gc cannot be
-    read off at the available precision."""
-    dn = len(fc) - 1
-    dg = len(gc) - 1
-    while dg >= 0 and gc[dg].is_zero():
-        if not gc[dg].is_exact_zero():
-            return None
-        dg -= 1
-    if dg < 0:
-        return lf.zero(field)
-    size = dn + dg
-    z = lf.zero(field)
-    rows = []
-    for i in range(dg):
-        row = [z] * size
-        for t in range(dn + 1):
-            row[i + t] = fc[dn - t]
-        rows.append(row)
-    for i in range(dn):
-        row = [z] * size
-        for t in range(dg + 1):
-            row[i + t] = gc[dg - t]
-        rows.append(row)
-    vec = _berkowitz(rows, field)
-    return vec[size] if size % 2 == 0 else -vec[size]
-
-
-def classify_qr(g: MatA) -> str:
-    """Conjugacy-type classification through the reduced characteristic
-    polynomial: "regular" when the discriminant certificate succeeds,
-    "elliptic_quasi_regular" when a shift of f is Eisenstein, else
-    "unknown"."""
-    f = red_charpoly(g)
-    k = f.field
-    n = f.n
-    full = list(f.coeffs) + [lf.one(k)]
-    res = _resultant(full, f.derivative(), k)
-    if res is not None and not res.is_zero() and res.valuation() == 0:
-        return "regular"
-    try:
-        rbar = f.residue_coeffs() + [k.one()]
-    except (DomainError, PrecisionError):
-        return "unknown"
-    shift_root = None
-    for c in k.elements():
-        b = _taylor_shift(rbar, c)
-        if all(b[i] == k.zero() for i in range(n)):
-            shift_root = c
-            break
-    if shift_root is None:
-        return "unknown"
-    fs = f.taylor_shift(lf.teichmuller(shift_root))
-    if not all(c.val_at_least(1) for c in fs.coeffs[1:]):
-        return "unknown"
-    if fs.coeffs[0].valuation() != 1:
-        return "unknown"
-    return "elliptic_quasi_regular"
-
-
 def matching_element(f: RedCharPoly, zeta: ff.FFElem,
                      trd_residue: ff.FFElem | None = None):
     """The split-side conjugacy datum with reduced characteristic
@@ -905,8 +776,6 @@ def selftest(p: int, f: int, m: int, r: int, s: int | None,
              prec: int = lf.DEFAULT_PREC, seed: int = 0) -> list[dict]:
     """Check the structural invariants of one algebra: one
     {"kind": "csa_check", "check", "ok"} row per invariant."""
-    from ._util import stable_rng
-
     k = ff.make_field(p, f)
     D = div_algebra(k, r, s)
     MA = matrix_algebra(D, m)
@@ -917,10 +786,9 @@ def selftest(p: int, f: int, m: int, r: int, s: int | None,
     def record(name, ok):
         rows.append({"kind": "csa_check", "check": name, "ok": bool(ok)})
 
-    zeta = k.gen() if k.order > 1 else k.one()
+    zeta = k.gen()
     zw = lf.teichmuller(zeta).shift(1)
     phi = make_phi_zeta(m, D, zeta)
-    record("phi_power_central", phi ** n == MA.scalar_series(zw))
 
     x = MA.random_in_order(rng, prec)
     y = MA.random_in_order(rng, prec)
@@ -946,19 +814,12 @@ def selftest(p: int, f: int, m: int, r: int, s: int | None,
     u = MA.random_in_order(rng, prec)
     gu = make_g_u(m, D, zeta, u)
     fpoly = red_charpoly(gu)
-    rep = eisenstein_check(fpoly, zeta)
-    record("g_u_eisenstein", rep["eisenstein"])
-    # degree-1 polynomials are separable, so n = 1 certifies as regular
-    # before the Eisenstein route is consulted
-    record("g_u_classified",
-           classify_qr(gu) == ("regular" if n == 1 else
-                               "elliptic_quasi_regular"))
+    record("g_u_eisenstein", eisenstein_check(fpoly, zeta)["eisenstein"])
+    # matching_element raises when its charpoly or trace residue disagrees
+    matching_element(fpoly, zeta, rtrace(u).residue())
 
-    ualpha, galpha = matching_element(fpoly, zeta, rtrace(u).residue())
-    record("matching_charpoly", red_charpoly(galpha) == fpoly)
-
+    # h g = h (g h) h^{-1}: conjugate charpolys, with no inverse to build
     h = MA.identity() + (phi * MA.random_in_order(rng, prec)).truncate(prec)
-    hinv = one_plus_inverse(h - MA.identity())
     record("charpoly_conjugation_invariant",
-           red_charpoly(h * gu * hinv) == fpoly)
+           red_charpoly(h * gu) == red_charpoly(gu * h))
     return rows

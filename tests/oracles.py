@@ -20,6 +20,9 @@ with the library code it checks:
 - galois, conjugate: CycRing._reduce, and |G|^2 = q for the Gauss sums
 - random_group_element: inputs to ssc.decompose and ssc.theta_eval
 - round_berkowitz: csa._berkowitz, whose rounds advance in lockstep
+- one_plus_inverse, is_zero_matrix: h^{-1} by the geometric series, for
+  the h g h^{-1} route of the charpoly conjugation row of csa.selftest,
+  which compares h g with g h and builds no inverse
 - ACCEPTANCE_GRID: the 147 configurations of the acceptance criteria
 """
 
@@ -27,7 +30,7 @@ import math
 
 from jlcs import csa, cyc, ff
 from jlcs import locfield as lf
-from jlcs.errors import PrecisionError, ValidationError
+from jlcs.errors import DomainError, PrecisionError, ValidationError
 
 # the acceptance grid: q <= 9, n = m r <= 6, every twist s, and q^n <= 10^6
 ACCEPTANCE_GRID = [(p, f, m, r, s)
@@ -213,3 +216,32 @@ def round_berkowitz(mat, field):
                               for j in range(min(i, k - 1) + 1)]
                              for i in range(1, k + 1)])
     return vec
+
+
+def is_zero_matrix(g: csa.MatA) -> bool:
+    """Every coefficient of every entry of g is zero, exact or truncated."""
+    return all(a.is_zero() for row in g.entries for e in row
+               for a in e.coeffs)
+
+
+def one_plus_inverse(y: csa.MatA) -> csa.MatA:
+    """Inverse of 1 + y for y in the radical, by the geometric series in
+    -y, computed to the absolute precision the input supports."""
+    if not y.in_radical_power(1):
+        raise DomainError("geometric inverse needs a radical perturbation")
+    finite = [a.prec for row in y.entries for e in row
+              for a in e.coeffs if a.prec != lf.INF]
+    if not finite:
+        raise PrecisionError("an exact perturbation needs a target precision")
+    prec = min(finite)
+    MA = y.parent
+    minus_y = MA.scalar_series(-lf.one(MA.D.k)) * y
+    acc = term = MA.identity()
+    while True:
+        term = (term * minus_y).truncate(prec)
+        if is_zero_matrix(term):
+            break
+        acc = acc + term
+    # the tail past the last term is only known to vanish below prec, in
+    # every coefficient: the exact identity's own coefficients included
+    return acc.truncate(prec)

@@ -95,7 +95,7 @@ def test_criterion_02_gu_character_matches_restricted_gauss():
         diagonals = [(alg.diag([alg.D.teich(d) for d in units]),
                       alg.diag([alg.D.teich(d.inverse()) for d in units]))
                      for _lam, units in ssc.gu_cosets(alg)]
-        ident = alg.identity()
+        minus_one = alg.scalar_series(-lf.one(k))
         sign = ring.from_int(-1 if (m - 1) % 2 else 1)
         units = [sign * ring.zeta(12, w) for w in range(12)]
         rng = stable_rng(0, "acceptance-gu", p, f, m, r, s or 0)
@@ -110,7 +110,7 @@ def test_criterion_02_gu_character_matches_restricted_gauss():
                 assert v == 1, f"{label}: conjugate left the coset phi U^1"
                 # the 1-unit u1 = xbar^{-1} h, scaled by a matrix product
                 u1 = alg.scalar_series(lf.teichmuller(k.one() / xbar)) * h
-                tr = csa.rtrace(phi_inv * (u1 - ident))
+                tr = csa.rtrace(phi_inv * (u1 + minus_one))
                 parts.append((ff.dlog(xbar), lf.psi_K(eta.psi, tr)))
             tbar = csa.rtrace(u).residue()
             for j in range(q - 1):

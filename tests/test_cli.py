@@ -99,15 +99,15 @@ FROZEN_REPORTS = [
      "--twist-varpi-order 4 --twist-varpi-power 1", 0,
      "dd1177bda3bc2da3ca589d420dd8d0bcd1d0126a82f2cf69930cd50b5c712b62"),
     ("csa-selftest", "csa selftest --p 2 --f 1 --m 2 --r 2 --s 1", 0,
-     "f27f3bdba81009c3483dd9701e44838a8ab12af72f92d7c54af5e5de73e9a9a6"),
+     "c68246de9ddce7159a75cfc61c86b75573957749df0f1cf9c008302847d8fc79"),
     ("char-order-membership-undetermined",
      "char --p 3 --f 1 --m 2 --r 1 --precision 0", 3,
      "6ddba50527940beca3682ce51f4d26b667184f18b6b699f5f8ce82eb58f27814"),
     ("csa-selftest-n6", "csa selftest --p 3 --f 1 --m 2 --r 3 --s 1", 0,
-     "d4763568801ea12c3c303efe3d9e6b6215f12db2c3d2e79f6d57bdc82d2779a3"),
+     "323a4a44262dc3e19be81b3d9be0797431629830659791fe867b3e1e78d6d50d"),
     ("csa-selftest-n6-prec30",
      "csa selftest --p 2 --f 1 --m 3 --r 2 --s 1 --precision 30", 0,
-     "9ec9e45c18d794c911956269c5df3eef64f70c719a561d83a2e7de36aef3ebfe"),
+     "c5730cdf51affc6f30fdc152fccf1cc1d61c5fcfa59374d5eb99f2d10d59d06f"),
     ("jl-verify-p2-r3",
      "jl verify --p 2 --f 1 --m 1 --r 3 --s 2 --all-lambda --samples 2", 0,
      "1a74569c9c4932b058a4e257535cc383bdeee713e9679e79fd1a90b1c4345969"),
@@ -590,6 +590,20 @@ class TestReportShape:
         assert code == 1
         summary = lines(out)[-1]
         assert summary["failures"] == 1 and summary["ok"] is False
+
+    def test_csa_selftest_matching_failure_is_math_failure(self, capsys,
+                                                           monkeypatch):
+        # the matching element's own checks decide the exit code: no row
+        # repeats them
+        def disagree(*args):
+            raise IdentityFailure("matching element's charpoly disagrees")
+        monkeypatch.setattr(csa, "matching_element", disagree)
+        code, out = run(capsys, "csa", "selftest", "--p", "2", "--f", "1",
+                        "--m", "2", "--r", "2", "--s", "1")
+        assert code == 1
+        assert lines(out)[-1] == {
+            "kind": "error", "error": "IdentityFailure",
+            "message": "matching element's charpoly disagrees"}
 
     @pytest.mark.parametrize("records", [
         [],
